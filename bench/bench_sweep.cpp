@@ -47,6 +47,14 @@ constexpr double kBaselineClassifyNs[] = {4.13, 3.00, 3.91, 3.62, 1.68};
 // rewrite (sweep_cells_per_s.threads_0 = 2.76e5 at commit 586f006).
 constexpr double kSweepCellsPerSFloor = 1.38e6;
 
+// Hard regression ceiling for the Pareto-front stage (ns per grid cell
+// on the scaling grid), enforced by bench/check_regression.py against
+// the "ceilings" block this binary emits.  It sits below the earlier
+// sort-then-sweep front (79-118 ns/cell on the 4-vCPU recording host)
+// and well above the linear-time front (14-19 ns/cell there); see
+// docs/PERF.md.
+constexpr double kFrontNsPerCellCeiling = 50;
+
 /// ns/op of @p fn via a fixed-count timed loop, minimum over 7 runs —
 /// scheduler noise on a shared machine is strictly additive, so the
 /// minimum is the robust estimator for a deterministic micro-op.  The
@@ -101,10 +109,14 @@ explore::SweepGrid scaling_grid() {
   explore::SweepGrid grid;
   grid.base.min_flexibility = 0;
   for (std::int64_t n = 2; n <= 128; n += 2) grid.n_values.push_back(n);
-  for (std::int64_t v = 64; v <= 65536; v *= 2) grid.lut_budgets.push_back(v);
+  for (std::int64_t v = 64; v <= 64 * 256; v += 64) {
+    grid.lut_budgets.push_back(v);
+  }
   grid.objectives = {explore::Requirements::Objective::MinConfigBits,
                      explore::Requirements::Objective::MinArea};
-  return grid;  // 64 * 11 * 2 = 1408 cells
+  // 64 * 256 * 2 = 32768 cells: enough work per sweep (milliseconds)
+  // that thread start-up and wake-ups do not swamp the scaling rows.
+  return grid;
 }
 
 struct ScalingRow {
@@ -138,16 +150,21 @@ std::vector<ScalingRow> measure_scaling() {
   return rows;
 }
 
-/// Per-cell time split of the batch sweep path.  `total` and `decode`
-/// and `evaluate` are measured; `reduce` is the remainder — the
-/// winner-fold cannot be timed in isolation through the public API, but
-/// total = decode + evaluate + reduce by construction of the kernel
-/// (see docs/PERF.md).
+/// Per-cell time split of a single-thread sweep().  `total` (the batch
+/// kernel, evaluate_range), `decode`, `evaluate`, `front` and `sweep`
+/// are measured; `reduce` is the remainder — the winner-fold cannot be
+/// timed in isolation through the public API, but total = decode +
+/// evaluate + reduce by construction of the kernel (see docs/PERF.md).
+/// `front` is pareto_front over the grid's points and `sweep` the whole
+/// sweep() call, so sweep - total - front is what sweep() adds around
+/// the two: building the evaluator and allocating its result vectors.
 struct StageBreakdown {
   double decode_ns = 0;
   double evaluate_ns = 0;
   double reduce_ns = 0;
   double total_ns = 0;
+  double front_ns = 0;
+  double sweep_ns = 0;
 };
 
 StageBreakdown measure_stages() {
@@ -217,6 +234,24 @@ StageBreakdown measure_stages() {
       cells_d;
   stages.reduce_ns = std::max(
       0.0, stages.total_ns - stages.evaluate_ns - stages.decode_ns);
+
+  // Front: the serial step sweep() (and the engine's last chunk) runs
+  // after every cell is evaluated, over the points computed above.
+  stages.front_ns = measure_ns(
+                        [&] {
+                          std::vector<explore::SweepPoint> front =
+                              explore::pareto_front(points);
+                          benchmark::DoNotOptimize(front.data());
+                        },
+                        4) /
+                    cells_d;
+  stages.sweep_ns = measure_ns(
+                        [&] {
+                          explore::SweepResult result = explore::sweep(grid);
+                          benchmark::DoNotOptimize(result);
+                        },
+                        4) /
+                    cells_d;
   return stages;
 }
 
@@ -280,8 +315,8 @@ void print_artifact(const std::string& json_path) {
                        fmt(scaling[0].cells_per_s > 0
                                ? (cells / engine_s) / scaling[0].cells_per_s
                                : 0)});
-  std::cout << "# sweep scaling: 1408-cell grid, library sweep() + engine "
-               "SweepRequest\n"
+  std::cout << "# sweep scaling: " << static_cast<long>(cells)
+            << "-cell grid, library sweep() + engine SweepRequest\n"
             << scaling_csv.str() << "\n";
 
   report::CsvWriter stage_csv;
@@ -290,7 +325,11 @@ void print_artifact(const std::string& json_path) {
   stage_csv.add_row({"evaluate", fmt(stages.evaluate_ns)});
   stage_csv.add_row({"reduce", fmt(stages.reduce_ns)});
   stage_csv.add_row({"total", fmt(stages.total_ns)});
-  std::cout << "# batch kernel per-cell stage breakdown (single thread)\n"
+  stage_csv.add_row({"front", fmt(stages.front_ns)});
+  stage_csv.add_row({"sweep", fmt(stages.sweep_ns)});
+  std::cout << "# sweep() per-cell stage breakdown (single thread; decode "
+               "+ evaluate + reduce = total; sweep = total + front + "
+               "evaluator build and result allocation)\n"
             << stage_csv.str() << "\n";
 
   // Monotone-scaling gate: with the worker pool clamped to
@@ -344,12 +383,17 @@ void print_artifact(const std::string& json_path) {
   out << "},\n    \"sweep_stage_ns_per_cell\": {\"decode\": "
       << fmt(stages.decode_ns) << ", \"evaluate\": " << fmt(stages.evaluate_ns)
       << ", \"reduce\": " << fmt(stages.reduce_ns)
-      << ", \"total\": " << fmt(stages.total_ns) << "}";
+      << ", \"total\": " << fmt(stages.total_ns)
+      << ", \"front\": " << fmt(stages.front_ns)
+      << ", \"sweep\": " << fmt(stages.sweep_ns) << "}";
   out << ",\n    \"engine_sweep_cells_per_s\": " << fmt(cells / engine_s)
       << "\n  },\n"
       << "  \"floors\": {\n"
       << "    \"sweep_cells_per_s.threads_0\": " << fmt(kSweepCellsPerSFloor)
-      << "\n  }\n}\n";
+      << "\n  },\n"
+      << "  \"ceilings\": {\n"
+      << "    \"sweep_stage_ns_per_cell.front\": "
+      << fmt(kFrontNsPerCellCeiling) << "\n  }\n}\n";
   std::cout << "JSON written to " << json_path << "\n\n";
 }
 

@@ -1,9 +1,13 @@
 #include "explore/sweep.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <iterator>
 #include <limits>
+#include <optional>
 #include <span>
 #include <thread>
+#include <type_traits>
 
 #include "trace/trace.hpp"
 
@@ -71,6 +75,95 @@ bool dominates(const SweepPoint& a, const SweepPoint& b) {
   return flex_ge && cost_le && (flex_gt || cost_lt);
 }
 
+/// The summary one objective group's domination test needs: for each
+/// distinct flexibility f, the minimum objective cost over the group's
+/// points with flexibility >= f.  A point (f, c) is dominated exactly
+/// when a point with flexibility >= f costs strictly less than c, or a
+/// point with flexibility > f costs no more than c, so each test is two
+/// lookups: the suffix minimum at f's slot and at the next slot.
+///
+/// Slots are dense (flexibility - lo) when the group's flexibility range
+/// is narrower than the group itself (the taxonomy scores 0..8), making
+/// the build one pass plus a suffix minimum over a handful of slots.
+/// Wider ranges (wire-decoded points may carry any int) fall back to
+/// ranks in the sorted distinct values: O(N log N), never worse.  A NaN
+/// cost fails every comparison, so it never dominates (it stays out of
+/// the minimum) and is never dominated, exactly as in dominates().
+template <typename Cost>
+class MinCostByFlexibility {
+ public:
+  MinCostByFlexibility(const std::vector<SweepPoint>& points,
+                       Requirements::Objective objective,
+                       Cost SweepPoint::*cost)
+      : cost_(cost) {
+    const auto in_group = [objective](const SweepPoint& p) {
+      return p.feasible && p.objective == objective;
+    };
+    std::size_t count = 0;
+    int lo = std::numeric_limits<int>::max();
+    int hi = std::numeric_limits<int>::min();
+    for (const SweepPoint& p : points) {
+      if (!in_group(p)) continue;
+      ++count;
+      lo = std::min(lo, p.flexibility);
+      hi = std::max(hi, p.flexibility);
+    }
+    if (count == 0) return;
+    lo_ = lo;
+    const auto range = static_cast<std::uint64_t>(std::int64_t{hi} - lo);
+    std::size_t slots = 0;
+    if (range < count) {
+      slots = static_cast<std::size_t>(range) + 1;
+    } else {
+      ranks_.reserve(count);
+      for (const SweepPoint& p : points) {
+        if (in_group(p)) ranks_.push_back(p.flexibility);
+      }
+      std::sort(ranks_.begin(), ranks_.end());
+      ranks_.erase(std::unique(ranks_.begin(), ranks_.end()), ranks_.end());
+      slots = ranks_.size();
+    }
+    // One extra empty slot past the highest flexibility, so the
+    // "strictly greater flexibility" lookup needs no bounds check.
+    min_.assign(slots + 1, std::nullopt);
+    for (const SweepPoint& p : points) {
+      if (!in_group(p)) continue;
+      const Cost c = p.*cost_;
+      if constexpr (std::is_floating_point_v<Cost>) {
+        if (std::isnan(c)) continue;
+      }
+      std::optional<Cost>& m = min_[slot(p.flexibility)];
+      if (!m || c < *m) m = c;
+    }
+    for (std::size_t k = slots; k-- > 0;) {
+      const std::optional<Cost>& above = min_[k + 1];
+      if (above && (!min_[k] || *above < *min_[k])) min_[k] = above;
+    }
+  }
+
+  /// Whether a point of this group is dominated by any point of it.
+  bool dominated(const SweepPoint& p) const {
+    const std::size_t k = slot(p.flexibility);
+    const Cost c = p.*cost_;
+    return (min_[k] && *min_[k] < c) || (min_[k + 1] && *min_[k + 1] <= c);
+  }
+
+ private:
+  std::size_t slot(int flexibility) const {
+    if (ranks_.empty()) {
+      return static_cast<std::size_t>(std::int64_t{flexibility} - lo_);
+    }
+    return static_cast<std::size_t>(
+        std::lower_bound(ranks_.begin(), ranks_.end(), flexibility) -
+        ranks_.begin());
+  }
+
+  Cost SweepPoint::*cost_;
+  std::int64_t lo_ = 0;
+  std::vector<int> ranks_;  ///< sorted distinct flexibilities; empty if dense
+  std::vector<std::optional<Cost>> min_;  ///< suffix minimum per slot
+};
+
 }  // namespace
 
 namespace detail {
@@ -96,52 +189,21 @@ std::vector<SweepPoint> pareto_front_reference(
 }  // namespace detail
 
 std::vector<SweepPoint> pareto_front(const std::vector<SweepPoint>& points) {
-  // Per objective group: sort indices by objective cost ascending, then
-  // sweep once.  A point is dominated iff some same-objective point has
-  // (strictly smaller cost, flexibility >=) — tracked by best_flex_lt,
-  // the maximum flexibility at strictly smaller cost — or (equal cost,
-  // strictly greater flexibility) — tracked by run_max over its
-  // equal-cost run.  Equal cost *and* equal flexibility dominates
-  // neither way, matching the reference's strict-part requirement.
-  std::vector<char> dominated(points.size(), 0);
-  std::array<std::vector<std::size_t>, 2> groups;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    if (!points[i].feasible) continue;
-    const bool by_bits =
-        points[i].objective == Requirements::Objective::MinConfigBits;
-    groups[by_bits ? 0 : 1].push_back(i);
-  }
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    std::vector<std::size_t>& idx = groups[g];
-    if (idx.empty()) continue;
-    const bool by_bits = g == 0;
-    const auto cost_less = [&](std::size_t a, std::size_t b) {
-      return by_bits ? points[a].config_bits < points[b].config_bits
-                     : points[a].area_kge < points[b].area_kge;
-    };
-    std::sort(idx.begin(), idx.end(), cost_less);
-    int best_flex_lt = std::numeric_limits<int>::min();
-    std::size_t i = 0;
-    while (i < idx.size()) {
-      // [i, j) is one equal-cost run.
-      std::size_t j = i;
-      int run_max = std::numeric_limits<int>::min();
-      while (j < idx.size() && !cost_less(idx[i], idx[j])) {
-        run_max = std::max(run_max, points[idx[j]].flexibility);
-        ++j;
-      }
-      for (std::size_t k = i; k < j; ++k) {
-        const int flex = points[idx[k]].flexibility;
-        if (best_flex_lt >= flex || run_max > flex) dominated[idx[k]] = 1;
-      }
-      best_flex_lt = std::max(best_flex_lt, run_max);
-      i = j;
-    }
-  }
+  using Objective = Requirements::Objective;
+  const MinCostByFlexibility<std::int64_t> by_bits(
+      points, Objective::MinConfigBits, &SweepPoint::config_bits);
+  const MinCostByFlexibility<double> by_area(points, Objective::MinArea,
+                                             &SweepPoint::area_kge);
+  const auto on_front = [&](const SweepPoint& p) {
+    if (!p.feasible) return false;
+    return p.objective == Objective::MinConfigBits ? !by_bits.dominated(p)
+                                                   : !by_area.dominated(p);
+  };
   std::vector<SweepPoint> front;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    if (points[i].feasible && !dominated[i]) front.push_back(points[i]);
-  }
+  front.reserve(static_cast<std::size_t>(
+      std::count_if(points.begin(), points.end(), on_front)));
+  std::copy_if(points.begin(), points.end(), std::back_inserter(front),
+               on_front);
   return front;
 }
 

@@ -62,16 +62,21 @@ struct SweepResult {
 /// its objective cost is <= with at least one strict.  Infeasible cells
 /// never appear.  Output order is deterministic (input order preserved).
 ///
-/// O(N log N): per objective group, sort by cost and sweep tracking the
-/// best flexibility seen at strictly smaller cost.  Returns exactly the
-/// front detail::pareto_front_reference computes, in the same order.
+/// Linear time: per objective group, one pass builds the minimum cost at
+/// each distinct flexibility, a suffix minimum over those few values
+/// answers every domination test with two lookups, and one filter pass
+/// copies the survivors into a front reserved to its exact size.
+/// Hostile input (any int flexibility, NaN or signed-zero costs, as a
+/// wire-decoded merge may carry) stays within O(N log N).  Returns
+/// exactly the front detail::pareto_front_reference computes, in the
+/// same order.
 std::vector<SweepPoint> pareto_front(const std::vector<SweepPoint>& points);
 
 namespace detail {
 
 /// The original all-pairs O(N^2) implementation, kept as the oracle the
-/// randomized equivalence test compares the sort-then-sweep front
-/// against (tests/test_sweep.cpp, ParetoFront.MatchesReference*).
+/// randomized equivalence test compares the linear-time front against
+/// (tests/test_sweep.cpp, ParetoFront.MatchesReference*).
 std::vector<SweepPoint> pareto_front_reference(
     const std::vector<SweepPoint>& points);
 

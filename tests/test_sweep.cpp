@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <iterator>
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -278,32 +280,73 @@ TEST(SweepBatch, RowSplittingRangesAgreeWithFullRange) {
 }
 
 // ---------------------------------------------------------------------------
-// Pareto front: the O(N log N) sort-then-sweep must return exactly the
-// front the quadratic reference computes — same points, same order —
-// on randomized inputs dense with ties.
+// Pareto front: the linear-time front must return exactly the points the
+// quadratic reference computes, in the same order, on randomized inputs
+// dense with ties and on the hostile values a wire-decoded merge can
+// carry: negative, extreme and many-distinct flexibilities, NaN and
+// signed-zero areas.
+
+/// Input positions of @p front's points (each test point's n is its
+/// index).  Compared instead of the points themselves because a NaN area
+/// makes a point unequal to its own copy.
+std::vector<std::int64_t> ids(const std::vector<SweepPoint>& front) {
+  std::vector<std::int64_t> out;
+  for (const SweepPoint& p : front) out.push_back(p.n);
+  return out;
+}
 
 TEST(ParetoFront, MatchesReferenceOnRandomizedPoints) {
+  using Limits = std::numeric_limits<int>;
+  using Bits = std::numeric_limits<std::int64_t>;
+  const int extreme_flex[] = {Limits::min(), Limits::min() + 1, -1, 0, 1,
+                              Limits::max() - 1, Limits::max()};
+  const std::int64_t extreme_bits[] = {Bits::min(), -1, 0, 1, Bits::max()};
   std::mt19937_64 rng(99);
-  std::uniform_int_distribution<int> flex(0, 5);
   std::uniform_int_distribution<std::int64_t> bits(0, 20);
   std::uniform_int_distribution<int> area_step(0, 20);
   std::uniform_int_distribution<int> coin(0, 9);
-  for (int round = 0; round < 50; ++round) {
-    std::vector<SweepPoint> points;
+  for (int round = 0; round < 500; ++round) {
     const int count = 1 + static_cast<int>(rng() % 200);
+    // Flexibility regimes: taxonomy-like 0..5 (tie-dense), negative,
+    // INT_MIN/INT_MAX extremes, distinct values around the group size,
+    // and arbitrary 32-bit values (nearly all distinct).
+    const int regime = round % 5;
+    const auto flexibility = [&]() -> int {
+      switch (regime) {
+        case 0: return static_cast<int>(rng() % 6);
+        case 1: return static_cast<int>(rng() % 11) - 5;
+        case 2: return extreme_flex[rng() % std::size(extreme_flex)];
+        case 3: return static_cast<int>(rng() % static_cast<unsigned>(count));
+        default: return static_cast<int>(static_cast<std::uint32_t>(rng()));
+      }
+    };
+    // Odd rounds mix NaN, -0.0 and +0.0 into the areas.
+    const bool hostile_area = round % 2 == 1;
+    const auto area = [&]() -> double {
+      const int c = coin(rng);
+      if (hostile_area && c == 0) {
+        return std::numeric_limits<double>::quiet_NaN();
+      }
+      if (hostile_area && c == 1) return -0.0;
+      if (hostile_area && c == 2) return 0.0;
+      return 0.5 * area_step(rng);  // coarse on purpose: many exact ties
+    };
+    std::vector<SweepPoint> points;
     for (int i = 0; i < count; ++i) {
       SweepPoint p;
       p.feasible = coin(rng) > 0;  // ~10% infeasible
       p.objective = coin(rng) < 5 ? Requirements::Objective::MinConfigBits
                                   : Requirements::Objective::MinArea;
-      p.flexibility = flex(rng);
-      // Coarse values on purpose: many exact cost ties.
-      p.config_bits = bits(rng);
-      p.area_kge = 0.5 * area_step(rng);
-      p.n = i;  // make points distinguishable for order checks
+      p.flexibility = flexibility();
+      p.config_bits = regime == 2 && coin(rng) < 3
+                          ? extreme_bits[rng() % std::size(extreme_bits)]
+                          : bits(rng);
+      p.area_kge = area();
+      p.n = i;
       points.push_back(p);
     }
-    EXPECT_EQ(pareto_front(points), detail::pareto_front_reference(points))
+    EXPECT_EQ(ids(pareto_front(points)),
+              ids(detail::pareto_front_reference(points)))
         << "round " << round;
   }
 }

@@ -148,11 +148,15 @@ service::QueryResponse ClusterClient::call(
       if (client == nullptr ||
           !client->send_request(request, deadline, trace_id, id, error,
                                 priority)) {
-        // Moving past an unreachable candidate is a failover too (except
-        // for the very first attempt of a never-routed request).
+        // Moving past an unreachable candidate is a failover too. The
+        // first candidate of a request only counts when another one is
+        // left to take the request.
         tracker_->record_failure(index);
         last_error = error;
-        if (!first_attempt && metrics) metrics->net_failovers.add();
+        if ((!first_attempt || next_candidate < candidates.size()) &&
+            metrics) {
+          metrics->net_failovers.add();
+        }
         first_attempt = false;
         continue;
       }

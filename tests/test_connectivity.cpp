@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <ostream>
+
 namespace mpct {
 namespace {
 
@@ -69,6 +72,14 @@ struct CellCase {
   const char* cell;
   std::optional<SwitchKind> expected;
 };
+
+// Print the cell text, not the raw bytes of the struct: gtest would
+// otherwise dump the `cell` pointer, and ctest names the discovered
+// cases after that dump, so every run would get new test names.
+void PrintTo(const CellCase& c, std::ostream* os) {
+  *os << '"' << c.cell << "\" -> "
+      << (c.expected ? to_string(*c.expected) : "nullopt");
+}
 
 class SwitchKindFromCell : public ::testing::TestWithParam<CellCase> {};
 

@@ -2,9 +2,10 @@
 ///
 /// Artifact: a CSV summary (degrade ns/op per canonical probe class;
 /// Monte-Carlo degradation-curve throughput vs thread count, library
-/// evaluate_curve() vs the engine's chunk-parallel FaultSweepRequest)
-/// printed first, and — with `--json <path>` — the same numbers as JSON
-/// in the BENCH_fault format committed at the repo root.
+/// evaluate_curve() vs the engine's chunk-parallel FaultSweepRequest;
+/// single-thread throughput of a NoC-free curve) printed first, and —
+/// with `--json <path>` — the same numbers as JSON in the BENCH_fault
+/// format committed at the repo root.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -26,6 +27,14 @@
 namespace {
 
 using namespace mpct;
+
+// Hard regression floor for single-thread trials/s on the NoC-free
+// fabric curve (fabric_spec), enforced by bench/check_regression.py
+// against the "floors" block this binary emits.  The fault-list kernel
+// that preceded the counting census kernel ran 4.1e5-4.8e5 trials/s on
+// the recording host (4 vCPUs, Release); the census kernel runs
+// 1.9e6-3.8e6 there.
+constexpr double kFabricCurveTrialsPerSFloor = 1.2e6;
 
 // Probe rows spanning the taxonomy: IUP (1), a data-flow multi (8), an
 // array processor (22), an instruction-flow multi (40) and USP (47).
@@ -82,6 +91,30 @@ fault::CurveSpec scaling_spec() {
   spec.trials_per_rate = 48;
   spec.seed = 7;
   return spec;  // 21 * 48 = 1008 Monte-Carlo cells
+}
+
+/// The batch curve shape of perfbench without its NoC: serial 40 at the
+/// default bindings (160 components), 21 rates x 128 trials.  With no
+/// NoC, a trial's cost is the fabric draw and census plus the structure.
+fault::CurveSpec fabric_spec() {
+  fault::CurveSpec spec;
+  spec.machine = taxonomy_index().by_serial(40)->machine;
+  for (int i = 0; i <= 20; ++i) spec.fault_rates.push_back(0.4 * i / 20);
+  spec.trials_per_rate = 128;
+  spec.seed = 7;
+  return spec;  // 21 * 128 = 2688 Monte-Carlo cells
+}
+
+/// Single-thread evaluate_curve() trials/s on fabric_spec().
+double measure_fabric_curve_trials_per_s() {
+  const fault::CurveSpec spec = fabric_spec();
+  const double ns = measure_ns(
+      [&] {
+        fault::CurveResult result = fault::evaluate_curve(spec);
+        benchmark::DoNotOptimize(result);
+      },
+      4);
+  return static_cast<double>(spec.cell_count()) / (ns * 1e-9);
 }
 
 struct ScalingRow {
@@ -175,6 +208,11 @@ void print_artifact(const std::string& json_path) {
                "library evaluate_curve() + engine FaultSweepRequest\n"
             << scaling_csv.str() << "\n";
 
+  const double fabric_trials_per_s = measure_fabric_curve_trials_per_s();
+  std::cout << "# NoC-free degradation curve (serial 40, n=16, 2688 "
+               "trials), single thread\ntrials_per_s\n"
+            << fmt(fabric_trials_per_s) << "\n\n";
+
   if (json_path.empty()) return;
   std::ofstream out(json_path);
   out << "{\n"
@@ -200,7 +238,12 @@ void print_artifact(const std::string& json_path) {
         << "\": " << fmt(scaling[i].speedup);
   }
   out << "},\n    \"engine_curve_cells_per_s\": " << fmt(cells / engine_s)
-      << "\n  }\n}\n";
+      << ",\n    \"fabric_curve_grid_cells\": " << fabric_spec().cell_count()
+      << ",\n    \"fabric_curve_trials_per_s\": " << fmt(fabric_trials_per_s)
+      << "\n  },\n"
+      << "  \"floors\": {\n"
+      << "    \"fabric_curve_trials_per_s\": "
+      << fmt(kFabricCurveTrialsPerSFloor) << "\n  }\n}\n";
   std::cout << "JSON written to " << json_path << "\n\n";
 }
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 
 namespace mpct {
@@ -41,9 +42,35 @@ class Rng {
   }
 
   /// Uniform double in [0, 1).
-  double next_double() {
-    // 53 high bits -> [0, 1).
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+  double next_double() { return unit_double(next()); }
+
+  /// The double next_double() makes of the raw draw @p x: its 53 high
+  /// bits scaled into [0, 1).
+  static double unit_double(std::uint64_t x) {
+    return static_cast<double>(x >> 11) * 0x1.0p-53;
+  }
+
+  /// Integer form of the Bernoulli test `next_double() < rate`: the draw
+  /// x hits exactly when `(x >> 11) < bernoulli_threshold(rate)`.  Both
+  /// sides of `k * 2^-53 < rate` are exact doubles for every 53-bit k, so
+  /// the test is `k < rate * 2^53`, i.e. `k < ceil(rate * 2^53)` (the
+  /// power-of-two scaling and the ceil are exact too).  NaN and rates
+  /// <= 0 never hit (threshold 0); rates >= 1 always do (2^53).
+  static std::uint64_t bernoulli_threshold(double rate) {
+    if (!(rate > 0)) return 0;
+    if (rate >= 1) return std::uint64_t{1} << 53;
+    return static_cast<std::uint64_t>(std::ceil(rate * 0x1.0p53));
+  }
+
+  /// Whether the raw draw @p x hits a bernoulli_threshold().
+  static bool bernoulli_hit(std::uint64_t x, std::uint64_t threshold) {
+    return (x >> 11) < threshold;
+  }
+
+  /// One Bernoulli draw: consumes one step of the stream, like
+  /// `next_double() < rate` with threshold = bernoulli_threshold(rate).
+  bool bernoulli(std::uint64_t threshold) {
+    return bernoulli_hit(next(), threshold);
   }
 
   /// Seed for a statistically independent child stream: splitmix64

@@ -1,8 +1,10 @@
 #include "fault/degradation_curve.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <thread>
+#include <utility>
 
 #include "core/flexibility.hpp"
 #include "fault/route_around.hpp"
@@ -30,7 +32,7 @@ std::size_t CurveSpec::cell_count() const {
 
 CurveEvaluator::CurveEvaluator(const CurveSpec& spec,
                                const cost::ComponentLibrary& lib)
-    : spec_(spec.normalized()), cells_(spec_.cell_count()), lib_(&lib) {
+    : spec_(spec.normalized()), cells_(spec_.cell_count()), lib_(lib) {
   shape_ = FabricShape::of(spec_.machine, spec_.bindings);
   shape_.noc_width = spec_.noc_width;
   shape_.noc_height = spec_.noc_height;
@@ -39,6 +41,59 @@ CurveEvaluator::CurveEvaluator(const CurveSpec& spec,
   // the pristine structure.
   original_score_ = flexibility_score(spec_.machine);
 }
+
+namespace {
+
+/// Trials the batch kernel advances together: eight independent xorshift
+/// dependency chains keep the pipeline full where one chain would stall
+/// on its own latency.
+constexpr std::size_t kLanes = 8;
+using LaneCounts = std::array<std::int64_t, kLanes>;
+
+/// The one TrialOutcome builder, shared by the scalar oracle (a full
+/// DegradeResult) and the batch kernel (a detail::StructuralDegrade).
+/// @p noc_faults need hold only the trial's NoC faults.
+template <typename Degraded>
+TrialOutcome outcome_of(const Degraded& degraded, int original_score,
+                        const FabricShape& shape,
+                        std::span<const Fault> noc_faults) {
+  TrialOutcome outcome;
+  outcome.alive = degraded.alive();
+  outcome.degraded_score = degraded.degraded_score;
+  if (!outcome.alive) {
+    outcome.flexibility_retention = 0.0;
+  } else if (original_score <= 0) {
+    outcome.flexibility_retention = 1.0;
+  } else {
+    outcome.flexibility_retention =
+        static_cast<double>(degraded.degraded_score) /
+        static_cast<double>(original_score);
+  }
+  outcome.component_survival = degraded.component_survival;
+  if (shape.noc_nodes() > 0) {
+    outcome.connectivity =
+        build_degraded_noc(shape, noc_faults).reachable_fraction();
+  } else {
+    const std::int64_t total = shape.total_ports();
+    std::int64_t surviving = 0;
+    for (const std::int64_t ports : degraded.surviving_ports) {
+      surviving += ports;
+    }
+    outcome.connectivity = total <= 0 ? 1.0
+                                      : static_cast<double>(surviving) /
+                                            static_cast<double>(total);
+  }
+  return outcome;
+}
+
+/// The streams of trials first .. first + kLanes - 1.
+template <std::size_t... L>
+std::array<Rng, kLanes> lane_streams(std::uint64_t seed, std::size_t first,
+                                     std::index_sequence<L...>) {
+  return {Rng(Rng::derive_seed(seed, first + L))...};
+}
+
+}  // namespace
 
 TrialOutcome CurveEvaluator::evaluate_cell(std::size_t index) const {
   trace::profile_count(trace::ProfilePoint::CurveTrial);
@@ -53,27 +108,8 @@ TrialOutcome CurveEvaluator::evaluate_cell(std::size_t index) const {
       shape_, FaultRates::uniform(rate),
       Rng::derive_seed(spec_.seed, static_cast<std::uint64_t>(index)));
   const DegradeResult degraded =
-      degrade(spec_.machine, shape_, faults, *lib_, spec_.bindings);
-
-  TrialOutcome outcome;
-  outcome.alive = degraded.alive();
-  outcome.degraded_score = degraded.degraded_score;
-  outcome.flexibility_retention = degraded.flexibility_retention();
-  outcome.component_survival = degraded.component_survival;
-  if (shape_.noc_nodes() > 0) {
-    outcome.connectivity =
-        build_degraded_noc(shape_, faults).reachable_fraction();
-  } else {
-    const std::int64_t total = shape_.total_ports();
-    std::int64_t surviving = 0;
-    for (const std::int64_t ports : degraded.surviving_ports) {
-      surviving += ports;
-    }
-    outcome.connectivity = total <= 0 ? 1.0
-                                      : static_cast<double>(surviving) /
-                                            static_cast<double>(total);
-  }
-  return outcome;
+      degrade(spec_.machine, shape_, faults, lib_, spec_.bindings);
+  return outcome_of(degraded, original_score_, shape_, faults.faults());
 }
 
 void CurveEvaluator::evaluate_range(std::size_t begin, std::size_t end,
@@ -86,45 +122,90 @@ void CurveEvaluator::evaluate_range(std::size_t begin, std::size_t end,
   trace::ProfileTimer timer(trace::ProfilePoint::SweepBatch);
   const std::size_t trials =
       static_cast<std::size_t>(spec_.trials_per_rate);
-  std::vector<Fault> faults;  // recycled across every trial in the range
-  for (std::size_t i = begin; i < end; ++i) {
-    const double rate = spec_.fault_rates[i / trials];
-    // Identical derived stream per cell as the scalar path — outcomes
-    // depend only on (spec, cell index).
-    sample_faults_into(shape_, FaultRates::uniform(rate),
-                       Rng::derive_seed(spec_.seed,
-                                        static_cast<std::uint64_t>(i)),
-                       faults);
-    const detail::StructuralDegrade degraded =
-        detail::structural_degrade(spec_.machine, shape_, faults);
+  const int nodes = shape_.noc_nodes();
+  // Router i kills DP i unless DP i already died, so the router section
+  // needs the fate of each DP that has a router: dp_dead[dp * kLanes + l].
+  const std::int64_t routed_dps = std::min<std::int64_t>(shape_.dps, nodes);
+  std::vector<std::uint8_t> dp_dead(
+      static_cast<std::size_t>(routed_dps) * kLanes);
+  std::array<std::vector<Fault>, kLanes> noc_faults;
 
-    TrialOutcome outcome;
-    outcome.alive = degraded.alive();
-    outcome.degraded_score = degraded.degraded_score;
-    if (!outcome.alive) {
-      outcome.flexibility_retention = 0.0;
-    } else if (original_score_ <= 0) {
-      outcome.flexibility_retention = 1.0;
-    } else {
-      outcome.flexibility_retention =
-          static_cast<double>(degraded.degraded_score) /
-          static_cast<double>(original_score_);
+  // Each block advances kLanes consecutive trials' streams together.  A
+  // lane draws exactly its own trial's stream in sample_faults' canonical
+  // component order, so its census equals that of the oracle's FaultSet.
+  // Lanes past `end` (range tails) draw at threshold 0 and are dropped.
+  for (std::size_t first = begin; first < end; first += kLanes) {
+    const std::size_t live = std::min(kLanes, end - first);
+    std::array<Rng, kLanes> rng = lane_streams(
+        spec_.seed, first, std::make_index_sequence<kLanes>{});
+    std::array<std::uint64_t, kLanes> threshold{};
+    for (std::size_t l = 0; l < live; ++l) {
+      threshold[l] =
+          Rng::bernoulli_threshold(spec_.fault_rates[(first + l) / trials]);
     }
-    outcome.component_survival = degraded.component_survival;
-    if (shape_.noc_nodes() > 0) {
-      outcome.connectivity =
-          build_degraded_noc(shape_, FaultSet(faults)).reachable_fraction();
-    } else {
-      const std::int64_t total = shape_.total_ports();
-      std::int64_t surviving = 0;
-      for (const std::int64_t ports : degraded.surviving_ports) {
-        surviving += ports;
+    const auto count = [&](std::int64_t components, LaneCounts& dead) {
+      for (std::int64_t c = 0; c < components; ++c) {
+        for (std::size_t l = 0; l < kLanes; ++l) {
+          dead[l] += rng[l].bernoulli(threshold[l]);
+        }
       }
-      outcome.connectivity = total <= 0 ? 1.0
-                                        : static_cast<double>(surviving) /
-                                              static_cast<double>(total);
+    };
+
+    LaneCounts ips{}, dps{}, luts{};
+    std::array<LaneCounts, kConnectivityRoleCount> ports{};
+    count(shape_.ips, ips);
+    for (std::int64_t d = 0; d < routed_dps; ++d) {
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        const bool hit = rng[l].bernoulli(threshold[l]);
+        dp_dead[static_cast<std::size_t>(d) * kLanes + l] = hit;
+        dps[l] += hit;
+      }
     }
-    out[i - begin] = outcome;
+    count(shape_.dps - routed_dps, dps);
+    count(shape_.luts, luts);
+    for (std::size_t role = 0; role < kConnectivityRoleCount; ++role) {
+      count(shape_.switch_ports[role], ports[role]);
+    }
+    for (int node = 0; node < nodes; ++node) {
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        if (!rng[l].bernoulli(threshold[l])) continue;
+        noc_faults[l].push_back(
+            Fault{FaultKind::NocRouterDead, ConnectivityRole::IpIp, node, 0});
+        if (node < routed_dps &&
+            !dp_dead[static_cast<std::size_t>(node) * kLanes + l]) {
+          ++dps[l];
+        }
+      }
+    }
+    const auto draw_link = [&](int a, int b) {
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        if (rng[l].bernoulli(threshold[l])) {
+          noc_faults[l].push_back(
+              Fault{FaultKind::NocLinkDead, ConnectivityRole::IpIp, a, b});
+        }
+      }
+    };
+    for (int y = 0; y < shape_.noc_height; ++y) {
+      for (int x = 0; x < shape_.noc_width; ++x) {
+        const int node = y * shape_.noc_width + x;
+        if (x + 1 < shape_.noc_width) draw_link(node, node + 1);
+        if (y + 1 < shape_.noc_height) draw_link(node, node + shape_.noc_width);
+      }
+    }
+
+    for (std::size_t l = 0; l < live; ++l) {
+      detail::DeadCensus dead;
+      dead.ips = ips[l];
+      dead.dps = dps[l];
+      dead.luts = luts[l];
+      for (std::size_t role = 0; role < kConnectivityRoleCount; ++role) {
+        dead.ports[role] = ports[role][l];
+      }
+      out[first - begin + l] = outcome_of(
+          detail::structural_degrade(spec_.machine, shape_, dead),
+          original_score_, shape_, noc_faults[l]);
+      noc_faults[l].clear();
+    }
   }
 }
 

@@ -80,15 +80,20 @@ struct CurveResult {
 /// explore::SweepEvaluator.  Construction binds the shape once and
 /// hoists the per-spec invariants every trial used to re-derive (the
 /// original structure's flexibility score); evaluate_range() then runs
-/// trials through the batch path: one recycled fault vector across the
-/// whole range (sample_faults_into) and the shared structural kernel
-/// (fault::detail::structural_degrade), skipping the Eq. 1 / Eq. 2
-/// pricing degrade() performs but no TrialOutcome field consumes.
+/// trials through the batch census kernel: eight trials' streams drawn
+/// together, each trial's failures counted per population
+/// (fault::detail::DeadCensus) rather than listed, and the shared
+/// structural kernel (fault::detail::structural_degrade), skipping the
+/// Eq. 1 / Eq. 2 pricing degrade() performs but no TrialOutcome field
+/// consumes.  NoC specs take the same path; their lanes also collect the
+/// router and link faults the route-around connectivity needs.
 ///
-/// Determinism: the batch path draws the identical per-cell
-/// `Rng::derive_seed(seed, index)` streams as evaluate_cell(), so
-/// outcomes — and the finalize() curve, and its CSV — are byte-for-byte
-/// what the scalar path produces (tests/test_fault.cpp pins this).
+/// Determinism: every lane consumes exactly its cell's
+/// `Rng::derive_seed(seed, index)` stream in sample_faults' component
+/// order, with the same Bernoulli threshold (Rng::bernoulli_threshold),
+/// so outcomes — and the finalize() curve, and its CSV — are
+/// byte-for-byte what the scalar path produces (tests/test_fault.cpp
+/// pins this).
 ///
 /// Thread safety: immutable after construction; evaluate_range() is
 /// const and touches only the output slice (scratch is per-call) — the
@@ -111,7 +116,7 @@ class CurveEvaluator {
   TrialOutcome evaluate_cell(std::size_t index) const;
 
   /// Evaluate cells [begin, end) into @p out (out[i] = cell begin + i)
-  /// through the batch path.
+  /// through the batch census kernel; any begin and end work.
   void evaluate_range(std::size_t begin, std::size_t end,
                       TrialOutcome* out) const;
 
@@ -124,7 +129,9 @@ class CurveEvaluator {
   CurveSpec spec_;  ///< normalized
   std::size_t cells_ = 0;
   FabricShape shape_;
-  const cost::ComponentLibrary* lib_;
+  /// Held by value: callers routinely pass the temporary
+  /// ComponentLibrary::default_library() returns.
+  cost::ComponentLibrary lib_;
   int original_score_ = 0;  ///< flexibility of the pristine structure
 };
 

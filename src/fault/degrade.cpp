@@ -44,30 +44,26 @@ namespace detail {
 StructuralDegrade structural_degrade(const MachineClass& mc,
                                      const FabricShape& shape,
                                      std::span<const Fault> faults) {
-  StructuralDegrade result;
-
-  // --- Surviving census -------------------------------------------------
   // Count each dead component once, respecting the shape's bounds (an
   // out-of-range fault names a component this fabric instance does not
   // have; it is inert by construction, not an error).
-  std::int64_t dead_ips = 0, dead_dps = 0, dead_luts = 0;
-  std::array<std::int64_t, kConnectivityRoleCount> dead_ports{};
+  DeadCensus dead;
   const int noc_nodes = shape.noc_nodes();
   for (const Fault& fault : faults) {
     switch (fault.kind) {
       case FaultKind::IpDead:
-        if (fault.index >= 0 && fault.index < shape.ips) ++dead_ips;
+        if (fault.index >= 0 && fault.index < shape.ips) ++dead.ips;
         break;
       case FaultKind::DpDead:
-        if (fault.index >= 0 && fault.index < shape.dps) ++dead_dps;
+        if (fault.index >= 0 && fault.index < shape.dps) ++dead.dps;
         break;
       case FaultKind::LutDead:
-        if (fault.index >= 0 && fault.index < shape.luts) ++dead_luts;
+        if (fault.index >= 0 && fault.index < shape.luts) ++dead.luts;
         break;
       case FaultKind::SwitchPortDead: {
         const auto role = static_cast<std::size_t>(fault.role);
         if (fault.index >= 0 && fault.index < shape.switch_ports[role]) {
-          ++dead_ports[role];
+          ++dead.ports[role];
         }
         break;
       }
@@ -80,7 +76,7 @@ StructuralDegrade structural_degrade(const MachineClass& mc,
                                 Fault{FaultKind::DpDead,
                                       ConnectivityRole::IpIp, fault.index,
                                       0})) {
-          ++dead_dps;
+          ++dead.dps;
         }
         break;
       case FaultKind::NocLinkDead:
@@ -89,14 +85,23 @@ StructuralDegrade structural_degrade(const MachineClass& mc,
         break;
     }
   }
-  result.surviving_ips = shape.ips - dead_ips;
-  result.surviving_dps = shape.dps - dead_dps;
-  result.surviving_luts = shape.luts - dead_luts;
+  return structural_degrade(mc, shape, dead);
+}
+
+StructuralDegrade structural_degrade(const MachineClass& mc,
+                                     const FabricShape& shape,
+                                     const DeadCensus& dead) {
+  StructuralDegrade result;
+
+  // --- Surviving census -------------------------------------------------
+  result.surviving_ips = shape.ips - dead.ips;
+  result.surviving_dps = shape.dps - dead.dps;
+  result.surviving_luts = shape.luts - dead.luts;
   std::int64_t alive_components =
       result.surviving_ips + result.surviving_dps + result.surviving_luts;
   for (ConnectivityRole role : kAllConnectivityRoles) {
     const auto i = static_cast<std::size_t>(role);
-    result.surviving_ports[i] = shape.switch_ports[i] - dead_ports[i];
+    result.surviving_ports[i] = shape.switch_ports[i] - dead.ports[i];
     alive_components += result.surviving_ports[i];
   }
   const std::int64_t total = shape.total_components();

@@ -92,10 +92,27 @@ struct StructuralDegrade {
   }
 };
 
+/// How many components of each population a fault set killed, within
+/// the shape's bounds.  `dps` includes the DPs lost to a dead co-located
+/// NoC router (counted once when the DP itself also died).  Without a
+/// NoC this census is all a trial's structural outcome depends on.
+struct DeadCensus {
+  std::int64_t ips = 0;
+  std::int64_t dps = 0;
+  std::int64_t luts = 0;
+  std::array<std::int64_t, kConnectivityRoleCount> ports{};
+};
+
 /// Shared structural kernel: both degrade() and the curve batch path
 /// funnel through this, so their census/classification/score agree bit
-/// for bit.  @p faults must be in FaultSet's canonical order (sorted,
-/// unique) — FaultSet::faults() and sample_faults_into() both are.
+/// for bit.  The curve kernel counts its census while drawing.
+StructuralDegrade structural_degrade(const MachineClass& mc,
+                                     const FabricShape& shape,
+                                     const DeadCensus& dead);
+
+/// Census @p faults (out-of-range faults are inert), then build the
+/// structure from it.  @p faults must be in FaultSet's canonical order
+/// (sorted, unique), as FaultSet::faults() is.
 StructuralDegrade structural_degrade(const MachineClass& mc,
                                      const FabricShape& shape,
                                      std::span<const Fault> faults);

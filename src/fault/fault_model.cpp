@@ -198,35 +198,34 @@ FabricShape FabricShape::of(const arch::ArchitectureSpec& spec,
   return shape;
 }
 
-namespace {
-
-/// Shared sampler: appends the drawn faults to @p faults in draw order.
-/// Both public entry points funnel through this one loop so they share
-/// the RNG stream position contract below.
-void draw_faults(const FabricShape& shape, const FaultRates& rates,
-                 std::uint64_t seed, std::vector<Fault>& faults) {
+FaultSet sample_faults(const FabricShape& shape, const FaultRates& rates,
+                       std::uint64_t seed) {
   Rng rng(seed);
-  const auto bernoulli = [&rng](double rate) {
-    // Draw unconditionally so the stream position of every later
-    // component is independent of earlier rates — changing one rate must
-    // not reshuffle which components fail elsewhere.
-    const double u = rng.next_double();
-    return u < rate;
-  };
+  // Draw unconditionally so the stream position of every later component
+  // is independent of earlier rates — changing one rate must not
+  // reshuffle which components fail elsewhere.  The integer threshold is
+  // the exact form of `next_double() < rate` the curve kernel shares.
+  const std::uint64_t ip = Rng::bernoulli_threshold(rates.ip);
+  const std::uint64_t dp = Rng::bernoulli_threshold(rates.dp);
+  const std::uint64_t lut = Rng::bernoulli_threshold(rates.lut);
+  const std::uint64_t port = Rng::bernoulli_threshold(rates.switch_port);
+  const std::uint64_t router = Rng::bernoulli_threshold(rates.noc_router);
+  const std::uint64_t link = Rng::bernoulli_threshold(rates.noc_link);
+  std::vector<Fault> faults;
   for (std::int64_t i = 0; i < shape.ips; ++i) {
-    if (bernoulli(rates.ip)) {
+    if (rng.bernoulli(ip)) {
       faults.push_back(Fault{FaultKind::IpDead, ConnectivityRole::IpIp,
                              static_cast<std::int32_t>(i), 0});
     }
   }
   for (std::int64_t i = 0; i < shape.dps; ++i) {
-    if (bernoulli(rates.dp)) {
+    if (rng.bernoulli(dp)) {
       faults.push_back(Fault{FaultKind::DpDead, ConnectivityRole::IpIp,
                              static_cast<std::int32_t>(i), 0});
     }
   }
   for (std::int64_t i = 0; i < shape.luts; ++i) {
-    if (bernoulli(rates.lut)) {
+    if (rng.bernoulli(lut)) {
       faults.push_back(Fault{FaultKind::LutDead, ConnectivityRole::IpIp,
                              static_cast<std::int32_t>(i), 0});
     }
@@ -235,7 +234,7 @@ void draw_faults(const FabricShape& shape, const FaultRates& rates,
     const std::int64_t ports =
         shape.switch_ports[static_cast<std::size_t>(role)];
     for (std::int64_t p = 0; p < ports; ++p) {
-      if (bernoulli(rates.switch_port)) {
+      if (rng.bernoulli(port)) {
         faults.push_back(Fault{FaultKind::SwitchPortDead, role,
                                static_cast<std::int32_t>(p), 0});
       }
@@ -243,7 +242,7 @@ void draw_faults(const FabricShape& shape, const FaultRates& rates,
   }
   const int nodes = shape.noc_nodes();
   for (int node = 0; node < nodes; ++node) {
-    if (bernoulli(rates.noc_router)) {
+    if (rng.bernoulli(router)) {
       faults.push_back(Fault{FaultKind::NocRouterDead, ConnectivityRole::IpIp,
                              node, 0});
     }
@@ -251,36 +250,17 @@ void draw_faults(const FabricShape& shape, const FaultRates& rates,
   for (int y = 0; y < shape.noc_height; ++y) {
     for (int x = 0; x < shape.noc_width; ++x) {
       const int node = y * shape.noc_width + x;
-      if (x + 1 < shape.noc_width && bernoulli(rates.noc_link)) {
+      if (x + 1 < shape.noc_width && rng.bernoulli(link)) {
         faults.push_back(Fault{FaultKind::NocLinkDead, ConnectivityRole::IpIp,
                                node, node + 1});
       }
-      if (y + 1 < shape.noc_height && bernoulli(rates.noc_link)) {
+      if (y + 1 < shape.noc_height && rng.bernoulli(link)) {
         faults.push_back(Fault{FaultKind::NocLinkDead, ConnectivityRole::IpIp,
                                node, node + shape.noc_width});
       }
     }
   }
-}
-
-}  // namespace
-
-FaultSet sample_faults(const FabricShape& shape, const FaultRates& rates,
-                       std::uint64_t seed) {
-  std::vector<Fault> faults;
-  draw_faults(shape, rates, seed, faults);
   return FaultSet(std::move(faults));
-}
-
-void sample_faults_into(const FabricShape& shape, const FaultRates& rates,
-                        std::uint64_t seed, std::vector<Fault>& out) {
-  out.clear();
-  draw_faults(shape, rates, seed, out);
-  // Canonicalise exactly as the FaultSet constructor does (the draw
-  // order mixes kinds — e.g. LutDead sorts after SwitchPortDead but is
-  // drawn before it).
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
 }
 
 namespace {

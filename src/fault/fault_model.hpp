@@ -153,16 +153,13 @@ struct FaultRates {
 /// same (shape, rates, seed) triple yields the same FaultSet on every
 /// platform, thread count, and call site.  This is the reproducibility
 /// contract docs/FAULT.md documents and tests/test_fault.cpp pins.
+/// A component fails when its draw hits Rng::bernoulli_threshold(rate)
+/// (exactly `next_double() < rate`).  The curve kernel
+/// (CurveEvaluator::evaluate_range) consumes the identical stream in the
+/// identical order, but counts each trial's failures instead of listing
+/// them.
 FaultSet sample_faults(const FabricShape& shape, const FaultRates& rates,
                        std::uint64_t seed);
-
-/// Allocation-reusing variant: clear @p out and refill it with exactly
-/// the faults sample_faults() would return, in FaultSet's canonical
-/// order (sorted, unique).  Draws the identical RNG stream — byte-for-
-/// byte the same set — while letting a Monte-Carlo loop recycle one
-/// vector across trials instead of allocating a FaultSet per trial.
-void sample_faults_into(const FabricShape& shape, const FaultRates& rates,
-                        std::uint64_t seed, std::vector<Fault>& out);
 
 /// Deterministic whole-population kill sets (the degradation table test's
 /// worst cases).

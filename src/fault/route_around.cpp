@@ -10,12 +10,18 @@ namespace mpct::fault {
 interconnect::MeshNoc build_degraded_noc(const FabricShape& shape,
                                          const FaultSet& faults,
                                          int link_capacity) {
+  return build_degraded_noc(shape, faults.faults(), link_capacity);
+}
+
+interconnect::MeshNoc build_degraded_noc(const FabricShape& shape,
+                                         std::span<const Fault> faults,
+                                         int link_capacity) {
   if (shape.noc_nodes() <= 0) {
     throw std::invalid_argument("build_degraded_noc: shape has no NoC");
   }
   interconnect::MeshNoc mesh(shape.noc_width, shape.noc_height,
                              link_capacity);
-  for (const Fault& fault : faults.faults()) {
+  for (const Fault& fault : faults) {
     switch (fault.kind) {
       case FaultKind::NocRouterDead:
         if (fault.index >= 0 && fault.index < mesh.node_count()) {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <span>
 #include <string>
 
 #include "fault/fault_model.hpp"
@@ -40,6 +41,13 @@ struct NocDegradation {
 /// (noc_width * noc_height == 0).
 interconnect::MeshNoc build_degraded_noc(const FabricShape& shape,
                                          const FaultSet& faults,
+                                         int link_capacity = 1);
+
+/// Same, over a plain fault list (any order; structural faults are
+/// ignored) — the curve kernel passes each trial's NoC faults without
+/// building a FaultSet.
+interconnect::MeshNoc build_degraded_noc(const FabricShape& shape,
+                                         std::span<const Fault> faults,
                                          int link_capacity = 1);
 
 /// Simulate the same uniform traffic (same params, same packet stream)

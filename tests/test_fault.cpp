@@ -647,46 +647,81 @@ TEST(DegradationCurve, CsvIsByteIdenticalAcrossRunsAndThreadCounts) {
 // The batch-parity satellite: every canonical Table I row, on a
 // randomized (rates, seed) spec, must produce bit-identical outcomes on
 // the scalar oracle (evaluate_cell: full sample_faults + degrade) and
-// the batch path (evaluate_range: sample_faults_into +
-// structural_degrade), and the CSV reduced from the scalar outcomes
-// must be byte-identical to what every thread count of the batch path
-// renders.
+// the batch census kernel (evaluate_range), and the CSV reduced from the
+// scalar outcomes must be byte-identical to what every thread count of
+// the batch path renders.  13 trials per rate put lane blocks across
+// rate boundaries and leave a partial tail block; the rate axis adds
+// the Bernoulli threshold's edges (rates outside [0, 1] reach the kernel
+// through the library, though the engine rejects them); the large
+// bindings make LUT fabrics draw thousands of components per trial; and
+// every Many-DP row lays a NoC over its DPs, so dead routers land on
+// dead and on live DPs.
 TEST(DegradationCurve, BatchPathMatchesScalarOracleOnAll47Classes) {
   std::mt19937_64 rng(4242);
   std::uniform_real_distribution<double> rate(0.0, 0.5);
-  for (const TaxonomyIndex::ClassInfo& row : taxonomy_index().rows()) {
-    CurveSpec spec;
-    spec.machine = row.machine;
-    spec.bindings = small_bindings();
-    spec.fault_rates = {rate(rng), rate(rng)};
-    spec.trials_per_rate = 4;
-    spec.seed = rng();
-    if (row.machine.dps == Multiplicity::Many) {
-      spec.noc_width = 2;  // exercise the NoC connectivity branch too
-      spec.noc_height = 2;
-    }
-    const fault::CurveEvaluator evaluator(spec);
-    const std::size_t cells = evaluator.cell_count();
-    std::vector<fault::TrialOutcome> scalar(cells), batch(cells);
-    for (std::size_t i = 0; i < cells; ++i) {
-      scalar[i] = evaluator.evaluate_cell(i);
-    }
-    evaluator.evaluate_range(0, cells, batch.data());
-    for (std::size_t i = 0; i < cells; ++i) {
-      EXPECT_EQ(batch[i], scalar[i])
-          << "row " << row.serial << " cell " << i;
-    }
-    CurveResult oracle;
-    oracle.spec = evaluator.spec();
-    oracle.points = evaluator.finalize(scalar);
-    const std::string csv = fault::to_csv(oracle);
-    for (unsigned threads : {0u, 3u}) {
-      EXPECT_EQ(fault::to_csv(fault::evaluate_curve(
-                    spec, cost::ComponentLibrary::default_library(), threads)),
-                csv)
-          << "row " << row.serial << ", " << threads << " threads";
+  cost::EstimateOptions large;
+  large.n = 1000;
+  large.v = 4096;
+  int router_on_dead_dp = 0, router_on_live_dp = 0;
+  for (const cost::EstimateOptions& bindings : {small_bindings(), large}) {
+    for (const TaxonomyIndex::ClassInfo& row : taxonomy_index().rows()) {
+      CurveSpec spec;
+      spec.machine = row.machine;
+      spec.bindings = bindings;
+      spec.fault_rates = {rate(rng), rate(rng), 0.0,
+                          1.0,       1.5,       -0.25,
+                          5e-324,    std::nextafter(0.25, 0.0)};
+      spec.trials_per_rate = 13;
+      spec.seed = rng();
+      if (row.machine.dps == Multiplicity::Many) {
+        spec.noc_width = 2;
+        spec.noc_height = 2;
+      }
+      const fault::CurveEvaluator evaluator(spec);
+      const std::size_t cells = evaluator.cell_count();
+      std::vector<fault::TrialOutcome> scalar(cells), batch(cells);
+      for (std::size_t i = 0; i < cells; ++i) {
+        scalar[i] = evaluator.evaluate_cell(i);
+      }
+      evaluator.evaluate_range(0, cells, batch.data());
+      for (std::size_t i = 0; i < cells; ++i) {
+        EXPECT_EQ(batch[i], scalar[i]) << "row " << row.serial << ", n "
+                                       << bindings.n << ", cell " << i;
+      }
+      if (spec.noc_width > 0) {
+        for (std::size_t i = 0; i < cells; ++i) {
+          const FaultSet faults = fault::sample_faults(
+              evaluator.shape(),
+              FaultRates::uniform(
+                  spec.fault_rates[i / static_cast<std::size_t>(
+                                           spec.trials_per_rate)]),
+              Rng::derive_seed(spec.seed, i));
+          for (const Fault& f : faults.faults()) {
+            if (f.kind != FaultKind::NocRouterDead) continue;
+            ++(faults.contains(Fault{FaultKind::DpDead,
+                                     ConnectivityRole::IpIp, f.index, 0})
+                   ? router_on_dead_dp
+                   : router_on_live_dp);
+          }
+        }
+      }
+      CurveResult oracle;
+      oracle.spec = evaluator.spec();
+      oracle.points = evaluator.finalize(scalar);
+      const std::string csv = fault::to_csv(oracle);
+      for (unsigned threads : {0u, 3u}) {
+        EXPECT_EQ(fault::to_csv(fault::evaluate_curve(
+                      spec, cost::ComponentLibrary::default_library(),
+                      threads)),
+                  csv)
+            << "row " << row.serial << ", n " << bindings.n << ", "
+            << threads << " threads";
+      }
     }
   }
+  // The router rule's two branches were both exercised.
+  EXPECT_GT(router_on_dead_dp, 0);
+  EXPECT_GT(router_on_live_dp, 0);
 }
 
 // Unaligned ranges: chunk boundaries anywhere in the cell space must

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <map>
 
 namespace mpct::interconnect {
@@ -75,6 +77,51 @@ TEST(Rng, NextDoubleInUnitInterval) {
     sum += v;
   }
   EXPECT_NEAR(sum / 10000, 0.5, 0.02);
+}
+
+// The integer Bernoulli threshold is the one definition of a fault draw
+// (sample_faults and the curve kernel both use it); it must agree with
+// `next_double() < rate` exactly, including at the threshold's edges.
+TEST(Rng, BernoulliThresholdMatchesNextDouble) {
+  constexpr std::uint64_t kOne = std::uint64_t{1} << 53;
+  const double rates[] = {0.0,
+                          -0.0,
+                          1.0,
+                          1.5,
+                          -0.25,
+                          5e-324,
+                          0.25,
+                          std::nextafter(0.25, 0.0),
+                          std::nextafter(1.0, 0.0),
+                          0.1,
+                          0.3,
+                          std::numeric_limits<double>::infinity(),
+                          std::numeric_limits<double>::quiet_NaN()};
+  for (const double rate : rates) {
+    const std::uint64_t threshold = Rng::bernoulli_threshold(rate);
+    ASSERT_LE(threshold, kOne) << rate;
+    for (const std::uint64_t k : {threshold - 1, threshold, threshold + 1}) {
+      if (k >= kOne) continue;  // wrapped below 0, or past the 53-bit range
+      const std::uint64_t x = (k << 11) | 0x5a5;  // low bits are discarded
+      EXPECT_EQ(Rng::bernoulli_hit(x, threshold), Rng::unit_double(x) < rate)
+          << "rate " << rate << ", k " << k;
+    }
+    for (const std::uint64_t seed : {1ULL, 2012ULL}) {
+      Rng integer(seed), floating(seed);
+      for (int i = 0; i < 2000; ++i) {
+        ASSERT_EQ(integer.bernoulli(threshold), floating.next_double() < rate)
+            << "rate " << rate << ", seed " << seed << ", draw " << i;
+      }
+    }
+  }
+  EXPECT_EQ(Rng::bernoulli_threshold(5e-324), 1u);
+  EXPECT_EQ(Rng::bernoulli_threshold(0.25), kOne / 4);
+  EXPECT_EQ(Rng::bernoulli_threshold(std::nextafter(0.25, 0.0)), kOne / 4);
+  EXPECT_EQ(Rng::bernoulli_threshold(1.5), kOne);
+  EXPECT_EQ(Rng::bernoulli_threshold(-0.25), 0u);
+  EXPECT_EQ(Rng::bernoulli_threshold(
+                std::numeric_limits<double>::quiet_NaN()),
+            0u);
 }
 
 TEST(Traffic, UniformIsDeterministic) {

@@ -888,28 +888,39 @@ TEST(Metrics, ExpiredInQueueRendersInTableAndCsv) {
 }
 
 TEST(Metrics, ExpiredInQueueCountsPostAcceptanceExpiry) {
-  service::EngineOptions options;
-  options.worker_threads = 1;
-  options.start_workers = false;  // let the deadline lapse in the queue
-  service::QueryEngine engine(options);
+  service::RecommendRequest point;
+  point.top_k = 3;
+  explore::SweepGrid grid;
+  grid.n_values = {2, 4, 8, 16};
+  grid.lut_budgets = {64, 4096};
+  // A point query, then one grid job of each kind (split into chunks):
+  // each expiry counts once per request, never once per chunk.
+  for (const service::Request& request :
+       {service::Request(point), service::Request(service::SweepRequest{grid}),
+        service::Request(service::FaultSweepRequest{curve_spec()})}) {
+    SCOPED_TRACE(service::to_string(service::request_type(request)));
+    service::EngineOptions options;
+    options.worker_threads = 1;
+    options.start_workers = false;  // let the deadline lapse in the queue
+    service::QueryEngine engine(options);
 
-  service::RecommendRequest request;
-  request.top_k = 3;
-  auto future = engine.submit(service::Request(request),
-                              service::Deadline::in(std::chrono::milliseconds(20)));
-  const bool rejected_at_submit =
-      future.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
-  std::this_thread::sleep_for(std::chrono::milliseconds(80));
-  engine.start();
-  const service::QueryResponse response = future.get();
-  engine.drain();
+    auto future = engine.submit(
+        request, service::Deadline::in(std::chrono::milliseconds(20)));
+    const bool rejected_at_submit =
+        future.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+    std::this_thread::sleep_for(std::chrono::milliseconds(80));
+    engine.start();
+    const service::QueryResponse response = future.get();
+    engine.drain();
 
-  EXPECT_EQ(response.status.code, service::StatusCode::DeadlineExceeded);
-  EXPECT_EQ(engine.metrics().rejected_deadline.value(), 1u);
-  // Accepted-then-expired increments both counters; a submit-time
-  // rejection (slow test machine) increments only rejected_deadline.
-  EXPECT_EQ(engine.metrics().expired_in_queue.value(),
-            rejected_at_submit ? 0u : 1u);
+    EXPECT_EQ(response.status.code, service::StatusCode::DeadlineExceeded);
+    EXPECT_EQ(engine.metrics().rejected_deadline.value(), 1u);
+    // Accepted-then-expired increments both counters; a submit-time
+    // rejection (slow test machine) increments only rejected_deadline.
+    EXPECT_EQ(engine.metrics().expired_in_queue.value(),
+              rejected_at_submit ? 0u : 1u);
+    EXPECT_EQ(engine.metrics().failed.value(), 0u);
+  }
 }
 
 }  // namespace

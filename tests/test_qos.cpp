@@ -563,10 +563,42 @@ TEST(QosEngine, CancelDequeuesQueuedWorkAndCountsReclaimedCapacity) {
     EXPECT_EQ(resolved.front(), StatusCode::Cancelled);
   }
   const auto& metrics = engine.metrics();
-  EXPECT_GT(metrics.qos_cancelled_queued.value(), 0u);
+  EXPECT_EQ(metrics.qos_cancelled_queued.value(), 1u);
 
   // The registration died with the request: cancelling again misses.
   EXPECT_FALSE(engine.cancel(7, 42));
+
+  // A queued grid job of either kind leaves the queue whole: every one
+  // of its chunks is dequeued, it resolves Cancelled exactly once, and
+  // it counts as one reclaimed request, not one per chunk.
+  service::FaultSweepRequest curve;
+  curve.spec.machine.granularity = Granularity::IpDp;
+  curve.spec.machine.ips = Multiplicity::Many;
+  curve.spec.machine.dps = Multiplicity::Many;
+  curve.spec.machine.set_switch(ConnectivityRole::IpDp, SwitchKind::Crossbar);
+  curve.spec.bindings.n = 4;
+  curve.spec.fault_rates = {0.0, 0.1, 0.25};
+  curve.spec.trials_per_rate = 8;
+  const Request grid_jobs[] = {service::SweepRequest{qos_grid()}, curve};
+  std::uint64_t cancel_id = 43;
+  for (const Request& job : grid_jobs) {
+    SCOPED_TRACE(service::to_string(service::request_type(job)));
+    const std::uint64_t cancelled_before = metrics.qos_cancelled_queued.value();
+    engine.submit_async(job, Deadline::never(), PriorityClass::Batch, 7,
+                        cancel_id, capture);
+    EXPECT_GT(engine.queue_depth(), 1u);  // split into several chunks
+    EXPECT_TRUE(engine.cancel(7, cancel_id));
+    EXPECT_EQ(engine.queue_depth(), 0u);
+    EXPECT_EQ(metrics.qos_cancelled_queued.value(), cancelled_before + 1);
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      ASSERT_EQ(resolved.size(), 1u + (cancel_id - 42));
+      EXPECT_EQ(resolved.back(), StatusCode::Cancelled);
+    }
+    EXPECT_FALSE(engine.cancel(7, cancel_id));
+    ++cancel_id;
+  }
+  EXPECT_EQ(metrics.qos_cancelled_inflight.value(), 0u);
 
   // Cancellation is not a deadline or queue event.
   EXPECT_EQ(metrics.rejected_deadline.value(), 0u);

@@ -12,6 +12,7 @@
 #include "cost/cost_plan.hpp"
 #include "cost/cost_plan_set.hpp"
 #include "explore/recommend.hpp"
+#include "fault/degradation_curve.hpp"
 #include "service/engine.hpp"
 
 namespace mpct::explore {
@@ -381,6 +382,28 @@ explore::SweepGrid service_grid() {
   return grid;
 }
 
+/// A small fault curve (3 rates x 8 trials), for the lifecycle tests
+/// that must hold for both kinds of grid job.
+fault::CurveSpec service_curve() {
+  fault::CurveSpec spec;
+  spec.machine.granularity = Granularity::IpDp;
+  spec.machine.ips = Multiplicity::Many;
+  spec.machine.dps = Multiplicity::Many;
+  spec.machine.set_switch(ConnectivityRole::IpDp, SwitchKind::Crossbar);
+  spec.machine.set_switch(ConnectivityRole::DpDm, SwitchKind::Crossbar);
+  spec.bindings.n = 4;
+  spec.fault_rates = {0.0, 0.1, 0.25};
+  spec.trials_per_rate = 8;
+  spec.seed = 42;
+  return spec;
+}
+
+/// One job of each grid kind: every chunked-job lifecycle rule below
+/// must hold for sweeps and fault curves alike.
+std::vector<Request> grid_jobs() {
+  return {SweepRequest{service_grid()}, FaultSweepRequest{service_curve()}};
+}
+
 TEST(SweepService, WorkerPoolMatchesSequentialLibrarySweep) {
   EngineOptions options;
   options.worker_threads = 4;
@@ -441,32 +464,43 @@ TEST(SweepService, InvalidGridRejectedInBothModes) {
 }
 
 TEST(SweepService, QueueTooSmallForChunksRejectsWholeSweep) {
-  EngineOptions options;
-  options.worker_threads = 2;
-  options.queue_capacity = 3;
-  options.start_workers = false;
-  QueryEngine engine(options);
-  // Fill two of the three slots so the sweep's chunks cannot all fit.
-  std::vector<std::future<QueryResponse>> fillers;
-  fillers.push_back(engine.submit(RecommendRequest{}));
-  fillers.push_back(engine.submit(RecommendRequest{}));
-  QueryResponse rejected = engine.submit(SweepRequest{service_grid()}).get();
-  EXPECT_EQ(rejected.status.code, StatusCode::QueueFull);
-  engine.start();
-  for (auto& filler : fillers) {
-    EXPECT_TRUE(filler.get().ok());
+  for (const Request& job : grid_jobs()) {
+    SCOPED_TRACE(to_string(request_type(job)));
+    EngineOptions options;
+    options.worker_threads = 2;
+    options.queue_capacity = 3;
+    options.start_workers = false;
+    QueryEngine engine(options);
+    // Fill two of the three slots so the job's chunks cannot all fit.
+    std::vector<std::future<QueryResponse>> fillers;
+    fillers.push_back(engine.submit(RecommendRequest{}));
+    fillers.push_back(engine.submit(RecommendRequest{}));
+    QueryResponse rejected = engine.submit(job).get();
+    EXPECT_EQ(rejected.status.code, StatusCode::QueueFull);
+    EXPECT_EQ(engine.queue_depth(), 2u);  // no chunk was left behind
+    EXPECT_EQ(engine.metrics().rejected_queue_full.value(), 1u);
+    engine.start();
+    for (auto& filler : fillers) {
+      EXPECT_TRUE(filler.get().ok());
+    }
   }
 }
 
 TEST(SweepService, ShutdownResolvesQueuedSweepChunks) {
-  EngineOptions options;
-  options.worker_threads = 2;
-  options.start_workers = false;
-  QueryEngine engine(options);
-  std::future<QueryResponse> future =
-      engine.submit(SweepRequest{service_grid()});
-  engine.shutdown();
-  EXPECT_EQ(future.get().status.code, StatusCode::ShuttingDown);
+  for (const Request& job : grid_jobs()) {
+    SCOPED_TRACE(to_string(request_type(job)));
+    EngineOptions options;
+    options.worker_threads = 2;
+    options.start_workers = false;
+    QueryEngine engine(options);
+    std::future<QueryResponse> future = engine.submit(job);
+    EXPECT_GT(engine.queue_depth(), 1u);  // really split into chunks
+    engine.shutdown();
+    EXPECT_EQ(future.get().status.code, StatusCode::ShuttingDown);
+    // The whole job is one shutdown rejection, however many chunks.
+    EXPECT_EQ(engine.metrics().rejected_shutdown.value(), 1u);
+    EXPECT_EQ(engine.queue_depth(), 0u);
+  }
 }
 
 TEST(SweepService, ConcurrentSweepsAndPointQueriesAgree) {

@@ -1,11 +1,11 @@
 #include "cluster/proxy.hpp"
 
-#include <algorithm>
+#include <string>
 #include <utility>
 #include <variant>
 
-#include "explore/sweep.hpp"
-#include "fault/degradation_curve.hpp"
+#include "core/range_split.hpp"
+#include "service/grid_kind.hpp"
 #include "trace/trace.hpp"
 
 namespace mpct::cluster {
@@ -29,7 +29,7 @@ bool CombiningProxy::start() {
              service::QueryEngine::ResponseCallback callback) {
         ProxyTask task{std::move(request), deadline, context.trace_id,
                        context.priority, std::move(callback)};
-        if (!queue_.try_push(task)) {
+        if (!queue_.try_push(task.priority, task)) {
           // try_push leaves the task untouched on failure, so the
           // callback is still ours to answer with.
           service::QueryResponse response;
@@ -104,173 +104,78 @@ service::QueryResponse CombiningProxy::handle(ClusterClient& cluster,
                                               service::Deadline deadline,
                                               std::uint64_t trace_id,
                                               qos::PriorityClass priority) {
-  switch (service::request_type(request)) {
-    case service::RequestType::Sweep:
-      return scatter_sweep(cluster, std::get<service::SweepRequest>(request),
-                           deadline, trace_id, priority);
-    case service::RequestType::FaultSweep:
-      return scatter_fault(cluster,
-                           std::get<service::FaultSweepRequest>(request),
-                           deadline, trace_id, priority);
-    default:
-      // Point queries pass through: hash-routed, health-checked, hedged.
-      return cluster.call(request, deadline, trace_id, priority);
+  if (const auto* sweep = std::get_if<service::SweepRequest>(&request)) {
+    return scatter(cluster, *sweep, deadline, trace_id, priority);
   }
+  if (const auto* curve = std::get_if<service::FaultSweepRequest>(&request)) {
+    return scatter(cluster, *curve, deadline, trace_id, priority);
+  }
+  // Point queries pass through: hash-routed, health-checked, hedged.
+  return cluster.call(request, deadline, trace_id, priority);
 }
 
-namespace {
+template <typename GridRequest>
+service::QueryResponse CombiningProxy::scatter(ClusterClient& cluster,
+                                               const GridRequest& request,
+                                               service::Deadline deadline,
+                                               std::uint64_t trace_id,
+                                               qos::PriorityClass priority) {
+  using Kind = service::GridKind<GridRequest>;
+  trace::ScopedSpan span(Kind::scatter_span, trace::Category::Cluster);
+  service::QueryResponse response;
+  response.status = Kind::validate(Kind::input(request));
+  if (!response.ok()) return response;
 
-/// Split [0, cells) into at most @p chunks near-equal disjoint ranges
-/// whose boundaries (except the last) land on multiples of
-/// @p granularity — sweep chunks align to whole grid rows so every
-/// backend runs the evaluator's batch kernel end to end.
-template <typename MakeRequest>
-std::vector<service::Request> make_chunks(std::uint64_t cells,
-                                          std::uint64_t chunks,
-                                          std::uint64_t granularity,
-                                          MakeRequest make_request) {
-  std::vector<service::Request> requests;
-  requests.reserve(static_cast<std::size_t>(chunks));
-  const std::uint64_t grain = std::max<std::uint64_t>(1, granularity);
-  std::uint64_t begin = 0;
-  for (std::uint64_t k = 0; k < chunks; ++k) {
-    std::uint64_t end = cells * (k + 1) / chunks;
-    end = std::min(cells, (end + grain - 1) / grain * grain);
-    if (k + 1 == chunks) end = cells;
-    if (begin >= end) continue;
-    requests.push_back(make_request(begin, end));
-    begin = end;
-  }
-  return requests;
-}
-
-}  // namespace
-
-service::QueryResponse CombiningProxy::scatter_sweep(
-    ClusterClient& cluster, const service::SweepRequest& request,
-    service::Deadline deadline, std::uint64_t trace_id,
-    qos::PriorityClass priority) {
-  trace::ScopedSpan span("proxy.scatter_sweep", trace::Category::Cluster);
-  const std::uint64_t cells = request.grid.cell_count();
-  if (cells == 0) {
-    // An empty grid has nothing to scatter; one backend answers
-    // canonically (empty points, the filter's candidate count).
-    return cluster.call(service::Request(request), deadline, trace_id,
-                        priority);
-  }
-  const std::uint64_t want = std::max<std::uint64_t>(
-      1, options_.cluster.endpoints.size() * options_.chunks_per_endpoint);
-  const std::uint64_t chunks = std::min(want, cells);
-  span.annotate("chunks", static_cast<std::int64_t>(chunks));
-
-  // Chunks carry the *original* grid: backends normalize it identically,
-  // and identical outer sweeps then fingerprint to identical chunks —
+  // The proxy's own evaluator (default component library) sizes the
+  // split and runs the merge, which reads no library state.  Chunks
+  // carry the *original* input: backends normalize it identically, and
+  // identical outer requests then fingerprint to identical chunks —
   // deterministic placement and cache affinity on repeats.
-  // One grid row (all LUT budgets x all objectives at one n) is the
-  // backend batch kernel's granularity.
-  const explore::SweepGrid normalized = request.grid.normalized();
-  const std::uint64_t row_cells =
-      static_cast<std::uint64_t>(normalized.lut_budgets.size()) *
-      normalized.objectives.size();
-  const auto parts = cluster.call_many(
-      make_chunks(cells, chunks, row_cells,
-                  [&](std::uint64_t begin, std::uint64_t end) {
-                    return service::Request(
-                        service::SweepChunkRequest{request.grid, begin, end});
-                  }),
-      deadline, trace_id, priority);
+  const typename Kind::Evaluator evaluator(Kind::input(request));
+  const std::vector<CellRange> ranges = split_range(
+      evaluator.cell_count(),
+      options_.cluster.endpoints.size() * options_.chunks_per_endpoint,
+      evaluator.row_cells());
+  span.annotate("chunks", static_cast<std::int64_t>(ranges.size()));
+  std::vector<service::Request> chunks;
+  chunks.reserve(ranges.size());
+  for (const CellRange& range : ranges) {
+    chunks.emplace_back(typename Kind::ChunkRequest{Kind::input(request),
+                                                    range.begin, range.end});
+  }
+  const auto parts = cluster.call_many(chunks, deadline, trace_id, priority);
 
-  service::QueryResponse response;
-  std::size_t total_points = 0;
-  for (const auto& part : parts) {
-    if (!part.ok()) {
-      response.status = part.status;
+  // Gather: the same merge as the engine's complete_job(), over the
+  // chunk cells concatenated in index order.  A chunk must answer with
+  // exactly its range's cell count — a short or long answer (a bug or
+  // version skew behind the socket) would misplace every later cell.
+  std::vector<typename Kind::Cell> cells;
+  cells.reserve(evaluator.cell_count());
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    if (!parts[i].ok()) {
+      response.status = parts[i].status;
       return response;
     }
-    const service::SweepChunkResponse* chunk = part.sweep_chunk();
-    if (chunk == nullptr) {
+    const auto* chunk =
+        parts[i].payload
+            ? std::get_if<typename Kind::ChunkResponse>(parts[i].payload.get())
+            : nullptr;
+    const std::size_t want = ranges[i].end - ranges[i].begin;
+    if (chunk == nullptr || Kind::cells(*chunk).size() != want) {
       response.status = service::Status::internal_error(
-          "backend answered a sweep chunk with the wrong payload type");
+          "backend answered " + std::string(to_string(Kind::chunk_type)) +
+          " [" + std::to_string(ranges[i].begin) + ", " +
+          std::to_string(ranges[i].end) + ") with " +
+          (chunk == nullptr
+               ? std::string("the wrong payload type")
+               : std::to_string(Kind::cells(*chunk).size()) + " cells"));
       return response;
     }
-    total_points += chunk->points.size();
+    cells.insert(cells.end(), Kind::cells(*chunk).begin(),
+                 Kind::cells(*chunk).end());
   }
-
-  // Mirror engine.cpp complete_sweep(): concatenate in index order and
-  // recompute the Pareto front over the full point set.
-  service::SweepResponse payload;
-  payload.result.points.reserve(total_points);
-  for (const auto& part : parts) {
-    const auto& points = part.sweep_chunk()->points;
-    payload.result.points.insert(payload.result.points.end(), points.begin(),
-                                 points.end());
-  }
-  payload.result.pareto_front = explore::pareto_front(payload.result.points);
-  payload.result.candidate_classes = static_cast<std::size_t>(
-      parts.front().sweep_chunk()->candidate_classes);
-  response.status = service::Status::okay();
   response.payload = std::make_shared<const service::ResponsePayload>(
-      std::move(payload));
-  return response;
-}
-
-service::QueryResponse CombiningProxy::scatter_fault(
-    ClusterClient& cluster, const service::FaultSweepRequest& request,
-    service::Deadline deadline, std::uint64_t trace_id,
-    qos::PriorityClass priority) {
-  trace::ScopedSpan span("proxy.scatter_fault", trace::Category::Cluster);
-  const std::uint64_t cells = request.spec.cell_count();
-  if (cells == 0) {
-    return cluster.call(service::Request(request), deadline, trace_id,
-                        priority);
-  }
-  const std::uint64_t want = std::max<std::uint64_t>(
-      1, options_.cluster.endpoints.size() * options_.chunks_per_endpoint);
-  const std::uint64_t chunks = std::min(want, cells);
-  span.annotate("chunks", static_cast<std::int64_t>(chunks));
-
-  const auto parts = cluster.call_many(
-      make_chunks(cells, chunks, /*granularity=*/1,
-                  [&](std::uint64_t begin, std::uint64_t end) {
-                    return service::Request(
-                        service::FaultChunkRequest{request.spec, begin, end});
-                  }),
-      deadline, trace_id, priority);
-
-  service::QueryResponse response;
-  std::size_t total_outcomes = 0;
-  for (const auto& part : parts) {
-    if (!part.ok()) {
-      response.status = part.status;
-      return response;
-    }
-    const service::FaultChunkResponse* chunk = part.fault_chunk();
-    if (chunk == nullptr) {
-      response.status = service::Status::internal_error(
-          "backend answered a fault chunk with the wrong payload type");
-      return response;
-    }
-    total_outcomes += chunk->outcomes.size();
-  }
-
-  // Mirror engine.cpp complete_curve(): outcomes concatenate in flat
-  // cell order, then one finalize() reduces them per rate.  finalize is
-  // a pure aggregation of the outcomes, so the proxy-side evaluator
-  // (default component library) matches any backend's.
-  std::vector<fault::TrialOutcome> outcomes;
-  outcomes.reserve(total_outcomes);
-  for (const auto& part : parts) {
-    const auto& chunk_outcomes = part.fault_chunk()->outcomes;
-    outcomes.insert(outcomes.end(), chunk_outcomes.begin(),
-                    chunk_outcomes.end());
-  }
-  const fault::CurveEvaluator evaluator(request.spec);
-  service::FaultSweepResponse payload;
-  payload.result.spec = evaluator.spec();
-  payload.result.points = evaluator.finalize(outcomes);
-  response.status = service::Status::okay();
-  response.payload = std::make_shared<const service::ResponsePayload>(
-      std::move(payload));
+      Kind::merge(evaluator, std::move(cells)));
   return response;
 }
 

@@ -10,8 +10,8 @@
 #include "cluster/client.hpp"
 #include "cluster/health.hpp"
 #include "net/server.hpp"
+#include "qos/wfq_queue.hpp"
 #include "service/metrics.hpp"
-#include "service/queue.hpp"
 #include "service/request.hpp"
 
 namespace mpct::cluster {
@@ -26,6 +26,10 @@ struct ProxyOptions {
   ClusterOptions cluster;
   /// Worker threads, each owning one ClusterClient.
   std::size_t worker_threads = 4;
+  /// Task-queue capacity per priority class: each class (the frame's
+  /// QoS byte, else the request type's default) waits in its own
+  /// weighted-fair subqueue of this many tasks, so a Batch flood cannot
+  /// crowd Interactive work out of the proxy.
   std::size_t queue_capacity = 256;
   /// Sweep scatter factor: a sweep splits into about
   /// endpoints x this many chunks, so the fleet can balance even when
@@ -38,27 +42,29 @@ struct ProxyOptions {
 /// Scatter/gather front end for a fleet of taxonomy servers.
 ///
 /// Speaks the same wire protocol as net::Server, so any net::Client can
-/// point at the proxy unchanged.  Grid-shaped requests (SweepRequest,
+/// point at the proxy unchanged.  Incoming requests wait in a
+/// weighted-fair queue (qos::WfqQueue) under their priority class, as
+/// in the engine.  Grid-shaped requests (SweepRequest,
 /// FaultSweepRequest) are split into disjoint flat-index chunk requests
-/// (SweepChunkRequest / FaultChunkRequest, wire v2), scattered across
-/// the fleet via ClusterClient::call_many, and merged with *exactly*
-/// the engine's own completion logic:
+/// (SweepChunkRequest / FaultChunkRequest, wire v2) by the engine's own
+/// chunk rule (mpct::split_range), scattered across the fleet via
+/// ClusterClient::call_many, checked to hold exactly their range's cell
+/// count, and merged by *the same* GridKind::merge the engine's
+/// completion runs: chunk cells concatenate in index order, then
 ///
-///  * sweep — chunk points concatenate in index order,
-///    pareto_front(points) recomputes the front, candidate_classes
-///    comes from any chunk (each evaluates the same grid filter);
-///  * fault sweep — chunk trial outcomes concatenate in index order and
-///    CurveEvaluator::finalize reduces them (each trial's RNG stream
-///    derives from its flat cell index, so placement cannot change it).
+///  * sweep — pareto_front(points) recomputes the front over all cells;
+///  * fault sweep — CurveEvaluator::finalize reduces the outcomes (each
+///    trial's RNG stream derives from its flat cell index, so placement
+///    cannot change it).
 ///
 /// Merged responses are therefore bit-identical to a single server
 /// evaluating the whole request (test-enforced).  Every other request
 /// type passes through ClusterClient::call — consistent-hash routed,
 /// health-checked, hedged.
 ///
-/// One caveat: merged fault results assume the backends price against
-/// the default component library (the proxy has no engine of its own).
-/// Point the fleet at one EngineOptions::library and this holds.
+/// The merge reads no component-library state, but the cells come from
+/// the backends: point the fleet at one EngineOptions::library so every
+/// chunk prices against the same one.
 class CombiningProxy {
  public:
   explicit CombiningProxy(ProxyOptions options);
@@ -105,22 +111,20 @@ class CombiningProxy {
                                 service::Deadline deadline,
                                 std::uint64_t trace_id,
                                 qos::PriorityClass priority);
-  service::QueryResponse scatter_sweep(ClusterClient& cluster,
-                                       const service::SweepRequest& request,
-                                       service::Deadline deadline,
-                                       std::uint64_t trace_id,
-                                       qos::PriorityClass priority);
-  service::QueryResponse scatter_fault(ClusterClient& cluster,
-                                       const service::FaultSweepRequest& request,
-                                       service::Deadline deadline,
-                                       std::uint64_t trace_id,
-                                       qos::PriorityClass priority);
+  /// Split a grid request (service::GridKind) into chunk requests,
+  /// scatter them over the fleet and merge the answers.
+  template <typename GridRequest>
+  service::QueryResponse scatter(ClusterClient& cluster,
+                                 const GridRequest& request,
+                                 service::Deadline deadline,
+                                 std::uint64_t trace_id,
+                                 qos::PriorityClass priority);
 
   ProxyOptions options_;
   service::MetricsRegistry metrics_;
   HealthTracker tracker_;
   std::unique_ptr<HealthPinger> pinger_;
-  service::BoundedQueue<ProxyTask> queue_;
+  qos::WfqQueue<ProxyTask> queue_;
   std::vector<std::thread> workers_;
   std::unique_ptr<net::Server> server_;
   std::string error_;

@@ -6,9 +6,9 @@
 #include <limits>
 #include <optional>
 #include <span>
-#include <thread>
 #include <type_traits>
 
+#include "core/range_split.hpp"
 #include "trace/trace.hpp"
 
 namespace mpct::explore {
@@ -391,36 +391,11 @@ SweepResult sweep(const SweepGrid& grid, const cost::ComponentLibrary& lib,
   result.candidate_classes = evaluator.candidate_count();
   result.points.resize(cells);
 
-  // More workers than cores only adds context-switch overhead to a
-  // CPU-bound kernel (the committed bench once measured 4 threads at
-  // 0.6x the single-thread rate on a 1-core host) — clamp.
-  const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
-  const std::size_t workers =
-      threads > 1
-          ? std::min({static_cast<std::size_t>(threads), hw,
-                      cells ? cells : std::size_t{1}})
-          : 1;
-  if (workers <= 1) {
-    evaluator.evaluate_range(0, cells, result.points.data());
-  } else {
-    // Contiguous disjoint slices, rounded up to whole grid rows so every
-    // worker runs the batch kernel; each worker writes only its own
-    // range, so no synchronization beyond join() is needed.
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    const std::size_t row = evaluator.row_cells();
-    std::size_t chunk = (cells + workers - 1) / workers;
-    chunk = (chunk + row - 1) / row * row;
-    for (std::size_t w = 0; w < workers; ++w) {
-      const std::size_t begin = std::min(w * chunk, cells);
-      const std::size_t end = std::min(begin + chunk, cells);
-      if (begin == end) break;
-      pool.emplace_back([&evaluator, &result, begin, end] {
-        evaluator.evaluate_range(begin, end, result.points.data() + begin);
-      });
-    }
-    for (std::thread& t : pool) t.join();
-  }
+  parallel_ranges(cells, threads, evaluator.row_cells(),
+                  [&](std::size_t begin, std::size_t end) {
+                    evaluator.evaluate_range(begin, end,
+                                             result.points.data() + begin);
+                  });
 
   result.pareto_front = pareto_front(result.points);
   return result;

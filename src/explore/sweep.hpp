@@ -162,15 +162,15 @@ class SweepEvaluator {
 };
 
 /// Sweep the whole grid.  @p threads == 0 (or 1) evaluates sequentially
-/// on the caller's thread; otherwise the cell range is chunked across
-/// scoped workers writing disjoint slices of the result (results are
-/// bit-identical either way).  The worker count is clamped to
-/// std::thread::hardware_concurrency() — oversubscribing cores only adds
-/// scheduling overhead to a CPU-bound kernel — and chunks are rounded up
-/// to whole grid rows so every worker runs the batch path.  The service
-/// layer instead chunks over its own worker pool (engine.cpp); this
-/// entry point is for library callers and for the sequential reference
-/// the tests compare against.
+/// on the caller's thread; otherwise the cell range is split
+/// (mpct::parallel_ranges) across scoped workers writing disjoint slices
+/// of the result (results are bit-identical either way).  The worker
+/// count is clamped to std::thread::hardware_concurrency() —
+/// oversubscribing cores only adds scheduling overhead to a CPU-bound
+/// kernel — and chunks align to whole grid rows so every worker runs the
+/// batch path.  The service layer instead chunks over its own worker
+/// pool (engine.cpp); this entry point is for library callers and for
+/// the sequential reference the tests compare against.
 SweepResult sweep(const SweepGrid& grid,
                   const cost::ComponentLibrary& lib =
                       cost::ComponentLibrary::default_library(),

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
-#include <thread>
 #include <utility>
 
 #include "core/flexibility.hpp"
+#include "core/range_split.hpp"
 #include "fault/route_around.hpp"
 #include "report/csv.hpp"
 #include "report/svg.hpp"
@@ -44,10 +44,7 @@ CurveEvaluator::CurveEvaluator(const CurveSpec& spec,
 
 namespace {
 
-/// Trials the batch kernel advances together: eight independent xorshift
-/// dependency chains keep the pipeline full where one chain would stall
-/// on its own latency.
-constexpr std::size_t kLanes = 8;
+constexpr std::size_t kLanes = CurveEvaluator::kLanes;
 using LaneCounts = std::array<std::int64_t, kLanes>;
 
 /// The one TrialOutcome builder, shared by the scalar oracle (a full
@@ -247,31 +244,11 @@ CurveResult evaluate_curve(const CurveSpec& spec,
   const std::size_t cells = evaluator.cell_count();
   std::vector<TrialOutcome> outcomes(cells);
 
-  // Clamp to the core count: trials are CPU-bound, so oversubscription
-  // only adds context-switch overhead (see the sweep() clamp rationale).
-  const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
-  const std::size_t workers =
-      threads > 1
-          ? std::min({static_cast<std::size_t>(threads), hw,
-                      cells ? cells : std::size_t{1}})
-          : 1;
-  if (workers <= 1) {
-    evaluator.evaluate_range(0, cells, outcomes.data());
-  } else {
-    // Contiguous disjoint slices; each worker writes only its own range.
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    const std::size_t chunk = (cells + workers - 1) / workers;
-    for (unsigned w = 0; w < workers; ++w) {
-      const std::size_t begin = std::min<std::size_t>(w * chunk, cells);
-      const std::size_t end = std::min<std::size_t>(begin + chunk, cells);
-      if (begin == end) break;
-      pool.emplace_back([&evaluator, &outcomes, begin, end] {
-        evaluator.evaluate_range(begin, end, outcomes.data() + begin);
-      });
-    }
-    for (std::thread& t : pool) t.join();
-  }
+  parallel_ranges(cells, threads, evaluator.row_cells(),
+                  [&](std::size_t begin, std::size_t end) {
+                    evaluator.evaluate_range(begin, end,
+                                             outcomes.data() + begin);
+                  });
 
   CurveResult result;
   result.spec = evaluator.spec();

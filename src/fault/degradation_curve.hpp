@@ -106,7 +106,16 @@ class CurveEvaluator {
                           const cost::ComponentLibrary& lib =
                               cost::ComponentLibrary::default_library());
 
+  /// Trials the batch kernel advances together: eight independent
+  /// xorshift dependency chains keep the pipeline full where one chain
+  /// would stall on its own latency.
+  static constexpr std::size_t kLanes = 8;
+
   std::size_t cell_count() const { return cells_; }
+  /// The batch kernel's block width, kLanes trials — the grain chunking
+  /// callers align their ranges to, as with SweepEvaluator::row_cells()
+  /// (any range still evaluates correctly).
+  std::size_t row_cells() const { return kLanes; }
   const CurveSpec& spec() const { return spec_; }
   const FabricShape& shape() const { return shape_; }
 
@@ -137,11 +146,11 @@ class CurveEvaluator {
 
 /// Sweep the whole curve.  @p threads == 0 (or 1) evaluates
 /// sequentially on the caller's thread; otherwise the cell range is
-/// chunked across that many scoped workers writing disjoint slices
-/// (bit-identical either way).  The service layer instead chunks over
-/// its own worker pool (FaultSweepRequest in engine.cpp); this entry
-/// point serves library callers and the sequential reference the tests
-/// compare against.
+/// split (mpct::parallel_ranges, clamped to the core count) across
+/// scoped workers writing disjoint slices (bit-identical either way).
+/// The service layer instead chunks over its own worker pool
+/// (FaultSweepRequest in engine.cpp); this entry point serves library
+/// callers and the sequential reference the tests compare against.
 CurveResult evaluate_curve(const CurveSpec& spec,
                            const cost::ComponentLibrary& lib =
                                cost::ComponentLibrary::default_library(),

@@ -33,10 +33,11 @@ struct WfqWeights {
 };
 
 /// Weighted-fair bounded MPMC queue: one bounded FIFO subqueue per
-/// PriorityClass, drained by deficit round robin.  Replaces the
-/// engine's single BoundedQueue so a flood of Batch sweeps can no
-/// longer starve Interactive classifies, while preserving the old
-/// queue's contract exactly when only one class is in use:
+/// PriorityClass, drained by deficit round robin.  The one task queue
+/// of the serving stack — the engine's worker pool and the cluster
+/// proxy's workers both drain one — so a flood of Batch sweeps cannot
+/// starve Interactive classifies at either tier.  With only one class in
+/// use it is a plain bounded FIFO:
 ///
 /// - try_push(cls, item) never blocks; it returns false (leaving the
 ///   item untouched) when that class's subqueue is full or the queue is
@@ -147,8 +148,7 @@ class WfqQueue {
     return !closed_ && queues_[index(cls)].size() + count <= capacity_;
   }
 
-  /// Per-class capacity (mirrors BoundedQueue::capacity() when a single
-  /// class is in use).
+  /// Per-class capacity (the whole queue's when one class is in use).
   std::size_t capacity() const { return capacity_; }
 
   /// Queue fill of the fullest class, in [0, 1] — the admission

@@ -2,13 +2,16 @@
 
 #include <algorithm>
 #include <exception>
+#include <type_traits>
 #include <utility>
 
 #include "arch/adl_parser.hpp"
 #include "cost/area_model.hpp"
+#include "core/range_split.hpp"
 #include "cost/config_bits.hpp"
 #include "explore/recommend.hpp"
 #include "service/fingerprint.hpp"
+#include "service/grid_kind.hpp"
 #include "trace/trace.hpp"
 
 namespace mpct::service {
@@ -103,79 +106,6 @@ QueryResponse execute_recommend(const RecommendRequest& request,
   return response;
 }
 
-Status validate_sweep(const explore::SweepGrid& grid) {
-  const explore::SweepGrid g = grid.normalized();
-  for (std::int64_t n : g.n_values) {
-    if (n <= 0) {
-      return Status::invalid_request(
-          "sweep: design-point n must be positive, got " + std::to_string(n));
-    }
-  }
-  for (std::int64_t v : g.lut_budgets) {
-    if (v <= 0) {
-      return Status::invalid_request(
-          "sweep: lut_budget must be positive, got " + std::to_string(v));
-    }
-  }
-  return Status::okay();
-}
-
-/// Sequential sweep — the inline (worker_threads == 0) and execute()
-/// paths; the worker pool goes through submit_sweep() instead.
-QueryResponse execute_sweep(const SweepRequest& request,
-                            const cost::ComponentLibrary& library) {
-  QueryResponse response;
-  Status valid = validate_sweep(request.grid);
-  if (!valid.ok()) {
-    response.status = std::move(valid);
-    return response;
-  }
-  SweepResponse payload;
-  payload.result = explore::sweep(request.grid, library);
-  response.payload =
-      std::make_shared<const ResponsePayload>(std::move(payload));
-  return response;
-}
-
-Status validate_curve(const fault::CurveSpec& spec) {
-  for (double rate : spec.fault_rates) {
-    if (!(rate >= 0.0 && rate <= 1.0)) {
-      return Status::invalid_request(
-          "fault_sweep: fault rate must be in [0, 1], got " +
-          std::to_string(rate));
-    }
-  }
-  if (spec.trials_per_rate <= 0) {
-    return Status::invalid_request(
-        "fault_sweep: trials_per_rate must be positive, got " +
-        std::to_string(spec.trials_per_rate));
-  }
-  if ((spec.noc_width > 0) != (spec.noc_height > 0)) {
-    return Status::invalid_request(
-        "fault_sweep: NoC needs both dimensions positive, got " +
-        std::to_string(spec.noc_width) + "x" +
-        std::to_string(spec.noc_height));
-  }
-  return Status::okay();
-}
-
-/// Sequential curve — the inline (worker_threads == 0) and execute()
-/// paths; the worker pool goes through submit_fault_sweep() instead.
-QueryResponse execute_fault_sweep(const FaultSweepRequest& request,
-                                  const cost::ComponentLibrary& library) {
-  QueryResponse response;
-  Status valid = validate_curve(request.spec);
-  if (!valid.ok()) {
-    response.status = std::move(valid);
-    return response;
-  }
-  FaultSweepResponse payload;
-  payload.result = fault::evaluate_curve(request.spec, library);
-  response.payload =
-      std::make_shared<const ResponsePayload>(std::move(payload));
-  return response;
-}
-
 Status validate_chunk_range(std::string_view what, std::uint64_t begin,
                             std::uint64_t end, std::uint64_t cells) {
   if (begin >= end || end > cells) {
@@ -187,60 +117,44 @@ Status validate_chunk_range(std::string_view what, std::uint64_t begin,
   return Status::okay();
 }
 
-/// One disjoint cell range of a sweep, executed on a single worker — how
-/// the cluster proxy scatters a grid across backends.  Unlike a full
-/// SweepRequest this goes through the normal cached single-task path, so
-/// a repeated chunk (same grid, same range) is a cache hit on the server
-/// that owns it on the consistent-hash ring.
-QueryResponse execute_sweep_chunk(const SweepChunkRequest& request,
-                                  const cost::ComponentLibrary& library) {
-  QueryResponse response;
-  Status valid = validate_sweep(request.grid);
-  if (!valid.ok()) {
-    response.status = std::move(valid);
-    return response;
-  }
-  explore::SweepEvaluator evaluator(request.grid, library);
-  valid = validate_chunk_range("sweep_chunk", request.begin, request.end,
-                               evaluator.cell_count());
-  if (!valid.ok()) {
-    response.status = std::move(valid);
-    return response;
-  }
-  SweepChunkResponse payload;
-  payload.points.resize(request.end - request.begin);
-  evaluator.evaluate_range(request.begin, request.end, payload.points.data());
-  payload.candidate_classes = evaluator.candidate_count();
-  response.payload =
-      std::make_shared<const ResponsePayload>(std::move(payload));
-  return response;
-}
-
-/// One disjoint (rate x trial) cell range of a degradation curve.  The
-/// chunk carries the full spec because each trial's RNG stream derives
-/// from its flat cell index over the whole spec — so outcomes are
+/// A grid request (Kind::ChunkRequest false) or one disjoint cell range
+/// of it (a chunk request), evaluated on the calling thread.  A whole
+/// grid is the inline (worker_threads == 0) and execute() path; the
+/// worker pool goes through submit_grid() instead, with the same
+/// evaluator and the same merge.  A chunk is how the cluster proxy
+/// scatters a grid across backends: it goes through the normal cached
+/// single-task path, so a repeated chunk (same input, same range) is a
+/// cache hit on the server that owns it on the consistent-hash ring.
+/// Chunks carry the whole input because cell indices (and each curve
+/// trial's RNG stream) are over the whole grid, so chunk cells are
 /// bit-identical to the same cells of a single-server evaluation.
-QueryResponse execute_fault_chunk(const FaultChunkRequest& request,
-                                  const cost::ComponentLibrary& library) {
+template <typename Kind, typename GridOrChunk>
+QueryResponse execute_grid(const GridOrChunk& request,
+                           const cost::ComponentLibrary& library) {
+  constexpr bool chunk =
+      std::is_same_v<GridOrChunk, typename Kind::ChunkRequest>;
   QueryResponse response;
-  Status valid = validate_curve(request.spec);
-  if (!valid.ok()) {
-    response.status = std::move(valid);
-    return response;
+  response.status = Kind::validate(Kind::input(request));
+  if (!response.ok()) return response;
+  const typename Kind::Evaluator evaluator(Kind::input(request), library);
+  std::uint64_t begin = 0;
+  std::uint64_t end = evaluator.cell_count();
+  if constexpr (chunk) {
+    response.status = validate_chunk_range(to_string(Kind::chunk_type),
+                                           request.begin, request.end, end);
+    if (!response.ok()) return response;
+    begin = request.begin;
+    end = request.end;
   }
-  fault::CurveEvaluator evaluator(request.spec, library);
-  valid = validate_chunk_range("fault_chunk", request.begin, request.end,
-                               evaluator.cell_count());
-  if (!valid.ok()) {
-    response.status = std::move(valid);
-    return response;
+  std::vector<typename Kind::Cell> cells(end - begin);
+  evaluator.evaluate_range(begin, end, cells.data());
+  if constexpr (chunk) {
+    response.payload = std::make_shared<const ResponsePayload>(
+        Kind::chunk_response(evaluator, std::move(cells)));
+  } else {
+    response.payload = std::make_shared<const ResponsePayload>(
+        Kind::merge(evaluator, std::move(cells)));
   }
-  FaultChunkResponse payload;
-  payload.outcomes.resize(request.end - request.begin);
-  evaluator.evaluate_range(request.begin, request.end,
-                           payload.outcomes.data());
-  response.payload =
-      std::make_shared<const ResponsePayload>(std::move(payload));
   return response;
 }
 
@@ -306,45 +220,23 @@ QueryResponse execute_simulate(const SimulateRequest& request) {
   return response;
 }
 
-/// Keep every second element, always including the first; an axis of
-/// fewer than two entries is left alone.
-template <typename T>
-void stride_axis(std::vector<T>& axis) {
-  if (axis.size() < 2) return;
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < axis.size(); i += 2) {
-    axis[kept++] = std::move(axis[i]);
-  }
-  axis.resize(kept);
-}
-
 /// Admission said Degrade: shrink grid work in place so it costs a
-/// fraction of the full request — a sweep keeps every second n / LUT
-/// value, a fault curve keeps every second rate at half the trials.
-/// Returns true when the request actually shrank (the response must
-/// then carry QueryResponse::sampled).  The strided grid fingerprints
-/// differently from the full one, so degraded and full-precision
-/// results never share a cache entry.
+/// fraction of the full request (GridKind::stride).  Returns true when
+/// the request actually shrank (the response must then carry
+/// QueryResponse::sampled).  The strided input fingerprints differently
+/// from the full one, so degraded and full-precision results never
+/// share a cache entry.
 bool stride_for_degrade(Request& request) {
-  if (auto* sweep = std::get_if<SweepRequest>(&request)) {
-    explore::SweepGrid grid = sweep->grid.normalized();
-    const std::size_t before = grid.cell_count();
-    stride_axis(grid.n_values);
-    stride_axis(grid.lut_budgets);
-    if (grid.cell_count() == before) return false;
-    sweep->grid = std::move(grid);
-    return true;
-  }
-  if (auto* curve = std::get_if<FaultSweepRequest>(&request)) {
-    fault::CurveSpec spec = curve->spec.normalized();
-    const std::size_t before = spec.cell_count();
-    stride_axis(spec.fault_rates);
-    if (spec.trials_per_rate > 1) spec.trials_per_rate /= 2;
-    if (spec.cell_count() == before) return false;
-    curve->spec = std::move(spec);
-    return true;
-  }
-  return false;
+  return std::visit(
+      [](auto& r) {
+        using T = std::decay_t<decltype(r)>;
+        if constexpr (is_grid_request_v<T>) {
+          return GridKind<T>::stride(r);
+        } else {
+          return false;
+        }
+      },
+      request);
 }
 
 QueryResponse execute_cost(const CostRequest& request,
@@ -494,15 +386,13 @@ std::future<QueryResponse> QueryEngine::submit_impl(
     return resolve_ready(callback, std::move(response));
   }
 
-  if (auto* sweep_request = std::get_if<SweepRequest>(&request)) {
-    return submit_sweep(std::move(*sweep_request), deadline,
-                        std::move(callback), cls, degraded, strided,
-                        cancel_owner, cancel_id);
+  if (auto* sweep = std::get_if<SweepRequest>(&request)) {
+    return submit_grid(std::move(*sweep), deadline, std::move(callback), cls,
+                       degraded, strided, cancel_owner, cancel_id);
   }
-  if (auto* fault_request = std::get_if<FaultSweepRequest>(&request)) {
-    return submit_fault_sweep(std::move(*fault_request), deadline,
-                              std::move(callback), cls, degraded, strided,
-                              cancel_owner, cancel_id);
+  if (auto* curve = std::get_if<FaultSweepRequest>(&request)) {
+    return submit_grid(std::move(*curve), deadline, std::move(callback), cls,
+                       degraded, strided, cancel_owner, cancel_id);
   }
 
   Task task;
@@ -589,13 +479,8 @@ void QueryEngine::worker_loop() {
         trace::emit_span("queue.wait", trace::Category::Queue, task.enqueued,
                          Clock::now());
       }
-      if (task.sweep_job) {
-        run_sweep_chunk(task);
-        metrics_.in_flight.decrement();
-        continue;
-      }
-      if (task.curve_job) {
-        run_curve_chunk(task);
+      if (task.job) {
+        run_chunk(task);
         metrics_.in_flight.decrement();
         continue;
       }
@@ -631,11 +516,11 @@ void QueryEngine::finish_task(Task& task, QueryResponse response) {
   drained_.notify_all();
 }
 
-bool QueryEngine::SweepJob::fail(StatusCode code, std::string message) {
+bool QueryEngine::GridJob::fail(StatusCode code, std::string message) {
   int expected = 0;
   if (fail_code.compare_exchange_strong(expected, static_cast<int>(code),
                                         std::memory_order_acq_rel)) {
-    // Only the winning CAS writes the message; complete_sweep() reads it
+    // Only the winning CAS writes the message; complete_job() reads it
     // after the final fetch_sub on `remaining` synchronizes with ours.
     fail_message = std::move(message);
     return true;
@@ -643,7 +528,7 @@ bool QueryEngine::SweepJob::fail(StatusCode code, std::string message) {
   return false;
 }
 
-void QueryEngine::SweepJob::resolve(QueryResponse response) {
+void QueryEngine::GridJob::resolve(QueryResponse response) {
   if (callback) {
     callback(std::move(response));
   } else {
@@ -651,25 +536,27 @@ void QueryEngine::SweepJob::resolve(QueryResponse response) {
   }
 }
 
-std::future<QueryResponse> QueryEngine::submit_sweep(
-    SweepRequest request, Deadline deadline, ResponseCallback callback,
+template <typename GridRequest>
+std::future<QueryResponse> QueryEngine::submit_grid(
+    GridRequest request, Deadline deadline, ResponseCallback callback,
     qos::PriorityClass priority, bool degraded, bool strided,
     std::uint64_t cancel_owner, std::uint64_t cancel_id) {
+  using Kind = GridKind<GridRequest>;
   const Clock::time_point enqueued = Clock::now();
+  const typename Kind::Input& input = Kind::input(request);
 
-  Status valid = validate_sweep(request.grid);
+  Status valid = Kind::validate(input);
   if (!valid.ok()) {
     metrics_.failed.add();
     return resolve_ready(callback, rejected(std::move(valid)));
   }
 
   // Same key fingerprint(Request) computes, without re-wrapping the
-  // request: the type tag first, then the grid hash — so the inline and
+  // request: the type tag first, then the input hash — so the inline and
   // chunk-parallel paths share cache entries.  A strided (degraded)
-  // grid hashes differently, so it can only hit other degraded runs.
+  // input hashes differently, so it can only hit other degraded runs.
   FingerprintBuilder key_builder;
-  key_builder.mix(static_cast<int>(RequestType::Sweep))
-      .mix(fingerprint(request.grid));
+  key_builder.mix(static_cast<int>(Kind::type)).mix(fingerprint(input));
   const Fingerprint key = key_builder.value();
 
   if (options_.enable_cache) {
@@ -688,17 +575,33 @@ std::future<QueryResponse> QueryEngine::submit_sweep(
       if (served_stale || strided) mark_degraded(response);
       response.latency = std::chrono::duration_cast<std::chrono::nanoseconds>(
           Clock::now() - enqueued);
-      metrics_.latency(RequestType::Sweep).record(response.latency);
+      metrics_.latency(Kind::type).record(response.latency);
       metrics_.completed.add();
       return resolve_ready(callback, std::move(response));
     }
     metrics_.cache_misses.add();
   }
 
-  auto job = std::make_shared<SweepJob>(
-      explore::SweepEvaluator(request.grid, options_.library));
-  const std::size_t cells = job->evaluator.cell_count();
-  job->points.resize(cells);
+  // The kind's evaluator and the pre-sized result vector each chunk
+  // writes a disjoint slice of, shared by the job's two hooks.
+  struct Slices {
+    typename Kind::Evaluator evaluator;
+    std::vector<typename Kind::Cell> cells;
+    Slices(const typename Kind::Input& in, const cost::ComponentLibrary& lib)
+        : evaluator(in, lib), cells(evaluator.cell_count()) {}
+  };
+  auto slices = std::make_shared<Slices>(input, options_.library);
+  auto job = std::make_shared<GridJob>();
+  job->evaluate = [slices](std::size_t begin, std::size_t end) {
+    slices->evaluator.evaluate_range(begin, end, slices->cells.data() + begin);
+  };
+  job->merge = [slices] {
+    return ResponsePayload(
+        Kind::merge(slices->evaluator, std::move(slices->cells)));
+  };
+  job->type = Kind::type;
+  job->chunk_span = Kind::chunk_span;
+  job->merge_span = Kind::merge_span;
   job->key = key;
   job->enqueued = enqueued;
   job->trace_id = trace::current_trace_id();
@@ -713,21 +616,15 @@ std::future<QueryResponse> QueryEngine::submit_sweep(
   if (!job->callback) future = job->promise.get_future();
 
   // Aim for ~2 chunks per worker (load balance without queue churn), but
-  // never more chunks than the queue could ever hold.
-  std::size_t target_chunks =
-      std::max<std::size_t>(1, static_cast<std::size_t>(
-                                   options_.worker_threads) * 2);
-  target_chunks = std::min(target_chunks,
-                           std::max<std::size_t>(1, queue_->capacity()));
-  std::size_t chunk_cells =
-      std::max<std::size_t>(1, (cells + target_chunks - 1) / target_chunks);
-  // Round up to whole grid rows so every chunk runs the evaluator's
-  // batch kernel end to end (a split row falls back to the scalar edge
-  // path — correct, just slower).
-  const std::size_t row = std::max<std::size_t>(1, job->evaluator.row_cells());
-  chunk_cells = (chunk_cells + row - 1) / row * row;
-  const std::size_t chunk_count = (cells + chunk_cells - 1) / chunk_cells;
-  job->remaining.store(chunk_count, std::memory_order_relaxed);
+  // never more chunks than the queue could ever hold.  Boundaries land
+  // on whole evaluator rows, so every chunk runs the batch kernel end to
+  // end.
+  const std::vector<CellRange> chunks = split_range(
+      slices->evaluator.cell_count(),
+      std::min<std::size_t>(std::size_t{options_.worker_threads} * 2,
+                            queue_->capacity()),
+      slices->evaluator.row_cells());
+  job->remaining.store(chunks.size(), std::memory_order_relaxed);
 
   Status rejection;
   {
@@ -736,26 +633,26 @@ std::future<QueryResponse> QueryEngine::submit_sweep(
     if (shutdown_) {
       metrics_.rejected_shutdown.add();
       rejection = Status::shutting_down();
-    } else if (!queue_->has_room(enqueue_class(priority), chunk_count)) {
+    } else if (!queue_->has_room(enqueue_class(priority), chunks.size())) {
       // All-or-nothing enqueue: pushes are serialized by lifecycle_mutex_
       // and concurrent pops only shrink the queue, so after this capacity
       // check every chunk's try_push is guaranteed to succeed.
       metrics_.rejected_queue_full.add();
       rejection = Status::queue_full();
     } else {
-      for (std::size_t i = 0; i < chunk_count; ++i) {
+      for (const CellRange& chunk : chunks) {
         Task task;
         task.deadline = deadline;
         task.enqueued = enqueued;
         task.trace_id = job->trace_id;
-        task.sweep_job = job;
+        task.job = job;
         task.priority = priority;
-        task.chunk_begin = i * chunk_cells;
-        task.chunk_end = std::min(cells, task.chunk_begin + chunk_cells);
+        task.chunk_begin = chunk.begin;
+        task.chunk_end = chunk.end;
         if (!queue_->try_push(enqueue_class(priority), task)) {
           // Unreachable (see the capacity check above); keep the job's
           // chunk accounting consistent anyway so the request resolves.
-          job->fail(StatusCode::InternalError, "sweep chunk enqueue failed");
+          job->fail(StatusCode::InternalError, "grid chunk enqueue failed");
           if (job->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
             job->resolve(rejected(Status::internal_error(job->fail_message)));
             return future;  // no chunk enqueued; pending_ untouched
@@ -776,150 +673,17 @@ std::future<QueryResponse> QueryEngine::submit_sweep(
   return future;
 }
 
-bool QueryEngine::CurveJob::fail(StatusCode code, std::string message) {
-  int expected = 0;
-  if (fail_code.compare_exchange_strong(expected, static_cast<int>(code),
-                                        std::memory_order_acq_rel)) {
-    fail_message = std::move(message);
-    return true;
-  }
-  return false;
-}
-
-void QueryEngine::CurveJob::resolve(QueryResponse response) {
-  if (callback) {
-    callback(std::move(response));
-  } else {
-    promise.set_value(std::move(response));
-  }
-}
-
-std::future<QueryResponse> QueryEngine::submit_fault_sweep(
-    FaultSweepRequest request, Deadline deadline, ResponseCallback callback,
-    qos::PriorityClass priority, bool degraded, bool strided,
-    std::uint64_t cancel_owner, std::uint64_t cancel_id) {
-  const Clock::time_point enqueued = Clock::now();
-
-  Status valid = validate_curve(request.spec);
-  if (!valid.ok()) {
-    metrics_.failed.add();
-    return resolve_ready(callback, rejected(std::move(valid)));
-  }
-
-  // Same key fingerprint(Request) computes, so the inline and
-  // chunk-parallel paths share cache entries.  A strided (degraded)
-  // spec hashes differently, so it can only hit other degraded runs.
-  FingerprintBuilder key_builder;
-  key_builder.mix(static_cast<int>(RequestType::FaultSweep))
-      .mix(fingerprint(request.spec));
-  const Fingerprint key = key_builder.value();
-
-  if (options_.enable_cache) {
-    bool served_stale = false;
-    std::shared_ptr<const ResponsePayload> hit;
-    {
-      trace::ScopedSpan probe("cache.probe", trace::Category::Cache);
-      hit = probe_cache(key, degraded, served_stale);
-      probe.annotate("hit", hit ? 1 : 0);
-    }
-    if (hit) {
-      metrics_.cache_hits.add();
-      QueryResponse response;
-      response.payload = std::move(hit);
-      response.cache_hit = true;
-      if (served_stale || strided) mark_degraded(response);
-      response.latency = std::chrono::duration_cast<std::chrono::nanoseconds>(
-          Clock::now() - enqueued);
-      metrics_.latency(RequestType::FaultSweep).record(response.latency);
-      metrics_.completed.add();
-      return resolve_ready(callback, std::move(response));
-    }
-    metrics_.cache_misses.add();
-  }
-
-  auto job = std::make_shared<CurveJob>(
-      fault::CurveEvaluator(request.spec, options_.library));
-  const std::size_t cells = job->evaluator.cell_count();
-  job->outcomes.resize(cells);
-  job->key = key;
-  job->enqueued = enqueued;
-  job->trace_id = trace::current_trace_id();
-  job->callback = std::move(callback);
-  job->sampled = strided;
-  if (cancel_owner != 0 || cancel_id != 0) {
-    job->cancel = cancels_.add(cancel_owner, cancel_id);
-    job->cancel_owner = cancel_owner;
-    job->cancel_id = cancel_id;
-  }
-  std::future<QueryResponse> future;
-  if (!job->callback) future = job->promise.get_future();
-
-  std::size_t target_chunks =
-      std::max<std::size_t>(1, static_cast<std::size_t>(
-                                   options_.worker_threads) * 2);
-  target_chunks = std::min(target_chunks,
-                           std::max<std::size_t>(1, queue_->capacity()));
-  const std::size_t chunk_cells =
-      std::max<std::size_t>(1, (cells + target_chunks - 1) / target_chunks);
-  const std::size_t chunk_count = (cells + chunk_cells - 1) / chunk_cells;
-  job->remaining.store(chunk_count, std::memory_order_relaxed);
-
-  Status rejection;
+void QueryEngine::run_chunk(Task& task) {
+  GridJob& job = *task.job;
   {
-    trace::ScopedSpan enqueue("engine.enqueue", trace::Category::Engine);
-    std::lock_guard<std::mutex> lock(lifecycle_mutex_);
-    if (shutdown_) {
-      metrics_.rejected_shutdown.add();
-      rejection = Status::shutting_down();
-    } else if (!queue_->has_room(enqueue_class(priority), chunk_count)) {
-      // All-or-nothing enqueue under lifecycle_mutex_, exactly like
-      // submit_sweep: after the capacity check every try_push succeeds.
-      metrics_.rejected_queue_full.add();
-      rejection = Status::queue_full();
-    } else {
-      for (std::size_t i = 0; i < chunk_count; ++i) {
-        Task task;
-        task.deadline = deadline;
-        task.enqueued = enqueued;
-        task.trace_id = job->trace_id;
-        task.curve_job = job;
-        task.priority = priority;
-        task.chunk_begin = i * chunk_cells;
-        task.chunk_end = std::min(cells, task.chunk_begin + chunk_cells);
-        if (!queue_->try_push(enqueue_class(priority), task)) {
-          job->fail(StatusCode::InternalError,
-                    "fault sweep chunk enqueue failed");
-          if (job->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-            job->resolve(rejected(Status::internal_error(job->fail_message)));
-            return future;  // no chunk enqueued; pending_ untouched
-          }
-          continue;
-        }
-        metrics_.queue_depth.increment();
-      }
-      ++pending_;
-    }
-  }
-  if (!rejection.ok()) {
-    if (job->cancel) cancels_.erase(job->cancel_owner, job->cancel_id);
-    // Resolved after the lock is released so a callback can never run
-    // while the engine's lifecycle mutex is held.
-    return resolve_ready(job->callback, rejected(std::move(rejection)));
-  }
-  return future;
-}
-
-void QueryEngine::run_curve_chunk(Task& task) {
-  CurveJob& job = *task.curve_job;
-  {
-    // Scoped so the merge (complete_curve) traces as a sibling span, not
+    // Scoped so the merge (complete_job) traces as a sibling span, not
     // a child of whichever chunk happens to finish last.
     trace::ScopedSpan span(
-        "fault.chunk", trace::Category::Chunk, "cells",
+        job.chunk_span, trace::Category::Chunk, "cells",
         static_cast<std::int64_t>(task.chunk_end - task.chunk_begin));
     if (job.cancel && job.cancel->is_cancelled()) {
       // Cooperative cancellation: checked once per chunk, so an
-      // in-flight Monte-Carlo sweep stops within one chunk's work.
+      // in-flight job stops within one chunk's work.
       if (job.fail(StatusCode::Cancelled)) {
         metrics_.qos_cancelled_inflight.add();
         trace::emit_instant("qos.cancelled", trace::Category::Qos);
@@ -929,8 +693,7 @@ void QueryEngine::run_curve_chunk(Task& task) {
       job.fail(StatusCode::DeadlineExceeded);
     } else if (job.fail_code.load(std::memory_order_relaxed) == 0) {
       try {
-        job.evaluator.evaluate_range(task.chunk_begin, task.chunk_end,
-                                     job.outcomes.data() + task.chunk_begin);
+        job.evaluate(task.chunk_begin, task.chunk_end);
       } catch (const std::exception& e) {
         job.fail(StatusCode::InternalError, e.what());
       } catch (...) {
@@ -938,18 +701,21 @@ void QueryEngine::run_curve_chunk(Task& task) {
       }
     }
   }
+  release_chunk(job);
+}
+
+void QueryEngine::release_chunk(GridJob& job) {
   if (job.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    complete_curve(task);
+    complete_job(job);
   }
 }
 
-void QueryEngine::complete_curve(Task& task) {
-  CurveJob& job = *task.curve_job;
+void QueryEngine::complete_job(GridJob& job) {
   QueryResponse response;
   {
     // Closed before the end-to-end latency is stamped, so queue-wait +
     // chunk + merge spans stay accountable within the recorded latency.
-    trace::ScopedSpan span("fault.merge", trace::Category::Merge);
+    trace::ScopedSpan span(job.merge_span, trace::Category::Merge);
     const int fail = job.fail_code.load(std::memory_order_acquire);
     if (fail != 0) {
       switch (static_cast<StatusCode>(fail)) {
@@ -973,111 +739,14 @@ void QueryEngine::complete_curve(Task& task) {
           break;
       }
     } else {
-      FaultSweepResponse payload;
-      payload.result.spec = job.evaluator.spec();
-      payload.result.points = job.evaluator.finalize(job.outcomes);
-      response.payload =
-          std::make_shared<const ResponsePayload>(std::move(payload));
+      response.payload = std::make_shared<const ResponsePayload>(job.merge());
       if (options_.enable_cache) cache_.put(job.key, response.payload);
       if (job.sampled) mark_degraded(response);
     }
   }
   response.latency = std::chrono::duration_cast<std::chrono::nanoseconds>(
       Clock::now() - job.enqueued);
-  metrics_.latency(RequestType::FaultSweep).record(response.latency);
-  if (response.ok()) {
-    metrics_.completed.add();
-  } else if (response.status.code != StatusCode::DeadlineExceeded &&
-             response.status.code != StatusCode::Cancelled) {
-    metrics_.failed.add();
-  }
-  if (job.cancel) cancels_.erase(job.cancel_owner, job.cancel_id);
-  job.resolve(std::move(response));
-  {
-    std::lock_guard<std::mutex> lock(lifecycle_mutex_);
-    --pending_;
-  }
-  drained_.notify_all();
-}
-
-void QueryEngine::run_sweep_chunk(Task& task) {
-  SweepJob& job = *task.sweep_job;
-  {
-    // Scoped so the merge (complete_sweep) traces as a sibling span, not
-    // a child of whichever chunk happens to finish last.
-    trace::ScopedSpan span(
-        "sweep.chunk", trace::Category::Chunk, "cells",
-        static_cast<std::int64_t>(task.chunk_end - task.chunk_begin));
-    if (job.cancel && job.cancel->is_cancelled()) {
-      // Cooperative cancellation: checked once per chunk, so an
-      // in-flight sweep stops within one chunk's work.
-      if (job.fail(StatusCode::Cancelled)) {
-        metrics_.qos_cancelled_inflight.add();
-        trace::emit_instant("qos.cancelled", trace::Category::Qos);
-      }
-    } else if (task.deadline.expired()) {
-      trace::emit_instant("deadline.expired", trace::Category::Mark);
-      job.fail(StatusCode::DeadlineExceeded);
-    } else if (job.fail_code.load(std::memory_order_relaxed) == 0) {
-      try {
-        job.evaluator.evaluate_range(task.chunk_begin, task.chunk_end,
-                                     job.points.data() + task.chunk_begin);
-      } catch (const std::exception& e) {
-        job.fail(StatusCode::InternalError, e.what());
-      } catch (...) {
-        job.fail(StatusCode::InternalError, "unknown exception");
-      }
-    }
-  }
-  if (job.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    complete_sweep(task);
-  }
-}
-
-void QueryEngine::complete_sweep(Task& task) {
-  SweepJob& job = *task.sweep_job;
-  QueryResponse response;
-  {
-    // Closed before the end-to-end latency is stamped, so queue-wait +
-    // chunk + merge spans stay accountable within the recorded latency.
-    trace::ScopedSpan span("sweep.merge", trace::Category::Merge);
-    const int fail = job.fail_code.load(std::memory_order_acquire);
-    if (fail != 0) {
-      switch (static_cast<StatusCode>(fail)) {
-        case StatusCode::DeadlineExceeded:
-          metrics_.rejected_deadline.add();
-          metrics_.expired_in_queue.add();
-          response = rejected(Status::deadline_exceeded());
-          break;
-        case StatusCode::ShuttingDown:
-          metrics_.rejected_shutdown.add();
-          response = rejected(Status::shutting_down());
-          break;
-        case StatusCode::Cancelled:
-          // Already counted (queued or in-flight) by whoever won the
-          // fail CAS; the response is just the ack.
-          response = rejected(Status::cancelled());
-          break;
-        default:
-          response = rejected(Status::internal_error(job.fail_message));
-          trace::emit_instant("request.failed", trace::Category::Mark);
-          break;
-      }
-    } else {
-      SweepResponse payload;
-      payload.result.candidate_classes = job.evaluator.candidate_count();
-      payload.result.points = std::move(job.points);
-      payload.result.pareto_front =
-          explore::pareto_front(payload.result.points);
-      response.payload =
-          std::make_shared<const ResponsePayload>(std::move(payload));
-      if (options_.enable_cache) cache_.put(job.key, response.payload);
-      if (job.sampled) mark_degraded(response);
-    }
-  }
-  response.latency = std::chrono::duration_cast<std::chrono::nanoseconds>(
-      Clock::now() - job.enqueued);
-  metrics_.latency(RequestType::Sweep).record(response.latency);
+  metrics_.latency(job.type).record(response.latency);
   if (response.ok()) {
     metrics_.completed.add();
   } else if (response.status.code != StatusCode::DeadlineExceeded &&
@@ -1209,13 +878,9 @@ bool QueryEngine::cancel(std::uint64_t owner, std::uint64_t id) {
   std::vector<Task> removed;
   queue_->remove_all_if(
       [owner, id](const Task& task) {
-        if (task.sweep_job) {
-          return task.sweep_job->cancel_owner == owner &&
-                 task.sweep_job->cancel_id == id && task.sweep_job->cancel;
-        }
-        if (task.curve_job) {
-          return task.curve_job->cancel_owner == owner &&
-                 task.curve_job->cancel_id == id && task.curve_job->cancel;
+        if (task.job) {
+          return task.job->cancel_owner == owner &&
+                 task.job->cancel_id == id && task.job->cancel;
         }
         return task.cancel_owner == owner && task.cancel_id == id &&
                task.cancel != nullptr;
@@ -1223,26 +888,12 @@ bool QueryEngine::cancel(std::uint64_t owner, std::uint64_t id) {
       removed);
   for (Task& task : removed) {
     metrics_.queue_depth.decrement();
-    if (task.sweep_job) {
-      if (task.sweep_job->fail(StatusCode::Cancelled)) {
+    if (task.job) {
+      if (task.job->fail(StatusCode::Cancelled)) {
         metrics_.qos_cancelled_queued.add();
         trace::emit_instant("qos.cancelled", trace::Category::Qos);
       }
-      if (task.sweep_job->remaining.fetch_sub(1, std::memory_order_acq_rel) ==
-          1) {
-        complete_sweep(task);
-      }
-      continue;
-    }
-    if (task.curve_job) {
-      if (task.curve_job->fail(StatusCode::Cancelled)) {
-        metrics_.qos_cancelled_queued.add();
-        trace::emit_instant("qos.cancelled", trace::Category::Qos);
-      }
-      if (task.curve_job->remaining.fetch_sub(1, std::memory_order_acq_rel) ==
-          1) {
-        complete_curve(task);
-      }
+      release_chunk(*task.job);
       continue;
     }
     metrics_.qos_cancelled_queued.add();
@@ -1261,14 +912,14 @@ QueryResponse QueryEngine::execute_uncached(const Request& request) const {
             return execute_classify(req);
           } else if constexpr (std::is_same_v<T, RecommendRequest>) {
             return execute_recommend(req, options_.library);
-          } else if constexpr (std::is_same_v<T, SweepRequest>) {
-            return execute_sweep(req, options_.library);
-          } else if constexpr (std::is_same_v<T, FaultSweepRequest>) {
-            return execute_fault_sweep(req, options_.library);
+          } else if constexpr (is_grid_request_v<T>) {
+            return execute_grid<GridKind<T>>(req, options_.library);
           } else if constexpr (std::is_same_v<T, SweepChunkRequest>) {
-            return execute_sweep_chunk(req, options_.library);
+            return execute_grid<GridKind<SweepRequest>>(req,
+                                                        options_.library);
           } else if constexpr (std::is_same_v<T, FaultChunkRequest>) {
-            return execute_fault_chunk(req, options_.library);
+            return execute_grid<GridKind<FaultSweepRequest>>(
+                req, options_.library);
           } else if constexpr (std::is_same_v<T, SimulateRequest>) {
             return execute_simulate(req);
           } else {
@@ -1304,22 +955,11 @@ void QueryEngine::shutdown() {
   // every accepted future must become ready, so reject them here.
   while (std::optional<Task> leftover = queue_->try_pop()) {
     metrics_.queue_depth.decrement();
-    if (leftover->sweep_job) {
-      // Sweep chunks resolve through their shared job; the last chunk
-      // drained answers ShuttingDown (and counts it) exactly once.
-      leftover->sweep_job->fail(StatusCode::ShuttingDown);
-      if (leftover->sweep_job->remaining.fetch_sub(
-              1, std::memory_order_acq_rel) == 1) {
-        complete_sweep(*leftover);
-      }
-      continue;
-    }
-    if (leftover->curve_job) {
-      leftover->curve_job->fail(StatusCode::ShuttingDown);
-      if (leftover->curve_job->remaining.fetch_sub(
-              1, std::memory_order_acq_rel) == 1) {
-        complete_curve(*leftover);
-      }
+    if (leftover->job) {
+      // Chunks resolve through their shared job; the last chunk drained
+      // answers ShuttingDown (and counts it) exactly once.
+      leftover->job->fail(StatusCode::ShuttingDown);
+      release_chunk(*leftover->job);
       continue;
     }
     metrics_.rejected_shutdown.add();

@@ -4,10 +4,11 @@
 ///
 /// Turns the library's synchronous entry points into a serving layer:
 /// batched classify / recommend / cost requests with per-request
-/// deadlines, a fixed worker pool behind a bounded MPMC queue with
-/// explicit backpressure, a sharded LRU result cache keyed by canonical
-/// request fingerprints, and a metrics registry (counters, gauges,
-/// latency histograms) renderable through src/report/.
+/// deadlines, a fixed worker pool behind a bounded weighted-fair queue
+/// (qos::WfqQueue) with explicit backpressure, a sharded LRU result
+/// cache keyed by canonical request fingerprints, and a metrics registry
+/// (counters, gauges, latency histograms) renderable through
+/// src/report/.
 ///
 /// See docs/SERVICE.md for the request types, the backpressure contract,
 /// cache keying, and the metrics schema.
@@ -16,6 +17,5 @@
 #include "service/engine.hpp"
 #include "service/fingerprint.hpp"
 #include "service/metrics.hpp"
-#include "service/queue.hpp"
 #include "service/request.hpp"
 #include "service/status.hpp"

@@ -16,7 +16,7 @@ namespace mpct::trace {
 /// narrative companion to this enum.
 enum class Category : std::uint8_t {
   Engine,   ///< service::QueryEngine request lifecycle (submit, enqueue)
-  Queue,    ///< time spent waiting in the bounded MPMC queue
+  Queue,    ///< time spent waiting in the engine's task queue
   Cache,    ///< sharded LRU probes (annotated hit/miss)
   Execute,  ///< request execution on a worker or the inline path
   Chunk,    ///< one sweep / fault-sweep chunk on a pool worker

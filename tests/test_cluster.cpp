@@ -12,8 +12,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "arch/registry.hpp"
@@ -200,6 +203,81 @@ class MuteServer {
   std::uint16_t port_ = 0;
   std::atomic<bool> stop_{false};
   std::thread thread_;
+};
+
+service::EngineOptions inline_engine_options() {
+  service::EngineOptions options;
+  options.worker_threads = 0;
+  return options;
+}
+
+/// A handler-mode backend with a scripted misbehaviour: every request
+/// is answered by an inline engine, after @p tamper (when set) rewrites
+/// the response; while holding, requests are parked until release().
+class ScriptedBackend {
+ public:
+  using Tamper = std::function<void(const Request&, QueryResponse&)>;
+
+  explicit ScriptedBackend(Tamper tamper = nullptr, bool hold = false)
+      : tamper_(std::move(tamper)),
+        hold_(hold),
+        server_(
+            [this](Request request, service::Deadline,
+                   const net::Server::RequestContext&,
+                   service::QueryEngine::ResponseCallback callback) {
+              {
+                std::lock_guard<std::mutex> lock(mutex_);
+                if (hold_) {
+                  held_.emplace_back(std::move(request), std::move(callback));
+                  return;
+                }
+              }
+              answer(request, callback);
+            },
+            metrics_) {
+    EXPECT_TRUE(server_.start()) << server_.error();
+  }
+
+  ~ScriptedBackend() {
+    release();
+    server_.stop();
+  }
+
+  std::uint16_t port() const { return server_.port(); }
+
+  std::size_t held() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return held_.size();
+  }
+
+  /// Answer every parked request and stop holding.
+  void release() {
+    std::vector<std::pair<Request, service::QueryEngine::ResponseCallback>>
+        parked;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      hold_ = false;
+      parked.swap(held_);
+    }
+    for (auto& [request, callback] : parked) answer(request, callback);
+  }
+
+ private:
+  void answer(const Request& request,
+              const service::QueryEngine::ResponseCallback& callback) {
+    QueryResponse response = engine_.execute(request);
+    if (tamper_) tamper_(request, response);
+    callback(std::move(response));
+  }
+
+  Tamper tamper_;
+  std::mutex mutex_;
+  bool hold_;
+  std::vector<std::pair<Request, service::QueryEngine::ResponseCallback>>
+      held_;
+  service::QueryEngine engine_{inline_engine_options()};
+  service::MetricsRegistry metrics_;
+  net::Server server_;
 };
 
 // ---------------------------------------------------------------------------
@@ -504,6 +582,104 @@ TEST(CombiningProxyTest, KilledBackendMidTrafficLosesNoRequests) {
   killer.join();
   EXPECT_TRUE(killed.load());
   EXPECT_EQ(completed, 12u);
+}
+
+TEST(CombiningProxyTest, ShortChunkAnswerIsAnInternalErrorNotAMerge) {
+  // A backend that drops the last cell of the chunk starting at cell 0
+  // (a bug or version skew behind the socket).  Merging it would shift
+  // every later cell, and a curve's finalize() would read past the end
+  // of the outcome vector; the proxy must refuse it instead.
+  ScriptedBackend backend([](const Request& request, QueryResponse& response) {
+    std::uint64_t begin = 1;
+    if (const auto* chunk = std::get_if<service::SweepChunkRequest>(&request)) {
+      begin = chunk->begin;
+    }
+    if (const auto* chunk = std::get_if<service::FaultChunkRequest>(&request)) {
+      begin = chunk->begin;
+    }
+    if (!response.ok() || begin != 0) return;
+    service::ResponsePayload payload = *response.payload;
+    if (auto* chunk = std::get_if<service::SweepChunkResponse>(&payload)) {
+      chunk->points.pop_back();
+    }
+    if (auto* chunk = std::get_if<service::FaultChunkResponse>(&payload)) {
+      chunk->outcomes.pop_back();
+    }
+    response.payload =
+        std::make_shared<const service::ResponsePayload>(std::move(payload));
+  });
+  cluster::ProxyOptions poptions;
+  poptions.cluster = cluster_options({{"127.0.0.1", backend.port()}});
+  poptions.worker_threads = 1;
+  poptions.enable_pinger = false;
+  CombiningProxy proxy(poptions);
+  ASSERT_TRUE(proxy.start()) << proxy.error();
+
+  net::ClientOptions copts;
+  copts.port = proxy.port();
+  net::Client client(copts);
+  for (const Request& request : {sweep_request(), fault_sweep_request()}) {
+    const QueryResponse merged = client.call(request);
+    EXPECT_EQ(merged.status.code, StatusCode::InternalError)
+        << merged.status.to_string();
+    EXPECT_EQ(merged.payload, nullptr);
+  }
+  proxy.stop();
+}
+
+TEST(CombiningProxyTest, FullBatchQueueStillAcceptsInteractiveWork) {
+  // One proxy worker, one task slot per class.  The worker blocks on a
+  // backend that parks requests, so the proxy's queue state is exact.
+  ScriptedBackend backend(nullptr, /*hold=*/true);
+  cluster::ProxyOptions poptions;
+  poptions.cluster = cluster_options({{"127.0.0.1", backend.port()}});
+  poptions.worker_threads = 1;
+  poptions.queue_capacity = 1;
+  poptions.enable_pinger = false;
+  CombiningProxy proxy(poptions);
+  ASSERT_TRUE(proxy.start()) << proxy.error();
+
+  net::ClientOptions copts;
+  copts.port = proxy.port();
+  net::Client client(copts);
+  std::string error;
+  const auto send = [&](std::size_t i, qos::PriorityClass priority) {
+    std::uint64_t id = 0;
+    EXPECT_TRUE(client.send_request(classify_request(i),
+                                    service::Deadline::never(), 0, id, error,
+                                    priority))
+        << error;
+    return id;
+  };
+  const auto await = [&](std::uint64_t id) {
+    QueryResponse response;
+    const auto give_up = service::Clock::now() + std::chrono::seconds(10);
+    while (!client.take_response(id, response) &&
+           service::Clock::now() < give_up) {
+      EXPECT_GE(client.pump(std::chrono::milliseconds(10), error), 0) << error;
+    }
+    return response;
+  };
+
+  // Batch request 1 occupies the worker...
+  const std::uint64_t busy = send(0, qos::PriorityClass::Batch);
+  const auto give_up = service::Clock::now() + std::chrono::seconds(10);
+  while (backend.held() == 0 && service::Clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GT(backend.held(), 0u);
+  // ...request 2 fills the Batch subqueue, and request 3 is refused.
+  const std::uint64_t queued = send(1, qos::PriorityClass::Batch);
+  const std::uint64_t refused = send(2, qos::PriorityClass::Batch);
+  EXPECT_EQ(await(refused).status.code, StatusCode::QueueFull);
+  // An Interactive classify waits in its own subqueue instead.
+  const std::uint64_t interactive = send(3, qos::PriorityClass::Interactive);
+  backend.release();
+  for (const std::uint64_t id : {busy, queued, interactive}) {
+    const QueryResponse response = await(id);
+    EXPECT_TRUE(response.ok()) << id << ": " << response.status.to_string();
+  }
+  proxy.stop();
 }
 
 TEST(CombiningProxyTest, ShutdownAnswersInsteadOfHanging) {

@@ -145,6 +145,21 @@ TEST(WfqQueue, CloseDrainsQueuedItemsThenUnblocksPop) {
   EXPECT_TRUE(queue.pop(out));
   EXPECT_EQ(out, 2);
   EXPECT_FALSE(queue.pop(out));  // closed and empty
+
+  // A consumer already blocked on an empty queue wakes up on close()
+  // and gets false — how engine and proxy workers exit.
+  WfqQueue<int> idle(4);
+  std::atomic<bool> returned{false};
+  std::thread consumer([&idle, &returned] {
+    int item = 0;
+    EXPECT_FALSE(idle.pop(item));
+    returned.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(returned.load());  // still blocked: nothing to pop
+  idle.close();
+  consumer.join();
+  EXPECT_TRUE(returned.load());
 }
 
 TEST(WfqQueue, PopBlocksUntilAPushArrives) {

@@ -35,49 +35,6 @@ Request classify_request(const arch::ArchitectureSpec& spec) {
 }
 
 // ---------------------------------------------------------------------------
-// BoundedQueue
-
-TEST(BoundedQueue, PushPopFifo) {
-  BoundedQueue<int> queue(4);
-  for (int i = 0; i < 4; ++i) {
-    int v = i;
-    EXPECT_TRUE(queue.try_push(v));
-  }
-  int overflow = 99;
-  EXPECT_FALSE(queue.try_push(overflow));
-  EXPECT_EQ(overflow, 99);  // rejected item untouched
-  for (int i = 0; i < 4; ++i) {
-    int out = -1;
-    EXPECT_TRUE(queue.pop(out));
-    EXPECT_EQ(out, i);
-  }
-  EXPECT_EQ(queue.size(), 0u);
-}
-
-TEST(BoundedQueue, CloseDrainsThenStops) {
-  BoundedQueue<int> queue(4);
-  int v = 7;
-  ASSERT_TRUE(queue.try_push(v));
-  queue.close();
-  int rejected = 8;
-  EXPECT_FALSE(queue.try_push(rejected));
-  int out = 0;
-  EXPECT_TRUE(queue.pop(out));  // enqueued-before-close still drains
-  EXPECT_EQ(out, 7);
-  EXPECT_FALSE(queue.pop(out));  // closed and empty
-}
-
-TEST(BoundedQueue, PopUnblocksOnClose) {
-  BoundedQueue<int> queue(4);
-  std::thread consumer([&queue] {
-    int out = 0;
-    EXPECT_FALSE(queue.pop(out));
-  });
-  queue.close();
-  consumer.join();
-}
-
-// ---------------------------------------------------------------------------
 // Fingerprints
 
 TEST(Fingerprint, EqualSpecsHashEqual) {

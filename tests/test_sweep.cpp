@@ -6,8 +6,10 @@
 #include <iterator>
 #include <limits>
 #include <random>
+#include <string>
 #include <vector>
 
+#include "core/range_split.hpp"
 #include "core/taxonomy_index.hpp"
 #include "cost/cost_plan.hpp"
 #include "cost/cost_plan_set.hpp"
@@ -360,6 +362,79 @@ TEST(ParetoFront, MatchesReferenceOnRealSweepOutput) {
     EXPECT_EQ(result.pareto_front,
               detail::pareto_front_reference(result.points));
   }
+}
+
+// ---------------------------------------------------------------------------
+// split_range: the one chunk rule of the engine's grid jobs, the cluster
+// proxy's scatter and the library's threaded sweep and curve.
+
+void expect_valid_split(std::size_t cells, std::size_t parts,
+                        std::size_t grain) {
+  SCOPED_TRACE("cells " + std::to_string(cells) + ", parts " +
+               std::to_string(parts) + ", grain " + std::to_string(grain));
+  const std::vector<CellRange> ranges = split_range(cells, parts, grain);
+  if (cells == 0) {
+    EXPECT_TRUE(ranges.empty());
+    return;
+  }
+  ASSERT_FALSE(ranges.empty());
+  EXPECT_LE(ranges.size(), std::max<std::size_t>(parts, 1));
+  std::size_t next = 0;
+  for (std::size_t i = 0; i < ranges.size(); ++i) {
+    EXPECT_EQ(ranges[i].begin, next) << "range " << i;  // contiguous
+    EXPECT_LT(ranges[i].begin, ranges[i].end) << "range " << i;  // non-empty
+    if (i + 1 < ranges.size()) {
+      EXPECT_EQ(ranges[i].end % std::max<std::size_t>(grain, 1), 0u)
+          << "range " << i;  // aligned
+    }
+    next = ranges[i].end;
+  }
+  EXPECT_EQ(next, cells);  // covers [0, cells)
+  if (grain <= 1 && parts >= 1 && parts <= cells) {
+    // Unaligned, the split is near-equal: exactly `parts` ranges whose
+    // sizes differ by at most one cell.
+    ASSERT_EQ(ranges.size(), parts);
+    for (const CellRange& range : ranges) {
+      EXPECT_GE(range.end - range.begin, cells / parts);
+      EXPECT_LE(range.end - range.begin, (cells + parts - 1) / parts);
+    }
+  }
+}
+
+TEST(SplitRange, SeededShapesAreContiguousNonEmptyCoveringAndAligned) {
+  std::mt19937_64 rng(2026);
+  for (int round = 0; round < 3000; ++round) {
+    // Small cell counts make parts > cells and grain > cells common.
+    const std::size_t cells = rng() % (round % 3 == 0 ? 12 : 5000);
+    const std::size_t parts = rng() % 40;
+    const std::size_t grain = round % 5 == 0 ? 1 : rng() % 300;
+    expect_valid_split(cells, parts, grain);
+  }
+  expect_valid_split(3, 10, 1);  // parts > cells: one range per cell
+  EXPECT_EQ(split_range(3, 10, 1),
+            (std::vector<CellRange>{{0, 1}, {1, 2}, {2, 3}}));
+  expect_valid_split(100, 4, 1000);  // grain > cells: one range
+  EXPECT_EQ(split_range(100, 4, 1000), (std::vector<CellRange>{{0, 100}}));
+  EXPECT_EQ(split_range(10, 3, 1),  // grain 1: near-equal
+            (std::vector<CellRange>{{0, 3}, {3, 6}, {6, 10}}));
+  EXPECT_EQ(split_range(10, 3, 4),  // boundaries round up to the grain
+            (std::vector<CellRange>{{0, 4}, {4, 8}, {8, 10}}));
+}
+
+TEST(SplitRange, PerfbenchShapesSplitIntoEqualWholeRowChunks) {
+  // The four grid shapes perfbench runs, each into 4 parts (2 engine
+  // workers x 2, or 2 backends x 2 chunks per endpoint): sweep rows are
+  // 128 LUT budgets x 2 objectives, curve blocks are the 8-lane width.
+  const auto equal_quarters = [](std::size_t cells) {
+    const std::size_t q = cells / 4;
+    return std::vector<CellRange>{{0, q}, {q, 2 * q}, {2 * q, 3 * q},
+                                  {3 * q, cells}};
+  };
+  const std::size_t curve_grain = fault::CurveEvaluator::kLanes;
+  EXPECT_EQ(split_range(32768, 4, 256), equal_quarters(32768));  // batch
+  EXPECT_EQ(split_range(2688, 4, curve_grain), equal_quarters(2688));
+  EXPECT_EQ(split_range(16384, 4, 256), equal_quarters(16384));  // fleet
+  EXPECT_EQ(split_range(1344, 4, curve_grain), equal_quarters(1344));
 }
 
 }  // namespace

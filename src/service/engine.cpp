@@ -6,8 +6,8 @@
 #include <utility>
 
 #include "arch/adl_parser.hpp"
-#include "cost/area_model.hpp"
 #include "core/range_split.hpp"
+#include "cost/area_model.hpp"
 #include "cost/config_bits.hpp"
 #include "explore/recommend.hpp"
 #include "service/fingerprint.hpp"
@@ -117,17 +117,18 @@ Status validate_chunk_range(std::string_view what, std::uint64_t begin,
   return Status::okay();
 }
 
-/// A grid request (Kind::ChunkRequest false) or one disjoint cell range
-/// of it (a chunk request), evaluated on the calling thread.  A whole
-/// grid is the inline (worker_threads == 0) and execute() path; the
-/// worker pool goes through submit_grid() instead, with the same
-/// evaluator and the same merge.  A chunk is how the cluster proxy
-/// scatters a grid across backends: it goes through the normal cached
-/// single-task path, so a repeated chunk (same input, same range) is a
-/// cache hit on the server that owns it on the consistent-hash ring.
-/// Chunks carry the whole input because cell indices (and each curve
-/// trial's RNG stream) are over the whole grid, so chunk cells are
-/// bit-identical to the same cells of a single-server evaluation.
+/// A whole grid request, or one disjoint cell range of it when
+/// @p GridOrChunk is Kind::ChunkRequest, evaluated on the calling
+/// thread.  A whole grid is the inline (worker_threads == 0) and
+/// execute() path; the worker pool goes through submit_grid()
+/// instead, with the same evaluator and the same merge.  A chunk is
+/// how the cluster proxy scatters a grid across backends: it goes
+/// through the normal cached single-task path, so a repeated chunk
+/// (same input, same range) is a cache hit on the server that owns it
+/// on the consistent-hash ring.  Chunks carry the whole input because
+/// cell indices (and each curve trial's RNG stream) are over the
+/// whole grid, so chunk cells are bit-identical to the same cells of
+/// a single-server evaluation.
 template <typename Kind, typename GridOrChunk>
 QueryResponse execute_grid(const GridOrChunk& request,
                            const cost::ComponentLibrary& library) {

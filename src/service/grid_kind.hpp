@@ -49,7 +49,6 @@ struct GridKind<SweepRequest> {
 
   static const Input& input(const SweepRequest& r) { return r.grid; }
   static const Input& input(const ChunkRequest& r) { return r.grid; }
-  static std::vector<Cell>& cells(ChunkResponse& r) { return r.points; }
   static const std::vector<Cell>& cells(const ChunkResponse& r) {
     return r.points;
   }
@@ -82,7 +81,6 @@ struct GridKind<FaultSweepRequest> {
 
   static const Input& input(const FaultSweepRequest& r) { return r.spec; }
   static const Input& input(const ChunkRequest& r) { return r.spec; }
-  static std::vector<Cell>& cells(ChunkResponse& r) { return r.outcomes; }
   static const std::vector<Cell>& cells(const ChunkResponse& r) {
     return r.outcomes;
   }

@@ -323,21 +323,27 @@ std::vector<service::QueryResponse> ClusterClient::call_many(
                             const service::QueryResponse* fallback) {
     Slot& slot = slots[i];
     std::string last_error = "no endpoint reachable";
+    bool first_attempt = slot.next_candidate == 0;
     while (slot.next_candidate < slot.candidates.size()) {
       const std::size_t index = slot.candidates[slot.next_candidate++];
       std::string error;
-      net::Client* client = endpoint_client(index, error);
-      if (client == nullptr) {
-        tracker_->record_failure(index);
-        last_error = error;
-        continue;
-      }
       std::uint64_t id = 0;
-      if (!client->send_request(requests[i], deadline,
+      net::Client* client = endpoint_client(index, error);
+      if (client == nullptr ||
+          !client->send_request(requests[i], deadline,
                                 trace_id != 0 ? trace_id : slot.key, id,
                                 error, priority)) {
+        // Same rule as call(): moving past an unreachable candidate is a
+        // failover, and a first candidate counts only when another one
+        // is left to take the request.
         tracker_->record_failure(index);
         last_error = error;
+        if ((!first_attempt ||
+             slot.next_candidate < slot.candidates.size()) &&
+            metrics) {
+          metrics->net_failovers.add();
+        }
+        first_attempt = false;
         continue;
       }
       slot.endpoint = index;

@@ -450,6 +450,36 @@ TEST(ClusterClientTest, DeadEndpointFailsOverWithZeroFailedRequests) {
   // loop above implicitly asserts by finishing under the test timeout).
 }
 
+TEST(ClusterClientTest, CallManyCountsASendTimeFailoverPerMovedSlot) {
+  // A backend that is dead before the first call is skipped at send time
+  // (its connect is refused), not by a pump: every slot it owned moves to
+  // its ring successor, and each move is one failover, as in call().
+  Fleet fleet(2);
+  fleet.kill(0);
+  service::MetricsRegistry metrics;
+  ClusterOptions options = cluster_options(fleet.endpoints(), &metrics);
+  options.connect_timeout = std::chrono::milliseconds(300);
+  // Keep the dead endpoint first in its keys' candidate lists, so every
+  // slot it owns really moves.
+  options.health.suspect_after = 1000;
+  options.health.down_after = 1000;
+  ClusterClient client(options);
+
+  std::vector<Request> requests;
+  std::uint64_t moved = 0;
+  for (std::size_t i = 0; i < 16; ++i) {
+    requests.push_back(diverse_request(i));
+    if (client.owner_of(requests.back()) == 0) ++moved;
+  }
+  ASSERT_GT(moved, 0u);
+  const std::vector<QueryResponse> responses = client.call_many(requests);
+  ASSERT_EQ(responses.size(), requests.size());
+  for (const QueryResponse& response : responses) {
+    EXPECT_TRUE(response.ok()) << response.status.to_string();
+  }
+  EXPECT_EQ(metrics.net_failovers.value(), moved);
+}
+
 TEST(ClusterClientTest, HedgeWinsAgainstAStalledServerAndCancelsTheLoser) {
   Fleet fleet(1);
   MuteServer mute;

@@ -552,13 +552,10 @@ std::future<QueryResponse> QueryEngine::submit_grid(
     return resolve_ready(callback, rejected(std::move(valid)));
   }
 
-  // Same key fingerprint(Request) computes, without re-wrapping the
-  // request: the type tag first, then the input hash — so the inline and
+  // fingerprint(Request(request)) without the copy, so the inline and
   // chunk-parallel paths share cache entries.  A strided (degraded)
-  // input hashes differently, so it can only hit other degraded runs.
-  FingerprintBuilder key_builder;
-  key_builder.mix(static_cast<int>(Kind::type)).mix(fingerprint(input));
-  const Fingerprint key = key_builder.value();
+  // request hashes differently, so it can only hit other degraded runs.
+  const Fingerprint key = fingerprint(request);
 
   if (options_.enable_cache) {
     bool served_stale = false;

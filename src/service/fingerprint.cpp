@@ -1,16 +1,16 @@
 #include "service/fingerprint.hpp"
 
+#include <algorithm>
 #include <cstring>
+#include <iterator>
+
+#include "service/schema.hpp"
 
 namespace mpct::service {
 
 namespace {
 
 constexpr Fingerprint kPrime = 0x100000001b3ULL;
-
-}  // namespace
-
-namespace {
 
 /// splitmix64 finaliser: full avalanche per 64-bit word, so the builder
 /// can consume input a word at a time (~8x fewer multiplies than
@@ -24,6 +24,59 @@ constexpr std::uint64_t avalanche(std::uint64_t w) {
   w ^= w >> 31;
   return w;
 }
+
+/// Streams a request's schema into one builder: every scalar and enum as
+/// one 64-bit word, every string with its length, every optional led by
+/// its flag, every list by its size and every variant by its index.
+class Hasher : public schema::Visitor<Hasher> {
+ public:
+  static constexpr bool kReads = false;
+  FingerprintBuilder builder;
+
+  template <class T>
+  void scalar(T value) {
+    if constexpr (std::is_same_v<T, bool> || std::is_same_v<T, double>) {
+      builder.mix(value);
+    } else if constexpr (std::is_signed_v<T>) {
+      builder.mix(static_cast<std::int64_t>(value));
+    } else {
+      builder.mix(static_cast<std::uint64_t>(value));
+    }
+  }
+  template <class E>
+  void enumeration(E value, schema::EnumRange) {
+    builder.mix(static_cast<std::uint64_t>(value));
+  }
+  void text(const std::string& text) { builder.mix(std::string_view(text)); }
+  template <class T>
+  void optional(const std::optional<T>& value) {
+    builder.mix(value.has_value());
+    if (value) (*this)(*value);
+  }
+  template <class L>
+  void list(const L& elements) {
+    builder.mix(static_cast<std::uint64_t>(elements.size()));
+    for (const auto& element : elements) (*this)(element);
+  }
+  template <class... Ts>
+  void variant(const std::variant<Ts...>& value) {
+    builder.mix(static_cast<std::uint64_t>(value.index()));
+    std::visit([this](const auto& alternative) { (*this)(alternative); },
+               value);
+  }
+};
+
+/// Index of alternative T in Variant: the tag a Variant holding T
+/// leads with.
+template <class T, class Variant>
+inline constexpr std::uint64_t kIndexIn = 0;
+template <class T, class... Ts>
+inline constexpr std::uint64_t kIndexIn<T, std::variant<Ts...>> = [] {
+  constexpr bool matches[] = {std::is_same_v<T, Ts>...};
+  return static_cast<std::uint64_t>(
+      std::find(std::begin(matches), std::end(matches), true) -
+      std::begin(matches));
+}();
 
 }  // namespace
 
@@ -74,189 +127,27 @@ FingerprintBuilder& FingerprintBuilder::mix(double value) {
   return mix(bits);
 }
 
-Fingerprint fingerprint(const arch::Count& count) {
-  FingerprintBuilder b;
-  b.mix(static_cast<int>(count.kind()))
-      .mix(count.value())
-      .mix(static_cast<int>(count.symbol()));
-  return b.value();
+template <RequestAlternative R>
+Fingerprint fingerprint(const R& request) {
+  Hasher hasher;
+  hasher.builder.mix(kIndexIn<R, Request>);
+  hasher(request);
+  return hasher.builder.value();
 }
 
-Fingerprint fingerprint(const arch::ConnectivityExpr& expr) {
-  FingerprintBuilder b;
-  b.mix(static_cast<int>(expr.kind))
-      .mix(fingerprint(expr.left))
-      .mix(fingerprint(expr.right));
-  return b.value();
-}
-
-Fingerprint fingerprint(const arch::ArchitectureSpec& spec) {
-  FingerprintBuilder b;
-  // Metadata fields participate because ClassifyResponse echoes the whole
-  // spec back: two specs differing only in description must not share a
-  // cache entry.
-  b.mix(spec.name)
-      .mix(spec.citation)
-      .mix(spec.description)
-      .mix(spec.year)
-      .mix(spec.category)
-      .mix(static_cast<int>(spec.granularity))
-      .mix(fingerprint(spec.ips))
-      .mix(fingerprint(spec.dps));
-  for (const arch::ConnectivityExpr& cell : spec.connectivity) {
-    b.mix(fingerprint(cell));
-  }
-  b.mix(spec.paper_name.has_value());
-  if (spec.paper_name) b.mix(*spec.paper_name);
-  b.mix(spec.paper_flexibility.has_value());
-  if (spec.paper_flexibility) b.mix(*spec.paper_flexibility);
-  return b.value();
-}
-
-Fingerprint fingerprint(const MachineClass& mc) {
-  FingerprintBuilder b;
-  b.mix(static_cast<int>(mc.granularity))
-      .mix(static_cast<int>(mc.ips))
-      .mix(static_cast<int>(mc.dps));
-  for (SwitchKind kind : mc.switches) b.mix(static_cast<int>(kind));
-  return b.value();
-}
-
-Fingerprint fingerprint(const explore::Requirements& requirements) {
-  FingerprintBuilder b;
-  b.mix(requirements.min_flexibility)
-      .mix(requirements.paradigm.has_value())
-      .mix(requirements.paradigm ? static_cast<int>(*requirements.paradigm)
-                                 : -1)
-      .mix(requirements.needs_independent_programs)
-      .mix(requirements.needs_pe_exchange)
-      .mix(requirements.needs_shared_memory)
-      .mix(requirements.n)
-      .mix(requirements.lut_budget)
-      .mix(static_cast<int>(requirements.objective));
-  return b.value();
-}
-
-Fingerprint fingerprint(const explore::SweepGrid& grid) {
-  // Hash the un-normalized grid: an explicit single-value axis and an
-  // empty axis that normalizes to the same value produce byte-identical
-  // SweepResults... except for the axes echoed back, so they must key
-  // separately anyway.
-  FingerprintBuilder b;
-  b.mix(fingerprint(grid.base));
-  b.mix(static_cast<std::uint64_t>(grid.n_values.size()));
-  for (std::int64_t n : grid.n_values) b.mix(n);
-  b.mix(static_cast<std::uint64_t>(grid.lut_budgets.size()));
-  for (std::int64_t v : grid.lut_budgets) b.mix(v);
-  b.mix(static_cast<std::uint64_t>(grid.objectives.size()));
-  for (explore::Requirements::Objective o : grid.objectives) {
-    b.mix(static_cast<int>(o));
-  }
-  return b.value();
-}
-
-Fingerprint fingerprint(const cost::EstimateOptions& options) {
-  FingerprintBuilder b;
-  b.mix(options.n).mix(options.m).mix(options.v).mix(
-      options.include_ip_dp_switch);
-  return b.value();
-}
-
-Fingerprint fingerprint(const fault::CurveSpec& spec) {
-  // Hash the un-normalized spec, mirroring the SweepGrid rationale: the
-  // normalized spec is echoed back in the response, so specs that
-  // normalize equal still key separately.
-  FingerprintBuilder b;
-  b.mix(fingerprint(spec.machine));
-  b.mix(fingerprint(spec.bindings));
-  b.mix(spec.noc_width).mix(spec.noc_height);
-  b.mix(static_cast<std::uint64_t>(spec.fault_rates.size()));
-  for (double rate : spec.fault_rates) b.mix(rate);
-  b.mix(spec.trials_per_rate);
-  b.mix(spec.seed);
-  return b.value();
-}
-
-Fingerprint fingerprint(const fault::FaultSet& faults) {
-  // The set is canonical (sorted, deduped), so equal sets hash equal no
-  // matter what order the faults were added in.
-  FingerprintBuilder b;
-  b.mix(static_cast<std::uint64_t>(faults.size()));
-  for (const fault::Fault& f : faults.faults()) {
-    b.mix(static_cast<int>(f.kind))
-        .mix(static_cast<int>(f.role))
-        .mix(static_cast<std::int64_t>(f.index))
-        .mix(static_cast<std::int64_t>(f.index2));
-  }
-  return b.value();
-}
-
-Fingerprint fingerprint(const workload::WorkloadSpec& spec) {
-  FingerprintBuilder b;
-  b.mix(static_cast<int>(spec.kernel))
-      .mix(static_cast<std::int64_t>(spec.size))
-      .mix(static_cast<std::int64_t>(spec.iterations))
-      .mix(spec.alpha);
-  return b.value();
-}
-
-Fingerprint fingerprint(const workload::RunOptions& options) {
-  FingerprintBuilder b;
-  b.mix(static_cast<std::int64_t>(options.width)).mix(options.max_cycles);
-  return b.value();
-}
+template Fingerprint fingerprint(const ClassifyRequest&);
+template Fingerprint fingerprint(const RecommendRequest&);
+template Fingerprint fingerprint(const CostRequest&);
+template Fingerprint fingerprint(const SweepRequest&);
+template Fingerprint fingerprint(const FaultSweepRequest&);
+template Fingerprint fingerprint(const SweepChunkRequest&);
+template Fingerprint fingerprint(const FaultChunkRequest&);
+template Fingerprint fingerprint(const SimulateRequest&);
 
 Fingerprint fingerprint(const Request& request) {
-  FingerprintBuilder b;
-  b.mix(static_cast<int>(request_type(request)));
-  std::visit(
-      [&b](const auto& req) {
-        using T = std::decay_t<decltype(req)>;
-        if constexpr (std::is_same_v<T, ClassifyRequest>) {
-          b.mix(req.input.index());
-          if (const auto* spec =
-                  std::get_if<arch::ArchitectureSpec>(&req.input)) {
-            b.mix(fingerprint(*spec));
-          } else {
-            b.mix(std::get<std::string>(req.input));
-          }
-        } else if constexpr (std::is_same_v<T, RecommendRequest>) {
-          b.mix(fingerprint(req.requirements))
-              .mix(static_cast<std::uint64_t>(req.top_k));
-        } else if constexpr (std::is_same_v<T, SweepRequest>) {
-          b.mix(fingerprint(req.grid));
-        } else if constexpr (std::is_same_v<T, FaultSweepRequest>) {
-          b.mix(fingerprint(req.spec));
-        } else if constexpr (std::is_same_v<T, SweepChunkRequest>) {
-          b.mix(fingerprint(req.grid)).mix(req.begin).mix(req.end);
-        } else if constexpr (std::is_same_v<T, FaultChunkRequest>) {
-          b.mix(fingerprint(req.spec)).mix(req.begin).mix(req.end);
-        } else if constexpr (std::is_same_v<T, SimulateRequest>) {
-          b.mix(fingerprint(req.workload));
-          b.mix(req.target.index());
-          if (const auto* mc = std::get_if<MachineClass>(&req.target)) {
-            b.mix(fingerprint(*mc));
-          } else {
-            b.mix(fingerprint(std::get<arch::ArchitectureSpec>(req.target)));
-          }
-          b.mix(fingerprint(req.options));
-          b.mix(fingerprint(req.faults));
-          b.mix(req.seed);
-        } else {
-          static_assert(std::is_same_v<T, CostRequest>);
-          b.mix(req.target.index());
-          if (const auto* mc = std::get_if<MachineClass>(&req.target)) {
-            b.mix(fingerprint(*mc));
-          } else {
-            b.mix(fingerprint(std::get<arch::ArchitectureSpec>(req.target)));
-          }
-          b.mix(fingerprint(req.options));
-          b.mix(static_cast<std::uint64_t>(req.n_sweep.size()));
-          for (std::int64_t n : req.n_sweep) b.mix(n);
-        }
-      },
+  return std::visit(
+      [](const auto& alternative) { return fingerprint(alternative); },
       request);
-  return b.value();
 }
 
 }  // namespace mpct::service

@@ -2,22 +2,20 @@
 
 #include <cstdint>
 #include <string_view>
+#include <type_traits>
+#include <variant>
 
-#include "arch/spec.hpp"
-#include "core/machine_class.hpp"
-#include "cost/area_model.hpp"
-#include "explore/recommend.hpp"
-#include "explore/sweep.hpp"
-#include "fault/degradation_curve.hpp"
 #include "service/request.hpp"
 
 namespace mpct::service {
 
-/// 64-bit canonical request hash used as the result-cache key.
+/// 64-bit canonical request hash used as the result-cache key and the
+/// cluster's ring key.
 ///
 /// Two requests that would produce byte-identical responses (under one
 /// engine, i.e. one component library) hash equal; the hash walks every
-/// field that influences the response, so a change to any count,
+/// field of the request's wire schema (service/schema.hpp), the same
+/// field list the wire codec encodes, so a change to any count,
 /// connectivity cell, requirement, or estimate option changes the key.
 /// ADL-text classify requests are keyed on the raw text — two textual
 /// spellings of the same spec may occupy two cache slots, which costs a
@@ -28,8 +26,10 @@ namespace mpct::service {
 /// compared across machines or library versions.
 using Fingerprint = std::uint64_t;
 
-/// Incremental FNV-1a 64 hasher.  Each mix() call also folds in the value
-/// width so adjacent fields cannot alias ("ab"+"c" vs "a"+"bc").
+/// Word-at-a-time hasher: each 64-bit word passes the splitmix64
+/// finaliser (full avalanche) and is then folded into the state with an
+/// FNV-style xor-multiply.  Every mix() call first folds in the value's
+/// byte width, so adjacent fields cannot alias ("ab"+"c" vs "a"+"bc").
 class FingerprintBuilder {
  public:
   FingerprintBuilder& mix_bytes(const void* data, std::size_t size);
@@ -47,20 +47,26 @@ class FingerprintBuilder {
   Fingerprint hash_ = kOffsetBasis;
 };
 
-Fingerprint fingerprint(const arch::Count& count);
-Fingerprint fingerprint(const arch::ConnectivityExpr& expr);
-Fingerprint fingerprint(const arch::ArchitectureSpec& spec);
-Fingerprint fingerprint(const MachineClass& mc);
-Fingerprint fingerprint(const explore::Requirements& requirements);
-Fingerprint fingerprint(const explore::SweepGrid& grid);
-Fingerprint fingerprint(const cost::EstimateOptions& options);
-Fingerprint fingerprint(const fault::CurveSpec& spec);
-Fingerprint fingerprint(const fault::FaultSet& faults);
-Fingerprint fingerprint(const workload::WorkloadSpec& spec);
-Fingerprint fingerprint(const workload::RunOptions& options);
+template <class T, class Variant>
+struct IsAlternativeOf : std::false_type {};
+template <class T, class... Ts>
+struct IsAlternativeOf<T, std::variant<Ts...>>
+    : std::bool_constant<(std::is_same_v<T, Ts> || ...)> {};
 
-/// Key for a whole request; the request-type tag is mixed first so the
-/// three request spaces cannot collide with each other.
+/// One of the eight request types a Request holds.
+template <class T>
+concept RequestAlternative = IsAlternativeOf<T, Request>::value;
+
+/// Key for a whole request: the request-type tag first, so the eight
+/// request types cannot collide with each other, then every field in
+/// wire order.
 Fingerprint fingerprint(const Request& request);
+
+/// The same key for one request type, without copying it into a Request
+/// — fingerprint(r) == fingerprint(Request(r)) for every r.  The grid
+/// path keys its SweepRequest / FaultSweepRequest this way, so inline and
+/// chunk-parallel submissions share cache entries by construction.
+template <RequestAlternative R>
+Fingerprint fingerprint(const R& request);
 
 }  // namespace mpct::service

@@ -56,6 +56,9 @@ struct ClassifyRequest {
   static ClassifyRequest of_adl(std::string adl_text) {
     return {std::move(adl_text)};
   }
+
+  friend bool operator==(const ClassifyRequest&,
+                         const ClassifyRequest&) = default;
 };
 
 struct ClassifyResponse {
@@ -74,6 +77,9 @@ struct RecommendRequest {
   explore::Requirements requirements;
   /// Keep only the best k recommendations; 0 keeps all.
   std::size_t top_k = 0;
+
+  friend bool operator==(const RecommendRequest&,
+                         const RecommendRequest&) = default;
 };
 
 struct RecommendResponse {
@@ -90,6 +96,8 @@ struct CostRequest {
   std::variant<MachineClass, arch::ArchitectureSpec> target;
   cost::EstimateOptions options;
   std::vector<std::int64_t> n_sweep;
+
+  friend bool operator==(const CostRequest&, const CostRequest&) = default;
 };
 
 struct CostResponse {
@@ -114,6 +122,8 @@ struct CostResponse {
 /// how the chunks interleave.
 struct SweepRequest {
   explore::SweepGrid grid;
+
+  friend bool operator==(const SweepRequest&, const SweepRequest&) = default;
 };
 
 struct SweepResponse {
@@ -130,6 +140,9 @@ struct SweepResponse {
 /// each trial's RNG stream derives from its flat cell index alone.
 struct FaultSweepRequest {
   fault::CurveSpec spec;
+
+  friend bool operator==(const FaultSweepRequest&,
+                         const FaultSweepRequest&) = default;
 };
 
 struct FaultSweepResponse {
@@ -149,6 +162,9 @@ struct SweepChunkRequest {
   explore::SweepGrid grid;
   std::uint64_t begin = 0;
   std::uint64_t end = 0;
+
+  friend bool operator==(const SweepChunkRequest&,
+                         const SweepChunkRequest&) = default;
 };
 
 struct SweepChunkResponse {
@@ -167,6 +183,9 @@ struct FaultChunkRequest {
   fault::CurveSpec spec;
   std::uint64_t begin = 0;
   std::uint64_t end = 0;
+
+  friend bool operator==(const FaultChunkRequest&,
+                         const FaultChunkRequest&) = default;
 };
 
 struct FaultChunkResponse {
@@ -189,6 +208,9 @@ struct SimulateRequest {
   fault::FaultSet faults;
   /// Input-stream seed; part of the deterministic identity of the run.
   std::uint64_t seed = 0;
+
+  friend bool operator==(const SimulateRequest&,
+                         const SimulateRequest&) = default;
 };
 
 struct SimulateResponse {

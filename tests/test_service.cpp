@@ -40,20 +40,27 @@ Request classify_request(const arch::ArchitectureSpec& spec) {
 TEST(Fingerprint, EqualSpecsHashEqual) {
   const auto specs = arch::surveyed_architectures();
   arch::ArchitectureSpec copy = specs[2];
-  EXPECT_EQ(fingerprint(specs[2]), fingerprint(copy));
+  CostRequest original_cost;
+  original_cost.target = specs[2];
+  CostRequest copy_cost;
+  copy_cost.target = copy;
+  EXPECT_EQ(fingerprint(original_cost), fingerprint(copy_cost));
   EXPECT_EQ(fingerprint(Request(ClassifyRequest::of(specs[2]))),
             fingerprint(Request(ClassifyRequest::of(copy))));
 }
 
 TEST(Fingerprint, FieldChangesChangeHash) {
+  const auto key = [](const arch::ArchitectureSpec& spec) {
+    return fingerprint(ClassifyRequest::of(spec));
+  };
   arch::ArchitectureSpec spec = arch::surveyed_architectures()[2];
-  const Fingerprint base = fingerprint(spec);
+  const Fingerprint base = key(spec);
   arch::ArchitectureSpec renamed = spec;
   renamed.name += "'";
-  EXPECT_NE(fingerprint(renamed), base);
+  EXPECT_NE(key(renamed), base);
   arch::ArchitectureSpec reconnected = spec;
   reconnected.at(ConnectivityRole::DpDp) = arch::ConnectivityExpr::none();
-  EXPECT_NE(fingerprint(reconnected), base);
+  EXPECT_NE(key(reconnected), base);
 }
 
 TEST(Fingerprint, RequestTypesCannotCollide) {
@@ -226,7 +233,7 @@ TEST(BatchSizeHistogram, TracksBatchesAndMean) {
   EXPECT_DOUBLE_EQ(hist.mean(), 68.0);
 }
 
-TEST(Metrics, RendersTableAndCsv) {
+TEST(Metrics, RendersTableAndPrometheus) {
   QueryEngine engine(single_threaded());
   const auto& spec = arch::surveyed_architectures()[0];
   engine.submit(classify_request(spec)).get();
@@ -236,9 +243,11 @@ TEST(Metrics, RendersTableAndCsv) {
   EXPECT_NE(table.find("cache"), std::string::npos);
   EXPECT_NE(table.find("latency: classify"), std::string::npos);
 
-  const std::string csv = engine.metrics().to_csv(engine.cache_stats());
-  EXPECT_NE(csv.find("cache_hits,1"), std::string::npos);
-  EXPECT_NE(csv.find("submitted,2"), std::string::npos);
+  const std::string prom =
+      engine.metrics().to_prometheus(engine.cache_stats());
+  EXPECT_NE(prom.find("\nmpct_cache_hits_total 1\n"), std::string::npos);
+  EXPECT_NE(prom.find("\nmpct_requests_submitted_total 2\n"),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

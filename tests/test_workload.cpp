@@ -347,6 +347,7 @@ TEST(SimulateWire, RequestRoundTripsAtVersion2) {
   EXPECT_EQ(round.options, req.options);
   EXPECT_TRUE(round.faults == req.faults);
   EXPECT_EQ(round.seed, req.seed);
+  EXPECT_TRUE(round == req);
 }
 
 TEST(SimulateWire, ResponseRoundTripsAtVersion2) {

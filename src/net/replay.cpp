@@ -10,35 +10,27 @@
 #include <thread>
 
 #include "net/socket.hpp"
+#include "service/fingerprint.hpp"
 #include "wire/protocol.hpp"
 
 namespace mpct::net {
-
-namespace {
-
-std::uint64_t fnv1a(const std::uint8_t* data, std::size_t size) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= data[i];
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
-}  // namespace
 
 std::uint64_t normalized_response_fingerprint(const std::uint8_t* frame,
                                               std::size_t frame_size) {
   const wire::DecodeResult<wire::ResponseFrame> decoded =
       wire::decode_response_frame(frame, frame_size);
-  if (!decoded.ok()) return fnv1a(frame, frame_size);
+  if (!decoded.ok()) {
+    return service::FingerprintBuilder().mix_bytes(frame, frame_size).value();
+  }
   wire::ResponseFrame normalized = *decoded.value;
   normalized.response.latency = std::chrono::nanoseconds{0};
   normalized.response.cache_hit = false;
   const std::vector<std::uint8_t> canonical = wire::encode_response_frame(
       normalized.request_id, normalized.response, normalized.version,
       /*trace_id=*/0);
-  return fnv1a(canonical.data(), canonical.size());
+  return service::FingerprintBuilder()
+      .mix_bytes(canonical.data(), canonical.size())
+      .value();
 }
 
 ReplayOutcome replay_capture(const CaptureFile& capture,

@@ -42,8 +42,8 @@ struct ReplayOutcome {
 };
 
 /// Semantic hash of one response frame: decode, zero latency /
-/// cache_hit / trace id, re-encode at the frame's own version, FNV-1a
-/// over the canonical bytes.  An undecodable frame hashes its raw bytes
+/// cache_hit / trace id, re-encode at the frame's own version, hash the
+/// canonical bytes with service::FingerprintBuilder.  An undecodable frame hashes its raw bytes
 /// (still deterministic, still comparable).  Exposed for tests and for
 /// diffing saved fingerprint files.
 std::uint64_t normalized_response_fingerprint(const std::uint8_t* frame,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "report/csv.hpp"
 #include "report/table.hpp"
 #include "trace/prometheus.hpp"
 #include "trace/trace.hpp"
@@ -265,92 +264,6 @@ std::string MetricsRegistry::to_table(const CacheStats& cache) const {
     table.add_row({"max", format_us(snap.max_us)});
   }
   return table.render_ascii();
-}
-
-std::string MetricsRegistry::to_csv(const CacheStats& cache) const {
-  report::CsvWriter csv;
-  csv.add_row({"metric", "value"});
-  csv.add_row({"submitted", std::to_string(submitted.value())});
-  csv.add_row({"completed", std::to_string(completed.value())});
-  csv.add_row(
-      {"rejected_queue_full", std::to_string(rejected_queue_full.value())});
-  csv.add_row(
-      {"rejected_deadline", std::to_string(rejected_deadline.value())});
-  csv.add_row(
-      {"rejected_shutdown", std::to_string(rejected_shutdown.value())});
-  csv.add_row(
-      {"expired_in_queue", std::to_string(expired_in_queue.value())});
-  csv.add_row({"failed", std::to_string(failed.value())});
-  csv.add_row({"queue_depth", std::to_string(queue_depth.value())});
-  csv.add_row({"in_flight", std::to_string(in_flight.value())});
-  csv.add_row({"batches", std::to_string(batch_sizes.batches())});
-  csv.add_row({"mean_batch_size", format_rate(batch_sizes.mean())});
-  csv.add_row({"net_bytes_in", std::to_string(net_bytes_in.value())});
-  csv.add_row({"net_bytes_out", std::to_string(net_bytes_out.value())});
-  csv.add_row({"net_frames_in", std::to_string(net_frames_in.value())});
-  csv.add_row({"net_frames_out", std::to_string(net_frames_out.value())});
-  csv.add_row(
-      {"net_decode_errors", std::to_string(net_decode_errors.value())});
-  csv.add_row({"net_connections_opened",
-               std::to_string(net_connections_opened.value())});
-  csv.add_row({"net_connections_closed",
-               std::to_string(net_connections_closed.value())});
-  csv.add_row({"net_active_connections",
-               std::to_string(net_active_connections.value())});
-  csv.add_row({"net_retries", std::to_string(net_retries.value())});
-  csv.add_row(
-      {"net_requests_sent", std::to_string(net_requests_sent.value())});
-  csv.add_row({"net_hedges_sent", std::to_string(net_hedges_sent.value())});
-  csv.add_row({"net_hedges_won", std::to_string(net_hedges_won.value())});
-  csv.add_row({"net_failovers", std::to_string(net_failovers.value())});
-  csv.add_row({"sim_runs", std::to_string(sim_runs.value())});
-  csv.add_row({"sim_cycles", std::to_string(sim_cycles.value())});
-  csv.add_row({"sim_fault_runs", std::to_string(sim_fault_runs.value())});
-  csv.add_row({"trace_spans_exported",
-               std::to_string(trace_spans_exported.value())});
-  csv.add_row(
-      {"trace_spans_dropped", std::to_string(trace_spans_dropped.value())});
-  csv.add_row({"trace_spans_sampled_out",
-               std::to_string(trace_spans_sampled_out.value())});
-  csv.add_row(
-      {"trace_batches_sent", std::to_string(trace_batches_sent.value())});
-  csv.add_row({"trace_batches_dropped",
-               std::to_string(trace_batches_dropped.value())});
-  csv.add_row({"trace_collector_batches",
-               std::to_string(trace_collector_batches.value())});
-  csv.add_row({"trace_collector_spans",
-               std::to_string(trace_collector_spans.value())});
-  csv.add_row(
-      {"qos_shed_background", std::to_string(qos_shed_background.value())});
-  csv.add_row({"qos_shed_batch", std::to_string(qos_shed_batch.value())});
-  csv.add_row({"qos_degraded_responses",
-               std::to_string(qos_degraded_responses.value())});
-  csv.add_row({"qos_cancelled_queued",
-               std::to_string(qos_cancelled_queued.value())});
-  csv.add_row({"qos_cancelled_inflight",
-               std::to_string(qos_cancelled_inflight.value())});
-  csv.add_row(
-      {"qos_cancels_received", std::to_string(qos_cancels_received.value())});
-  csv.add_row({"qos_cancels_sent", std::to_string(qos_cancels_sent.value())});
-  csv.add_row({"cache_hits", std::to_string(cache_hits.value())});
-  csv.add_row({"cache_misses", std::to_string(cache_misses.value())});
-  csv.add_row({"cache_hit_rate", format_rate(cache_hit_rate())});
-  csv.add_row({"cache_entries", std::to_string(cache.entries)});
-  csv.add_row({"cache_insertions", std::to_string(cache.insertions)});
-  csv.add_row({"cache_evictions", std::to_string(cache.evictions)});
-  for (std::size_t i = 0; i < kRequestTypeCount; ++i) {
-    const auto type = static_cast<RequestType>(i);
-    const LatencyHistogram::Snapshot snap = latency(type).snapshot();
-    const std::string prefix = std::string("latency_") +
-                               std::string(to_string(type)) + "_";
-    csv.add_row({prefix + "count", std::to_string(snap.count)});
-    csv.add_row({prefix + "mean_us", format_us(snap.mean_us)});
-    csv.add_row({prefix + "p50_us", format_us(snap.p50_us)});
-    csv.add_row({prefix + "p95_us", format_us(snap.p95_us)});
-    csv.add_row({prefix + "p99_us", format_us(snap.p99_us)});
-    csv.add_row({prefix + "max_us", format_us(snap.max_us)});
-  }
-  return csv.str();
 }
 
 std::string MetricsRegistry::to_prometheus(const CacheStats& cache,

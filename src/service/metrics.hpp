@@ -243,10 +243,6 @@ class MetricsRegistry {
   /// @p cache supplies entry counts and evictions from the cache itself.
   std::string to_table(const CacheStats& cache) const;
 
-  /// Same data as CSV (metric,value rows then per-type latency rows),
-  /// via report::CsvWriter.
-  std::string to_csv(const CacheStats& cache) const;
-
   /// Prometheus text exposition (version 0.0.4) of the whole registry:
   /// counters as `*_total`, gauges, and per-request-type latency
   /// histograms with cumulative `_bucket{le="..."}` / `_sum` / `_count`

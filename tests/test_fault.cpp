@@ -878,11 +878,13 @@ TEST(EngineFaultSweep, BatchOfSpecsAllResolve) {
 // ---------------------------------------------------------------------------
 // Metrics: the expired-in-queue counter
 
-TEST(Metrics, ExpiredInQueueRendersInTableAndCsv) {
+TEST(Metrics, ExpiredInQueueRendersInTableAndPrometheus) {
   service::MetricsRegistry metrics;
   metrics.expired_in_queue.add(3);
   EXPECT_NE(metrics.to_table({}).find("expired in queue"), std::string::npos);
-  EXPECT_NE(metrics.to_csv({}).find("expired_in_queue,3"), std::string::npos);
+  EXPECT_NE(metrics.to_prometheus({}).find(
+                "\nmpct_requests_expired_in_queue_total 3\n"),
+            std::string::npos);
   EXPECT_NE(metrics.to_table({}).find("latency: fault_sweep"),
             std::string::npos);
 }

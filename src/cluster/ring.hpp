@@ -23,7 +23,7 @@ struct Endpoint {
 ///
 /// Each endpoint is hashed onto the ring at `virtual_nodes` positions
 /// (vnode hashes mix host, port and the vnode index through the same
-/// FNV-1a builder the request fingerprints use), which evens out the
+/// FingerprintBuilder the request fingerprints use), which evens out the
 /// key-space share each endpoint owns.  Keys are canonical request
 /// fingerprints (service::fingerprint), so identical requests from any
 /// client land on the same endpoint — and therefore hit the same

@@ -180,8 +180,9 @@ class ShardedLruCache {
   }
 
   Shard& shard_for(Fingerprint key) {
-    // The fingerprint is already well mixed (FNV-1a); fold the high bits
-    // down so shard choice uses entropy the in-shard hash map does not.
+    // The fingerprint is already well mixed (every word is avalanched);
+    // fold the high bits down so shard choice uses entropy the in-shard
+    // hash map does not.
     const std::uint64_t folded = key ^ (key >> 32);
     return shards_[folded & (shards_.size() - 1)];
   }

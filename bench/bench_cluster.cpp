@@ -228,7 +228,7 @@ void print_artifact(const std::vector<CellResult>& cells,
 void bm_ring_owner(benchmark::State& state) {
   std::vector<cluster::Endpoint> endpoints;
   for (std::uint16_t i = 0; i < 8; ++i) endpoints.push_back({"10.0.0.1", i});
-  cluster::HashRing ring(endpoints, 64);
+  cluster::HashRing ring(endpoints);
   const service::Fingerprint key = service::fingerprint(
       service::ClassifyRequest::of(arch::surveyed_architectures().front()));
   for (auto _ : state) {

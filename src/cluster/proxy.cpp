@@ -77,7 +77,6 @@ void CombiningProxy::stop() {
 void CombiningProxy::worker_loop() {
   ClusterOptions copts = options_.cluster;
   copts.shared_health = &tracker_;
-  copts.enable_pinger = false;  // one proxy, one pinger
   if (copts.metrics == nullptr) copts.metrics = &metrics_;
   ClusterClient cluster(copts);
 

@@ -8,13 +8,11 @@ std::string Endpoint::to_string() const {
   return host + ":" + std::to_string(port);
 }
 
-HashRing::HashRing(const std::vector<Endpoint>& endpoints,
-                   std::size_t virtual_nodes)
+HashRing::HashRing(const std::vector<Endpoint>& endpoints)
     : endpoint_count_(endpoints.size()) {
-  if (virtual_nodes == 0) virtual_nodes = 1;
-  points_.reserve(endpoints.size() * virtual_nodes);
+  points_.reserve(endpoints.size() * kVirtualNodes);
   for (std::size_t i = 0; i < endpoints.size(); ++i) {
-    for (std::size_t v = 0; v < virtual_nodes; ++v) {
+    for (std::size_t v = 0; v < kVirtualNodes; ++v) {
       service::FingerprintBuilder b;
       b.mix(endpoints[i].host)
           .mix(static_cast<std::uint64_t>(endpoints[i].port))

@@ -21,7 +21,7 @@ struct Endpoint {
 
 /// Consistent-hash ring over a fixed endpoint list.
 ///
-/// Each endpoint is hashed onto the ring at `virtual_nodes` positions
+/// Each endpoint is hashed onto the ring at kVirtualNodes positions
 /// (vnode hashes mix host, port and the vnode index through the same
 /// FingerprintBuilder the request fingerprints use), which evens out the
 /// key-space share each endpoint owns.  Keys are canonical request
@@ -35,8 +35,12 @@ struct Endpoint {
 /// consistent hashing.
 class HashRing {
  public:
+  /// Ring positions per endpoint: enough for even key-space shares at a
+  /// still tiny sorted array.
+  static constexpr std::size_t kVirtualNodes = 64;
+
   HashRing() = default;
-  HashRing(const std::vector<Endpoint>& endpoints, std::size_t virtual_nodes);
+  explicit HashRing(const std::vector<Endpoint>& endpoints);
 
   std::size_t size() const { return endpoint_count_; }
   bool empty() const { return endpoint_count_ == 0; }

@@ -38,20 +38,6 @@ std::uint32_t wire_deadline_ms(service::Deadline deadline,
   return static_cast<std::uint32_t>(remaining);
 }
 
-/// poll() timeout honouring both the io stall bound and the deadline.
-int poll_timeout_ms(std::chrono::milliseconds io_timeout,
-                    service::Deadline deadline, Clock::time_point now) {
-  auto timeout = io_timeout;
-  if (!deadline.is_infinite()) {
-    const auto remaining =
-        std::chrono::duration_cast<std::chrono::milliseconds>(deadline.at -
-                                                              now);
-    timeout = std::min(timeout, std::max(remaining,
-                                         std::chrono::milliseconds(1)));
-  }
-  return static_cast<int>(timeout.count());
-}
-
 }  // namespace
 
 Client::Client(ClientOptions options)
@@ -171,167 +157,98 @@ bool Client::attempt(const std::vector<service::Request>& requests,
                      service::Deadline deadline, std::uint64_t trace_id,
                      std::string& error) {
   if (!ensure_connected(error)) return false;
-  service::MetricsRegistry* metrics = options_.metrics;
-  const Clock::time_point send_time = Clock::now();
-  const std::uint32_t deadline_ms = wire_deadline_ms(deadline, send_time);
+  const std::uint32_t deadline_ms = wire_deadline_ms(deadline, Clock::now());
 
-  // Pipelining: every frame is encoded up front and written as fast as
-  // the socket accepts, before any response is awaited.
+  // Pipelining: every frame is encoded up front and written in one go
+  // before any response is awaited.  The ids are consecutive, so
+  // id - first_id indexes @p unanswered.
+  const std::uint64_t first_id = next_id_;
   std::vector<std::uint8_t> out;
-  std::unordered_map<std::uint64_t, std::size_t> id_to_index;
-  id_to_index.reserve(unanswered.size());
   for (std::size_t index : unanswered) {
     const std::uint64_t id = next_id_++;
-    id_to_index.emplace(id, index);
     // Untraced calls still get a per-request trace id (the request id)
     // so a v2 server can stitch its spans to this frame.
     const auto frame = wire::encode_request_frame(
         id, requests[index], deadline_ms, agreed_version_,
         trace_id != 0 ? trace_id : id, options_.priority);
     out.insert(out.end(), frame.begin(), frame.end());
-    if (metrics) metrics->net_frames_out.add();
+    track(id);
   }
 
-  std::size_t out_offset = 0;
-  std::vector<std::uint8_t> in;
-  std::size_t in_offset = 0;
-  std::vector<char> answered(responses.size(), 0);
-  std::size_t pending = id_to_index.size();
-
-  const auto finish = [&](bool ok) {
-    unanswered.erase(std::remove_if(unanswered.begin(), unanswered.end(),
-                                    [&](std::size_t i) {
-                                      return answered[i] != 0;
-                                    }),
-                     unanswered.end());
-    return ok;
+  std::vector<char> answered(unanswered.size(), 0);
+  std::size_t waiting = unanswered.size();
+  // Move this attempt's answers out of completed_; answers owed to
+  // primitive-layer requests stay there for take_response().
+  const auto collect = [&] {
+    for (auto it = completed_.begin(); it != completed_.end();) {
+      const std::uint64_t id = it->first;
+      if (id < first_id || id - first_id >= answered.size()) {
+        ++it;
+        continue;
+      }
+      const std::size_t k = id - first_id;
+      responses[unanswered[k]] = std::move(it->second);
+      answered[k] = 1;
+      --waiting;
+      it = completed_.erase(it);
+    }
   };
 
-  while (pending > 0) {
-    const Clock::time_point now = Clock::now();
-    if (deadline.expired(now)) {
-      // Answer the stragglers locally and reset the stream: responses
-      // for this attempt's ids may still arrive, and the next attempt
-      // must not misread them.
-      for (const auto& [id, index] : id_to_index) {
-        if (answered[index]) continue;
-        responses[index].status = service::Status::deadline_exceeded();
-        answered[index] = 1;
-      }
-      disconnect();
-      return finish(true);
-    }
+  bool ok = write_frames(out, unanswered.size(), deadline, error);
+  while (ok) {
+    collect();
+    if (waiting == 0 || deadline.expired()) break;
+    ok = pump_until(deadline.at, error) >= 0;
+  }
 
-    pollfd pfd{socket_.fd(), POLLIN, 0};
-    if (out_offset < out.size()) pfd.events |= POLLOUT;
-    const int ready = ::poll(
-        &pfd, 1, poll_timeout_ms(options_.io_timeout, deadline, now));
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      error = std::string("poll: ") + ::strerror(errno);
-      return finish(false);
-    }
-    if (ready == 0) {
-      if (deadline.expired()) continue;  // handled at the top of the loop
-      error = "I/O timed out";
-      return finish(false);
-    }
-
-    if (pfd.revents & POLLOUT) {
-      const ssize_t n = ::send(socket_.fd(), out.data() + out_offset,
-                               out.size() - out_offset, MSG_NOSIGNAL);
-      if (n > 0) {
-        out_offset += static_cast<std::size_t>(n);
-        if (metrics) metrics->net_bytes_out.add(static_cast<std::uint64_t>(n));
-      } else if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
-                 errno != EINTR) {
-        error = std::string("send: ") + ::strerror(errno);
-        return finish(false);
-      }
-    }
-
-    if (pfd.revents & (POLLIN | POLLERR | POLLHUP)) {
-      const std::size_t old_size = in.size();
-      in.resize(old_size + kReadChunk);
-      const ssize_t n =
-          ::recv(socket_.fd(), in.data() + old_size, kReadChunk, 0);
-      if (n <= 0) {
-        in.resize(old_size);
-        if (n < 0 &&
-            (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) {
-          continue;
-        }
-        error = n == 0 ? "connection closed by server"
-                       : std::string("recv: ") + ::strerror(errno);
-        return finish(false);
-      }
-      in.resize(old_size + static_cast<std::size_t>(n));
-      if (metrics) metrics->net_bytes_in.add(static_cast<std::uint64_t>(n));
-
-      while (in_offset < in.size()) {
-        const wire::FrameScan scan =
-            wire::scan_frame(in.data() + in_offset, in.size() - in_offset);
-        if (scan.state == wire::FrameScan::State::NeedMore) break;
-        if (scan.state == wire::FrameScan::State::Bad) {
-          if (metrics) metrics->net_decode_errors.add();
-          error = "bad response stream: " + scan.error.to_string();
-          return finish(false);
-        }
-        if (scan.header.kind != wire::FrameKind::Response) {
-          // Control frames (a stray Pong from a prior ping) are not
-          // answers; skip them.
-          in_offset += scan.frame_size;
-          continue;
-        }
-        auto decoded = wire::decode_response_frame(in.data() + in_offset,
-                                                   scan.frame_size);
-        in_offset += scan.frame_size;
-        if (!decoded.ok()) {
-          if (metrics) metrics->net_decode_errors.add();
-          error = "bad response frame: " + decoded.error.to_string();
-          return finish(false);
-        }
-        if (metrics) metrics->net_frames_in.add();
-        const auto it = id_to_index.find(decoded.value->request_id);
-        // Unknown ids are stale answers from an abandoned attempt on a
-        // connection we since reused; drop them.
-        if (it == id_to_index.end()) continue;
-        if (answered[it->second]) continue;
-        responses[it->second] = std::move(decoded.value->response);
-        answered[it->second] = 1;
-        --pending;
-      }
+  // The rest stays unanswered for the caller's retry after a transport
+  // failure, and is answered DeadlineExceeded here after an expiry.
+  const bool settled = ok || deadline.expired();
+  std::size_t kept = 0;
+  for (std::size_t k = 0; k < answered.size(); ++k) {
+    if (answered[k]) continue;
+    if (settled) {
+      responses[unanswered[k]].status = service::Status::deadline_exceeded();
+    } else {
+      unanswered[kept++] = unanswered[k];
     }
   }
-  return finish(true);
+  unanswered.resize(kept);
+  // After an expiry the stream may still hold half a request frame.
+  if (settled && waiting > 0) disconnect();
+  return settled;
 }
 
-bool Client::write_frame(const std::vector<std::uint8_t>& frame,
-                         service::Deadline deadline, std::string& error) {
+bool Client::write_frames(const std::vector<std::uint8_t>& bytes,
+                          std::size_t frames, service::Deadline deadline,
+                          std::string& error) {
   std::size_t offset = 0;
-  while (offset < frame.size()) {
+  while (offset < bytes.size()) {
     const Clock::time_point now = Clock::now();
     if (deadline.expired(now)) {
       error = "deadline expired mid-write";
       disconnect();
       return false;
     }
-    pollfd pfd{socket_.fd(), POLLOUT, 0};
+    pollfd pfd{socket_.fd(), POLLIN | POLLOUT, 0};
     const int ready = ::poll(
-        &pfd, 1, poll_timeout_ms(options_.io_timeout, deadline, now));
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      error = std::string("poll: ") + ::strerror(errno);
+        &pfd, 1,
+        poll_timeout_ms(std::min(deadline.at, now + options_.io_timeout)));
+    if (ready < 0 && errno == EINTR) continue;
+    if (ready <= 0) {
+      error = ready == 0 ? "I/O timed out"
+                         : std::string("poll: ") + ::strerror(errno);
       disconnect();
       return false;
     }
-    if (ready == 0) {
-      error = "I/O timed out";
-      disconnect();
+    // Keep receiving while writing, so a peer answering a long pipeline
+    // never blocks on a full socket buffer of its own.
+    if ((pfd.revents & (POLLIN | POLLERR | POLLHUP)) && receive(error) < 0) {
       return false;
     }
-    const ssize_t n = ::send(socket_.fd(), frame.data() + offset,
-                             frame.size() - offset, MSG_NOSIGNAL);
+    if (!(pfd.revents & POLLOUT)) continue;
+    const ssize_t n = ::send(socket_.fd(), bytes.data() + offset,
+                             bytes.size() - offset, MSG_NOSIGNAL);
     if (n > 0) {
       offset += static_cast<std::size_t>(n);
       if (options_.metrics) {
@@ -347,19 +264,22 @@ bool Client::write_frame(const std::vector<std::uint8_t>& frame,
     disconnect();
     return false;
   }
-  if (options_.metrics) options_.metrics->net_frames_out.add();
+  if (options_.metrics) options_.metrics->net_frames_out.add(frames);
   return true;
 }
 
 bool Client::drain_frames(std::string& error) {
+  const auto broken = [&](const char* what, const wire::WireError& why) {
+    if (options_.metrics) options_.metrics->net_decode_errors.add();
+    error = what + why.to_string();
+    return false;
+  };
   while (in_offset_ < in_.size()) {
     const wire::FrameScan scan =
         wire::scan_frame(in_.data() + in_offset_, in_.size() - in_offset_);
     if (scan.state == wire::FrameScan::State::NeedMore) break;
     if (scan.state == wire::FrameScan::State::Bad) {
-      if (options_.metrics) options_.metrics->net_decode_errors.add();
-      error = "bad response stream: " + scan.error.to_string();
-      return false;
+      return broken("bad response stream: ", scan.error);
     }
     const std::uint8_t* frame = in_.data() + in_offset_;
     const std::size_t frame_size = scan.frame_size;
@@ -370,11 +290,7 @@ bool Client::drain_frames(std::string& error) {
         continue;
       case wire::FrameKind::HelloAck: {
         auto ack = wire::decode_hello_ack_frame(frame, frame_size);
-        if (!ack.ok()) {
-          if (options_.metrics) options_.metrics->net_decode_errors.add();
-          error = "bad HelloAck frame: " + ack.error.to_string();
-          return false;
-        }
+        if (!ack.ok()) return broken("bad HelloAck frame: ", ack.error);
         hello_ack_ = *ack.value;
         continue;
       }
@@ -384,11 +300,7 @@ bool Client::drain_frames(std::string& error) {
         continue;  // Request/Ping/Hello towards a client: ignore
     }
     auto decoded = wire::decode_response_frame(frame, frame_size);
-    if (!decoded.ok()) {
-      if (options_.metrics) options_.metrics->net_decode_errors.add();
-      error = "bad response frame: " + decoded.error.to_string();
-      return false;
-    }
+    if (!decoded.ok()) return broken("bad response frame: ", decoded.error);
     if (options_.metrics) options_.metrics->net_frames_in.add();
     const std::uint64_t id = decoded.value->request_id;
     // Only tracked ids are kept; cancelled/stale responses are dropped.
@@ -412,13 +324,12 @@ bool Client::send_request(const service::Request& request,
                           std::uint64_t& id_out, std::string& error,
                           std::optional<qos::PriorityClass> priority) {
   if (!ensure_connected(error)) return false;
-  const Clock::time_point now = Clock::now();
   const std::uint64_t id = next_id_++;
   const auto frame = wire::encode_request_frame(
-      id, request, wire_deadline_ms(deadline, now), agreed_version_,
+      id, request, wire_deadline_ms(deadline, Clock::now()), agreed_version_,
       trace_id != 0 ? trace_id : id, priority ? priority : options_.priority);
-  if (!write_frame(frame, deadline, error)) return false;
-  pending_.insert(id);
+  if (!write_frames(frame, 1, deadline, error)) return false;
+  track(id);
   id_out = id;
   return true;
 }
@@ -432,8 +343,8 @@ bool Client::send_cancel(std::uint64_t id, std::string& error) {
   // The caller is abandoning this request; bound the courtesy write by
   // the io stall timeout rather than the (often already expired)
   // request deadline.
-  if (!write_frame(wire::encode_cancel_frame(id),
-                   service::Deadline::in(options_.io_timeout), error)) {
+  if (!write_frames(wire::encode_cancel_frame(id), 1,
+                    service::Deadline::in(options_.io_timeout), error)) {
     return false;
   }
   if (options_.metrics) options_.metrics->qos_cancels_sent.add();
@@ -441,46 +352,76 @@ bool Client::send_cancel(std::uint64_t id, std::string& error) {
   return true;
 }
 
-int Client::pump(std::chrono::milliseconds wait, std::string& error) {
+void Client::track(std::uint64_t id) {
+  if (pending_.empty()) heard_at_ = Clock::now();
+  pending_.insert(id);
+}
+
+Clock::time_point Client::stall_at() const {
+  return pending_.empty() ? Clock::time_point::max()
+                          : heard_at_ + options_.io_timeout;
+}
+
+int Client::receive(std::string& error) {
   if (!socket_.valid()) {
     error = "not connected";
     return -1;
   }
-  pollfd pfd{socket_.fd(), POLLIN, 0};
-  const int ready = ::poll(&pfd, 1, static_cast<int>(wait.count()));
-  if (ready < 0) {
-    if (errno == EINTR) return 0;
-    error = std::string("poll: ") + ::strerror(errno);
-    disconnect();
-    return -1;
-  }
-  if (ready == 0) return 0;
-
-  const std::size_t old_size = in_.size();
-  in_.resize(old_size + kReadChunk);
-  const ssize_t n = ::recv(socket_.fd(), in_.data() + old_size, kReadChunk, 0);
-  if (n <= 0) {
-    in_.resize(old_size);
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK ||
-                  errno == EINTR)) {
-      return 0;
+  // Read until a short read or EAGAIN.  A close or error after bytes
+  // were read is left to the next call, once their frames are taken.
+  bool heard = false;
+  for (;;) {
+    const std::size_t old_size = in_.size();
+    in_.resize(old_size + kReadChunk);
+    const ssize_t n =
+        ::recv(socket_.fd(), in_.data() + old_size, kReadChunk, 0);
+    const int recv_errno = errno;
+    in_.resize(old_size + static_cast<std::size_t>(std::max<ssize_t>(n, 0)));
+    if (n > 0) {
+      heard = true;
+      if (options_.metrics) {
+        options_.metrics->net_bytes_in.add(static_cast<std::uint64_t>(n));
+      }
+      if (static_cast<std::size_t>(n) < kReadChunk) break;
+      continue;
+    }
+    if (n < 0 && recv_errno == EINTR) continue;
+    if (heard ||
+        (n < 0 && (recv_errno == EAGAIN || recv_errno == EWOULDBLOCK))) {
+      break;
     }
     error = n == 0 ? "connection closed by server"
-                   : std::string("recv: ") + ::strerror(errno);
+                   : std::string("recv: ") + ::strerror(recv_errno);
     disconnect();
     return -1;
   }
-  in_.resize(old_size + static_cast<std::size_t>(n));
-  if (options_.metrics) {
-    options_.metrics->net_bytes_in.add(static_cast<std::uint64_t>(n));
-  }
 
+  const Clock::time_point now = Clock::now();
+  if (heard) heard_at_ = now;
   const std::size_t before = completed_.size();
   if (!drain_frames(error)) {
     disconnect();
     return -1;
   }
+  if (now >= stall_at()) {
+    error = "I/O timed out";
+    disconnect();
+    return -1;
+  }
   return static_cast<int>(completed_.size() - before);
+}
+
+int Client::pump_until(Clock::time_point until, std::string& error) {
+  // A disconnected client has nothing to wait for: receive() says so.
+  if (socket_.valid()) {
+    pollfd pfd{socket_.fd(), POLLIN, 0};
+    ::poll(&pfd, 1, poll_timeout_ms(std::min(until, stall_at())));
+  }
+  return receive(error);
+}
+
+int Client::pump(std::chrono::milliseconds wait, std::string& error) {
+  return pump_until(Clock::now() + wait, error);
 }
 
 bool Client::take_response(std::uint64_t id, service::QueryResponse& out) {
@@ -500,7 +441,7 @@ bool Client::ping(std::chrono::milliseconds timeout, std::string& error) {
   if (!ensure_connected(error)) return false;
   const std::uint64_t id = next_id_++;
   const service::Deadline deadline = service::Deadline::in(timeout);
-  if (!write_frame(wire::encode_ping_frame(id), deadline, error)) {
+  if (!write_frames(wire::encode_ping_frame(id), 1, deadline, error)) {
     return false;
   }
   while (!pongs_.count(id)) {
@@ -508,7 +449,7 @@ bool Client::ping(std::chrono::milliseconds timeout, std::string& error) {
       error = "ping timed out";
       return false;
     }
-    if (pump(std::chrono::milliseconds(10), error) < 0) return false;
+    if (pump_until(deadline.at, error) < 0) return false;
   }
   pongs_.erase(id);
   return true;
@@ -521,9 +462,9 @@ service::Status Client::negotiate() {
   const service::Deadline deadline =
       service::Deadline::in(options_.io_timeout);
   hello_ack_.reset();
-  if (!write_frame(wire::encode_hello_frame(id, wire::kMinProtocolVersion,
-                                            options_.protocol_version),
-                   deadline, error)) {
+  if (!write_frames(wire::encode_hello_frame(id, wire::kMinProtocolVersion,
+                                             options_.protocol_version),
+                    1, deadline, error)) {
     return service::Status::unavailable(error);
   }
   while (!hello_ack_ || hello_ack_->request_id != id) {
@@ -531,7 +472,7 @@ service::Status Client::negotiate() {
       disconnect();
       return service::Status::unavailable("negotiation timed out");
     }
-    if (pump(std::chrono::milliseconds(10), error) < 0) {
+    if (pump_until(deadline.at, error) < 0) {
       return service::Status::unavailable(error);
     }
   }

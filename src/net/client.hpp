@@ -19,8 +19,9 @@ struct ClientOptions {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;
   std::chrono::milliseconds connect_timeout{2000};
-  /// Longest the client waits for the socket to become readable/writable
-  /// before declaring the attempt dead (per poll, while progress stalls).
+  /// Stall bound: a connection that owes answers and receives no byte
+  /// for this long counts as dead.  It applies to the synchronous calls
+  /// and the primitive layer alike, and also bounds each blocked write.
   std::chrono::milliseconds io_timeout{10000};
   /// Reconnect-and-resend attempts after the first try.  Every request
   /// in the service API is idempotent (pure functions of the request +
@@ -72,12 +73,14 @@ struct ClientOptions {
 /// tick net_hedges_sent there).
 ///
 /// Besides the synchronous API there is a non-blocking primitive layer
-/// (send_request / pump / take_response / cancel) used by
+/// (send_request / receive / take_response / cancel) used by
 /// cluster::ClusterClient to hedge across connections: it needs to park
 /// a request on one server, start the same request elsewhere, and
-/// cancel whichever loses.  Use ONE style per client instance — the
-/// synchronous calls treat primitive-tracked responses as stale and
-/// drop them.
+/// cancel whichever loses.  Both styles track requests by id in one
+/// stream state and read through one receive step, so they mix on one
+/// client: a synchronous call leaves a pending primitive-layer answer
+/// for take_response().  io_timeout bounds both: receive() declares a
+/// connection dead once it owes answers and has been silent that long.
 ///
 /// Not thread-safe: one Client per thread (they are cheap — one socket).
 class Client {
@@ -118,9 +121,9 @@ class Client {
   // --- Non-blocking primitive layer (cluster::ClusterClient) ---------
 
   /// Write one request frame (blocking until written or failed) and
-  /// track its id; the response is collected later via pump() +
-  /// take_response().  Does NOT count net_requests_sent — the caller
-  /// owns logical-request accounting.  @p priority overrides
+  /// track its id; the response is collected later via receive() or
+  /// pump(), then take_response().  Does NOT count net_requests_sent —
+  /// the caller owns logical-request accounting.  @p priority overrides
   /// options().priority for this one frame (hedges inherit the
   /// original request's class).
   bool send_request(const service::Request& request,
@@ -128,10 +131,24 @@ class Client {
                     std::uint64_t& id_out, std::string& error,
                     std::optional<qos::PriorityClass> priority = std::nullopt);
 
-  /// Poll the socket for up to @p wait and read/decode once.  Returns
-  /// the number of newly completed tracked requests, or -1 on transport
-  /// error (the connection is reset; every tracked request is lost).
+  /// One non-blocking receive step: read every byte the socket holds,
+  /// decode every complete frame, then apply the io_timeout stall rule.
+  /// Returns the number of newly completed tracked requests, or -1 on
+  /// transport error (the connection is reset; every tracked request is
+  /// lost).  Call it when fd() polls readable or stall_at() has passed.
+  int receive(std::string& error);
+
+  /// Wait up to @p wait (never past stall_at()) for the socket to
+  /// become readable, then receive().
   int pump(std::chrono::milliseconds wait, std::string& error);
+
+  /// The socket to poll for readability; -1 while disconnected.
+  int fd() const { return socket_.fd(); }
+
+  /// When this connection counts as stalled: io_timeout after the last
+  /// byte received, or after the send that left it owing its first
+  /// answer.  time_point::max() while no answer is owed.
+  service::Clock::time_point stall_at() const;
 
   /// Move request @p id's response out, if it has completed.
   bool take_response(std::uint64_t id, service::QueryResponse& out);
@@ -148,8 +165,6 @@ class Client {
   /// this with cancel(id) to also drop the local tracking.
   bool send_cancel(std::uint64_t id, std::string& error);
 
-  std::size_t pending_count() const { return pending_.size(); }
-
   bool connected() const { return socket_.valid(); }
   void disconnect();
   const ClientOptions& options() const { return options_; }
@@ -165,22 +180,30 @@ class Client {
                service::Deadline deadline, std::uint64_t trace_id,
                std::string& error);
   bool ensure_connected(std::string& error);
-  /// Blocking write of a whole frame (poll + send loop).  On failure the
-  /// connection is reset.
-  bool write_frame(const std::vector<std::uint8_t>& frame,
-                   service::Deadline deadline, std::string& error);
+  /// Blocking write of @p frames whole frames (poll + send loop) that
+  /// receives whatever arrives meanwhile.  On failure the connection is
+  /// reset.
+  bool write_frames(const std::vector<std::uint8_t>& bytes,
+                    std::size_t frames, service::Deadline deadline,
+                    std::string& error);
+  /// pump() until a point in time.
+  int pump_until(service::Clock::time_point until, std::string& error);
   /// Decode every complete frame in in_ into completed_ / pongs_ /
   /// hello_ack_.  False on a broken stream.
   bool drain_frames(std::string& error);
+  /// Expect an answer to @p id; starts the stall clock if none was owed.
+  void track(std::uint64_t id);
 
   ClientOptions options_;
   Socket socket_;
   std::uint64_t next_id_ = 1;
   std::uint16_t agreed_version_;
 
-  // Primitive-layer stream state (reset by disconnect()).
+  // Stream state of both styles (reset by disconnect()).
   std::vector<std::uint8_t> in_;
   std::size_t in_offset_ = 0;
+  /// Last sign of life while answers are owed (see stall_at()).
+  service::Clock::time_point heard_at_{};
   std::unordered_set<std::uint64_t> pending_;
   std::unordered_map<std::uint64_t, service::QueryResponse> completed_;
   std::unordered_set<std::uint64_t> pongs_;

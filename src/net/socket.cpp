@@ -10,6 +10,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <limits>
+
 namespace mpct::net {
 namespace {
 
@@ -125,6 +128,15 @@ Socket connect_tcp(const std::string& host, std::uint16_t port,
   set_nodelay(sock.fd());
   error.clear();
   return sock;
+}
+
+int poll_timeout_ms(std::chrono::steady_clock::time_point until) {
+  const auto now = std::chrono::steady_clock::now();
+  if (until <= now) return 0;
+  const auto ms =
+      std::chrono::ceil<std::chrono::milliseconds>(until - now).count();
+  return static_cast<int>(
+      std::min<std::int64_t>(ms, std::numeric_limits<int>::max()));
 }
 
 }  // namespace mpct::net

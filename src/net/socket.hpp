@@ -1,5 +1,6 @@
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 
@@ -51,5 +52,9 @@ Socket listen_tcp(const std::string& host, std::uint16_t port,
 /// returned socket stays nonblocking, with TCP_NODELAY set.
 Socket connect_tcp(const std::string& host, std::uint16_t port,
                    int timeout_ms, std::string& error);
+
+/// poll(2) timeout that wakes at @p until: whole milliseconds rounded
+/// up, 0 once @p until has passed, at most INT_MAX.
+int poll_timeout_ms(std::chrono::steady_clock::time_point until);
 
 }  // namespace mpct::net

@@ -642,4 +642,36 @@ TEST(NetClient, DeadlineAlreadyExpiredShortCircuitsLocally) {
   EXPECT_EQ(engine.metrics().net_frames_in.value(), 0u);
 }
 
+TEST(NetClient, SynchronousCallLeavesAPendingPrimitiveAnswerInPlace) {
+  // An inline engine answers in arrival order, so the pending answer
+  // reaches the socket before the synchronous one.
+  service::EngineOptions options;
+  options.worker_threads = 0;
+  service::QueryEngine engine(options);
+  net::Server server(engine);
+  ASSERT_TRUE(server.start()) << server.error();
+  service::QueryEngine reference(options);
+
+  net::Client client(client_options(server.port()));
+  std::string error;
+  std::uint64_t id = 0;
+  ASSERT_TRUE(client.send_request(recommend_request(),
+                                  service::Deadline::never(), 0, id, error))
+      << error;
+  const QueryResponse sync = client.call(cost_request());
+  ASSERT_TRUE(sync.ok()) << sync.status.to_string();
+  expect_payload_parity(sync, reference.execute(cost_request()));
+
+  QueryResponse pending;
+  bool taken = false;
+  const auto give_up = service::Clock::now() + std::chrono::seconds(5);
+  while (!(taken = client.take_response(id, pending)) &&
+         service::Clock::now() < give_up) {
+    ASSERT_GE(client.pump(std::chrono::milliseconds(10), error), 0) << error;
+  }
+  ASSERT_TRUE(taken) << "the synchronous call swallowed the pending answer";
+  ASSERT_TRUE(pending.ok()) << pending.status.to_string();
+  expect_payload_parity(pending, reference.execute(recommend_request()));
+}
+
 }  // namespace

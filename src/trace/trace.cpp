@@ -106,7 +106,9 @@ std::size_t round_up_pow2(std::size_t n) {
 }  // namespace
 
 Tracer& Tracer::instance() {
-  static Tracer tracer;
+  // Never destroyed: the registry must outlive every recorder, and at
+  // exit it still reaches the deliberately leaked thread buffers.
+  static Tracer& tracer = *new Tracer;
   return tracer;
 }
 

@@ -15,8 +15,9 @@
 ///   --duration S     soak: keep looping until S seconds have elapsed
 ///   --self-host      boot the engine + server in this process (port may
 ///                    then be 0 for ephemeral) with tracing streamed back
-///                    at the same server, and report sim_* / trace_*
-///                    metric drift between the first and last iteration
+///                    at the same server, and report the simulation,
+///                    tracing and qos counters' drift between the first
+///                    and last iteration
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -44,112 +45,44 @@ int usage() {
   return 2;
 }
 
-/// The registry counters the soak report tracks across iterations.
-struct SoakCounters {
-  std::uint64_t sim_runs = 0;
-  std::uint64_t sim_cycles = 0;
-  std::uint64_t sim_fault_runs = 0;
-  std::uint64_t trace_spans_exported = 0;
-  std::uint64_t trace_spans_dropped = 0;
-  std::uint64_t trace_spans_sampled_out = 0;
-  std::uint64_t trace_batches_sent = 0;
-  std::uint64_t trace_batches_dropped = 0;
-  std::uint64_t trace_collector_batches = 0;
-  std::uint64_t trace_collector_spans = 0;
-  std::uint64_t qos_shed_background = 0;
-  std::uint64_t qos_shed_batch = 0;
-  std::uint64_t qos_degraded_responses = 0;
-  std::uint64_t qos_cancelled_queued = 0;
-  std::uint64_t qos_cancelled_inflight = 0;
+/// The registry rows the soak report tracks across iterations: the
+/// counters of the simulation, tracing and qos sections.  A steady-state
+/// soak should shed and degrade at a steady rate too: drift in the qos
+/// rows means the replayed load is pushing the engine up or down the QoS
+/// ladder over time (see docs/QOS.md).
+bool soak_row(const service::MetricRow& row) {
+  return row.counter != nullptr &&
+         (row.section == "simulation" || row.section == "tracing" ||
+          row.section == "qos");
+}
 
-  static SoakCounters of(const service::MetricsRegistry& m) {
-    SoakCounters c;
-    c.sim_runs = m.sim_runs.value();
-    c.sim_cycles = m.sim_cycles.value();
-    c.sim_fault_runs = m.sim_fault_runs.value();
-    c.trace_spans_exported = m.trace_spans_exported.value();
-    c.trace_spans_dropped = m.trace_spans_dropped.value();
-    c.trace_spans_sampled_out = m.trace_spans_sampled_out.value();
-    c.trace_batches_sent = m.trace_batches_sent.value();
-    c.trace_batches_dropped = m.trace_batches_dropped.value();
-    c.trace_collector_batches = m.trace_collector_batches.value();
-    c.trace_collector_spans = m.trace_collector_spans.value();
-    c.qos_shed_background = m.qos_shed_background.value();
-    c.qos_shed_batch = m.qos_shed_batch.value();
-    c.qos_degraded_responses = m.qos_degraded_responses.value();
-    c.qos_cancelled_queued = m.qos_cancelled_queued.value();
-    c.qos_cancelled_inflight = m.qos_cancelled_inflight.value();
-    return c;
+/// The soak rows' values, in metric_rows() order.
+std::vector<std::uint64_t> soak_snapshot(const service::MetricsRegistry& m) {
+  std::vector<std::uint64_t> values;
+  for (const service::MetricRow& row : service::metric_rows()) {
+    if (soak_row(row)) values.push_back(row.count(m, {}));
   }
+  return values;
+}
 
-  SoakCounters delta(const SoakCounters& since) const {
-    SoakCounters d;
-    d.sim_runs = sim_runs - since.sim_runs;
-    d.sim_cycles = sim_cycles - since.sim_cycles;
-    d.sim_fault_runs = sim_fault_runs - since.sim_fault_runs;
-    d.trace_spans_exported = trace_spans_exported - since.trace_spans_exported;
-    d.trace_spans_dropped = trace_spans_dropped - since.trace_spans_dropped;
-    d.trace_spans_sampled_out =
-        trace_spans_sampled_out - since.trace_spans_sampled_out;
-    d.trace_batches_sent = trace_batches_sent - since.trace_batches_sent;
-    d.trace_batches_dropped =
-        trace_batches_dropped - since.trace_batches_dropped;
-    d.trace_collector_batches =
-        trace_collector_batches - since.trace_collector_batches;
-    d.trace_collector_spans =
-        trace_collector_spans - since.trace_collector_spans;
-    d.qos_shed_background = qos_shed_background - since.qos_shed_background;
-    d.qos_shed_batch = qos_shed_batch - since.qos_shed_batch;
-    d.qos_degraded_responses =
-        qos_degraded_responses - since.qos_degraded_responses;
-    d.qos_cancelled_queued =
-        qos_cancelled_queued - since.qos_cancelled_queued;
-    d.qos_cancelled_inflight =
-        qos_cancelled_inflight - since.qos_cancelled_inflight;
-    return d;
-  }
-};
-
-void print_drift(const SoakCounters& first, const SoakCounters& last) {
-  const auto row = [](const char* name, std::uint64_t a, std::uint64_t b) {
-    std::cout << "  " << name << ": first " << a << ", last " << b;
+void print_drift(const std::vector<std::uint64_t>& first,
+                 const std::vector<std::uint64_t>& last) {
+  std::cout << "per-iteration metric drift (first vs last iteration):\n";
+  std::size_t i = 0;
+  for (const service::MetricRow& row : service::metric_rows()) {
+    if (!soak_row(row)) continue;
+    const std::uint64_t a = first[i];
+    const std::uint64_t b = last[i];
+    ++i;
+    std::cout << "  " << row.section << " " << row.name << ": first " << a
+              << ", last " << b;
     if (b > a) {
       std::cout << " (+" << b - a << ")";
     } else if (a > b) {
       std::cout << " (-" << a - b << ")";
     }
     std::cout << "\n";
-  };
-  std::cout << "per-iteration metric drift (first vs last iteration):\n";
-  row("sim_runs", first.sim_runs, last.sim_runs);
-  row("sim_cycles", first.sim_cycles, last.sim_cycles);
-  row("sim_fault_runs", first.sim_fault_runs, last.sim_fault_runs);
-  row("trace_spans_exported", first.trace_spans_exported,
-      last.trace_spans_exported);
-  row("trace_spans_dropped", first.trace_spans_dropped,
-      last.trace_spans_dropped);
-  row("trace_spans_sampled_out", first.trace_spans_sampled_out,
-      last.trace_spans_sampled_out);
-  row("trace_batches_sent", first.trace_batches_sent,
-      last.trace_batches_sent);
-  row("trace_batches_dropped", first.trace_batches_dropped,
-      last.trace_batches_dropped);
-  row("trace_collector_batches", first.trace_collector_batches,
-      last.trace_collector_batches);
-  row("trace_collector_spans", first.trace_collector_spans,
-      last.trace_collector_spans);
-  // A steady-state soak should shed and degrade at a steady rate too:
-  // drift here means the replayed load is pushing the engine up or
-  // down the QoS ladder over time (see docs/QOS.md).
-  row("qos_shed_background", first.qos_shed_background,
-      last.qos_shed_background);
-  row("qos_shed_batch", first.qos_shed_batch, last.qos_shed_batch);
-  row("qos_degraded_responses", first.qos_degraded_responses,
-      last.qos_degraded_responses);
-  row("qos_cancelled_queued", first.qos_cancelled_queued,
-      last.qos_cancelled_queued);
-  row("qos_cancelled_inflight", first.qos_cancelled_inflight,
-      last.qos_cancelled_inflight);
+  }
 }
 
 }  // namespace
@@ -249,13 +182,14 @@ int main(int argc, char** argv) {
   };
 
   net::ReplayOutcome first_outcome;
-  SoakCounters first_delta, last_delta;
+  std::vector<std::uint64_t> first_delta, last_delta;
   std::size_t iterations = 0;
   std::size_t drifted = 0;
   while ((loop == 0 || iterations < loop) &&
          (iterations == 0 || !expired())) {
-    const SoakCounters before =
-        engine ? SoakCounters::of(engine->metrics()) : SoakCounters{};
+    const std::vector<std::uint64_t> before =
+        engine ? soak_snapshot(engine->metrics())
+               : std::vector<std::uint64_t>{};
     const net::ReplayOutcome outcome = net::replay_capture(capture, options);
     if (!outcome.ok()) {
       std::cerr << outcome.error << "\n";
@@ -265,7 +199,10 @@ int main(int argc, char** argv) {
       // Let the streamer complete a couple of export ticks so the
       // iteration's trace counters land before the snapshot.
       std::this_thread::sleep_for(std::chrono::milliseconds(120));
-      last_delta = SoakCounters::of(engine->metrics()).delta(before);
+      last_delta = soak_snapshot(engine->metrics());
+      for (std::size_t i = 0; i < last_delta.size(); ++i) {
+        last_delta[i] -= before[i];
+      }
     }
     if (iterations == 0) {
       first_outcome = outcome;

@@ -236,10 +236,15 @@ std::vector<service::QueryResponse> ClusterClient::dispatch(
         }
         took = true;
         drop(attempts[a]);
-        tracker_->record_success(attempt.endpoint);
+        // An endpoint that answers "going away" is failing, not healthy.
+        const bool leaving = retryable_elsewhere(answer.status);
+        if (leaving) {
+          tracker_->record_failure(attempt.endpoint);
+        } else {
+          tracker_->record_success(attempt.endpoint);
+        }
         Slot& slot = slots[attempt.slot];
-        if (retryable_elsewhere(answer.status) &&
-            slot.next < slot.candidates.size()) {
+        if (leaving && slot.next < slot.candidates.size()) {
           // "This endpoint is going away": keep the answer as a fallback
           // and re-route to the next replica.
           responses[attempt.slot] = std::move(answer);

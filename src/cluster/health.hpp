@@ -41,9 +41,10 @@ struct HealthOptions {
 
 /// Lock-free per-endpoint health state machine, shared by every
 /// ClusterClient of a fleet (and fed by the HealthPinger).  Transitions
-/// are driven by two edges only — record_failure() from transport errors
-/// or failed pings, record_success() from any completed round trip — so
-/// callers never reason about states, just report outcomes.
+/// are driven by two edges only — record_failure() from transport errors,
+/// failed pings and ShuttingDown / Unavailable answers, record_success()
+/// from any other answer or ping reply — so callers never reason about
+/// states, just report outcomes.
 class HealthTracker {
  public:
   explicit HealthTracker(std::size_t endpoints, HealthOptions options = {});

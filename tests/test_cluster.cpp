@@ -596,6 +596,36 @@ TEST(ClusterClientTest, ShuttingDownAnswerReroutesToTheNextReplica) {
   }
 }
 
+TEST(ClusterClientTest, ShuttingDownAnswerIsAHealthFailure) {
+  // With down_after = 1, one ShuttingDown answer marks its endpoint
+  // Down, so the next request that endpoint owns goes first to the live
+  // replica and needs no failover.
+  std::atomic<int> asked{0};
+  ScriptedBackend leaving([&asked](const Request& request,
+                                   QueryResponse& response) {
+    ++asked;
+    answer_shutting_down(request, response);
+  });
+  Fleet fleet(1);
+  const std::vector<Endpoint> endpoints = {{"127.0.0.1", leaving.port()},
+                                           fleet.endpoints()[0]};
+  service::MetricsRegistry metrics;
+  ClusterOptions options = unhedged_options(endpoints, &metrics);
+  options.health.down_after = 1;
+  ClusterClient client(options);
+  const std::vector<Request> owned = requests_owned_by(client, 0, 2);
+  ASSERT_EQ(owned.size(), 2u);
+
+  EXPECT_TRUE(client.call(owned[0]).ok());
+  EXPECT_EQ(metrics.net_failovers.value(), 1u);
+  EXPECT_EQ(client.health().state(0), HealthState::Down);
+  EXPECT_EQ(client.health().state(1), HealthState::Up);
+
+  EXPECT_TRUE(client.call(owned[1]).ok());
+  EXPECT_EQ(metrics.net_failovers.value(), 1u);
+  EXPECT_EQ(asked.load(), 1);
+}
+
 TEST(ClusterClientTest, EveryReplicaShuttingDownReturnsThatAnswer) {
   ScriptedBackend first(answer_shutting_down);
   ScriptedBackend second(answer_shutting_down);

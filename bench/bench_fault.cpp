@@ -32,8 +32,10 @@ using namespace mpct;
 // fabric curve (fabric_spec), enforced by bench/check_regression.py
 // against the "floors" block this binary emits.  The fault-list kernel
 // that preceded the counting census kernel ran 4.1e5-4.8e5 trials/s on
-// the recording host (4 vCPUs, Release); the census kernel runs
-// 1.9e6-3.8e6 there.
+// the recording host (4 vCPUs with AVX-512, Release); the census kernel
+// with eight scalar streams ran 1.9e6-4.0e6 there.  Drawn as one lane
+// vector, the avx512 census kernel runs 5.5e6-6.9e6 and the baseline
+// one 1.7e6-3.0e6, so the floor holds on a runner without AVX-512 too.
 constexpr double kFabricCurveTrialsPerSFloor = 1.2e6;
 
 // Probe rows spanning the taxonomy: IUP (1), a data-flow multi (8), an
@@ -210,7 +212,9 @@ void print_artifact(const std::string& json_path) {
 
   const double fabric_trials_per_s = measure_fabric_curve_trials_per_s();
   std::cout << "# NoC-free degradation curve (serial 40, n=16, 2688 "
-               "trials), single thread\ntrials_per_s\n"
+               "trials), single thread, "
+            << fault::detail::census_kernel().name
+            << " census kernel\ntrials_per_s\n"
             << fmt(fabric_trials_per_s) << "\n\n";
 
   if (json_path.empty()) return;
@@ -218,6 +222,8 @@ void print_artifact(const std::string& json_path) {
   out << "{\n"
       << "  \"bench\": \"bench_fault\",\n"
       << "  \"host_cpus\": " << std::thread::hardware_concurrency() << ",\n"
+      << "  \"census_kernel\": \"" << fault::detail::census_kernel().name
+      << "\",\n"
       << "  \"op\": \"sample_faults + degrade (10% uniform rate, n=16, "
          "v=256)\",\n"
       << "  \"current\": {\n"

@@ -17,7 +17,8 @@
 ///                    then be 0 for ephemeral) with tracing streamed back
 ///                    at the same server, and report the simulation,
 ///                    tracing and qos counters' drift between the first
-///                    and last iteration
+///                    and last iteration; the engine's result cache is
+///                    off, so every iteration executes every frame
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -41,7 +42,11 @@ namespace {
 int usage() {
   std::cerr << "usage: replay <capture> <port> [--host H] [--max-speed] "
                "[--save FILE] [--compare FILE] [--loop N] [--duration S] "
-               "[--self-host]\n";
+               "[--self-host]\n"
+               "  --self-host runs an in-process engine with its result "
+               "cache off, so each\n"
+               "  iteration executes every frame and the counters compare "
+               "like for like\n";
   return 2;
 }
 
@@ -142,6 +147,10 @@ int main(int argc, char** argv) {
     trace::Tracer::instance().enable();
     service::EngineOptions engine_options;
     engine_options.worker_threads = 2;
+    // A cached answer skips execution, so with the cache on every
+    // iteration after the first would read as drift in the simulation
+    // rows.
+    engine_options.enable_cache = false;
     engine = std::make_unique<service::QueryEngine>(engine_options);
     net::ServerOptions server_options;
     server_options.port = options.port;

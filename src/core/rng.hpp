@@ -17,18 +17,40 @@ namespace mpct {
 /// algorithm and the zero-seed substitution constant are unchanged, so
 /// pre-existing traffic streams are bit-identical for every seed
 /// (tests/test_traffic.cpp pins the stream for the default seeds).
+///
+/// The fault-curve census kernel (fault/degradation_curve.cpp) runs this
+/// same generator in lane form: eight streams held in one integer vector,
+/// stepped by the same advance() and scaled by the same kMultiplier, so
+/// lane l's draws are bit for bit those of Rng(seed_l).
 class Rng {
  public:
-  explicit Rng(std::uint64_t seed)
-      : state_(seed ? seed : 0x9e3779b97f4a7c15ULL) {}
+  explicit Rng(std::uint64_t seed) : state_(initial_state(seed)) {}
+
+  /// The state @p seed starts from: xorshift never leaves the all-zero
+  /// state, so seed 0 is replaced by a fixed odd constant.
+  static std::uint64_t initial_state(std::uint64_t seed) {
+    return seed ? seed : 0x9e3779b97f4a7c15ULL;
+  }
+
+  /// xorshift64*'s output scramble: a draw is the advanced state times
+  /// this odd constant (mod 2^64).
+  static constexpr std::uint64_t kMultiplier = 0x2545F4914F6CDD1DULL;
+
+  /// The xorshift state transition.  Generic over the word so a vector of
+  /// 64-bit lanes steps every lane with the same shifts (taken by
+  /// reference: a vector passed by value changes the calling convention).
+  template <typename Word>
+  static void advance(Word& state) {
+    state ^= state >> 12;
+    state ^= state << 25;
+    state ^= state >> 27;
+  }
 
   std::uint64_t next() {
     // xorshift64* (Vigna): passes BigCrush small-state tests, plenty for
     // workload generation and Monte-Carlo fault sampling.
-    state_ ^= state_ >> 12;
-    state_ ^= state_ << 25;
-    state_ ^= state_ >> 27;
-    return state_ * 0x2545F4914F6CDD1DULL;
+    advance(state_);
+    return state_ * kMultiplier;
   }
 
   /// Uniform integer in [0, bound).

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
-#include <utility>
+#include <cstring>
 
 #include "core/flexibility.hpp"
 #include "core/range_split.hpp"
@@ -45,7 +45,167 @@ CurveEvaluator::CurveEvaluator(const CurveSpec& spec,
 namespace {
 
 constexpr std::size_t kLanes = CurveEvaluator::kLanes;
-using LaneCounts = std::array<std::int64_t, kLanes>;
+
+// The census kernel's lane vector, one 64-bit word per trial, through the
+// GCC/clang vector extension.  Vector values stay inside this file and
+// travel only by reference or memcpy: passed by value they would change
+// the calling convention with the ISA (-Wpsabi), and a container of them
+// would lose their 64-byte alignment.
+using LaneVector = std::uint64_t
+    __attribute__((vector_size(kLanes * sizeof(std::uint64_t))));
+/// A lane-wise comparison's result: -1 where the lane's test held, else 0.
+using LaneMask = std::int64_t
+    __attribute__((vector_size(kLanes * sizeof(std::int64_t))));
+
+/// kLanes xorshift64* streams stepped in lockstep, one lane per trial.
+struct LaneStreams {
+  LaneVector state;
+  LaneVector threshold;
+
+  /// One Bernoulli draw on every lane: Rng::bernoulli lane by lane.
+  [[gnu::always_inline]] void draw(LaneMask& hit) {
+    Rng::advance(state);
+    hit = LaneMask(((state * Rng::kMultiplier) >> 11) < threshold);
+  }
+
+  /// Draw @p components per lane, adding each lane's hits to @p dead.
+  [[gnu::always_inline]] void count(std::int64_t components,
+                                    LaneMask& dead) {
+    LaneMask hit;
+    for (std::int64_t c = 0; c < components; ++c) {
+      draw(hit);
+      dead -= hit;
+    }
+  }
+};
+
+/// The NoC links sample_faults draws: each node's east link, then its
+/// south link, in row-major node order.
+std::size_t noc_link_count(const FabricShape& shape) {
+  const std::int64_t w = shape.noc_width, h = shape.noc_height;
+  if (w <= 0 || h <= 0) return 0;
+  return static_cast<std::size_t>((w - 1) * h + w * (h - 1));
+}
+
+/// The census kernel, written once and compiled once per variant below.
+/// Every step is integer arithmetic on the lanes, and each lane draws its
+/// own stream in sample_faults' order, so all variants give the same bits.
+[[gnu::always_inline]] inline void draw_census(
+    const FabricShape& shape, const detail::LaneWords& seeds,
+    const detail::LaneWords& thresholds, std::size_t live,
+    detail::CensusBlock& out) {
+  detail::LaneWords state{}, threshold{};
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    state[l] = Rng::initial_state(seeds[l]);
+    if (l < live) threshold[l] = thresholds[l];
+  }
+  LaneStreams lanes;
+  std::memcpy(&lanes.state, state.data(), sizeof lanes.state);
+  std::memcpy(&lanes.threshold, threshold.data(), sizeof lanes.threshold);
+
+  // Router i kills DP i unless DP i already died, so the router draws
+  // need the fate of each DP that has a router.
+  const std::int64_t nodes = std::max(shape.noc_nodes(), 0);
+  const std::int64_t routed_dps =
+      std::max<std::int64_t>(std::min(shape.dps, nodes), 0);
+  const std::size_t links = noc_link_count(shape);
+  out.dp_dead.resize(static_cast<std::size_t>(routed_dps) * kLanes);
+  out.router_dead.resize(static_cast<std::size_t>(nodes) * kLanes);
+  out.link_dead.resize(links * kLanes);
+
+  LaneMask ips{}, dps{}, luts{}, hit;
+  LaneMask ports[kConnectivityRoleCount] = {};
+  lanes.count(shape.ips, ips);
+  for (std::int64_t d = 0; d < routed_dps; ++d) {
+    lanes.draw(hit);
+    std::memcpy(&out.dp_dead[static_cast<std::size_t>(d) * kLanes], &hit,
+                sizeof hit);
+    dps -= hit;
+  }
+  lanes.count(shape.dps - routed_dps, dps);
+  lanes.count(shape.luts, luts);
+  for (std::size_t role = 0; role < kConnectivityRoleCount; ++role) {
+    lanes.count(shape.switch_ports[role], ports[role]);
+  }
+  for (std::int64_t node = 0; node < nodes; ++node) {
+    const std::size_t at = static_cast<std::size_t>(node) * kLanes;
+    lanes.draw(hit);
+    std::memcpy(&out.router_dead[at], &hit, sizeof hit);
+    if (node < routed_dps) {
+      LaneMask dp_dead;
+      std::memcpy(&dp_dead, &out.dp_dead[at], sizeof dp_dead);
+      dps -= hit & ~dp_dead;
+    }
+  }
+  for (std::size_t link = 0; link < links; ++link) {
+    lanes.draw(hit);
+    std::memcpy(&out.link_dead[link * kLanes], &hit, sizeof hit);
+  }
+
+  std::memcpy(out.ips.data(), &ips, sizeof ips);
+  std::memcpy(out.dps.data(), &dps, sizeof dps);
+  std::memcpy(out.luts.data(), &luts, sizeof luts);
+  for (std::size_t role = 0; role < kConnectivityRoleCount; ++role) {
+    std::memcpy(out.ports[role].data(), &ports[role], sizeof ports[role]);
+  }
+}
+
+void census_baseline(const FabricShape& shape, const detail::LaneWords& seeds,
+                     const detail::LaneWords& thresholds, std::size_t live,
+                     detail::CensusBlock& out) {
+  draw_census(shape, seeds, thresholds, live, out);
+}
+
+#if defined(__x86_64__)
+// AVX-512F holds all eight lanes in one register; AVX-512DQ adds the
+// 64-bit lane multiply (vpmullq) and the mask-to-vector move.
+[[gnu::target("avx512f,avx512dq")]] void census_avx512(
+    const FabricShape& shape, const detail::LaneWords& seeds,
+    const detail::LaneWords& thresholds, std::size_t live,
+    detail::CensusBlock& out) {
+  draw_census(shape, seeds, thresholds, live, out);
+}
+#endif
+
+std::vector<detail::CensusVariant> runnable_variants() {
+  std::vector<detail::CensusVariant> variants{{"baseline", census_baseline}};
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx512f") &&
+      __builtin_cpu_supports("avx512dq")) {
+    variants.push_back({"avx512", census_avx512});
+  }
+#endif
+  return variants;
+}
+
+/// Lane @p lane's NoC faults from @p block's router and link masks, in
+/// sample_faults' order.
+void lane_noc_faults(const FabricShape& shape, const detail::CensusBlock& block,
+                     std::size_t lane, std::vector<Fault>& faults) {
+  faults.clear();
+  const int nodes = shape.noc_nodes();
+  for (int node = 0; node < nodes; ++node) {
+    if (block.router_dead[static_cast<std::size_t>(node) * kLanes + lane]) {
+      faults.push_back(
+          Fault{FaultKind::NocRouterDead, ConnectivityRole::IpIp, node, 0});
+    }
+  }
+  std::size_t link = 0;
+  const auto link_fault = [&](int a, int b) {
+    if (block.link_dead[link++ * kLanes + lane]) {
+      faults.push_back(
+          Fault{FaultKind::NocLinkDead, ConnectivityRole::IpIp, a, b});
+    }
+  };
+  for (int y = 0; y < shape.noc_height; ++y) {
+    for (int x = 0; x < shape.noc_width; ++x) {
+      const int node = y * shape.noc_width + x;
+      if (x + 1 < shape.noc_width) link_fault(node, node + 1);
+      if (y + 1 < shape.noc_height) link_fault(node, node + shape.noc_width);
+    }
+  }
+}
 
 /// The one TrialOutcome builder, shared by the scalar oracle (a full
 /// DegradeResult) and the batch kernel (a detail::StructuralDegrade).
@@ -83,14 +243,18 @@ TrialOutcome outcome_of(const Degraded& degraded, int original_score,
   return outcome;
 }
 
-/// The streams of trials first .. first + kLanes - 1.
-template <std::size_t... L>
-std::array<Rng, kLanes> lane_streams(std::uint64_t seed, std::size_t first,
-                                     std::index_sequence<L...>) {
-  return {Rng(Rng::derive_seed(seed, first + L))...};
+}  // namespace
+
+namespace detail {
+
+std::span<const CensusVariant> census_variants() {
+  static const std::vector<CensusVariant> variants = runnable_variants();
+  return variants;
 }
 
-}  // namespace
+const CensusVariant& census_kernel() { return census_variants().back(); }
+
+}  // namespace detail
 
 TrialOutcome CurveEvaluator::evaluate_cell(std::size_t index) const {
   trace::profile_count(trace::ProfilePoint::CurveTrial);
@@ -119,89 +283,36 @@ void CurveEvaluator::evaluate_range(std::size_t begin, std::size_t end,
   trace::ProfileTimer timer(trace::ProfilePoint::SweepBatch);
   const std::size_t trials =
       static_cast<std::size_t>(spec_.trials_per_rate);
-  const int nodes = shape_.noc_nodes();
-  // Router i kills DP i unless DP i already died, so the router section
-  // needs the fate of each DP that has a router: dp_dead[dp * kLanes + l].
-  const std::int64_t routed_dps = std::min<std::int64_t>(shape_.dps, nodes);
-  std::vector<std::uint8_t> dp_dead(
-      static_cast<std::size_t>(routed_dps) * kLanes);
-  std::array<std::vector<Fault>, kLanes> noc_faults;
+  const detail::CensusVariant& kernel = detail::census_kernel();
+  detail::CensusBlock block;
+  std::vector<Fault> noc_faults;
 
-  // Each block advances kLanes consecutive trials' streams together.  A
+  // Each block draws kLanes consecutive trials' streams as one vector.  A
   // lane draws exactly its own trial's stream in sample_faults' canonical
   // component order, so its census equals that of the oracle's FaultSet.
-  // Lanes past `end` (range tails) draw at threshold 0 and are dropped.
+  // Lanes past `end` (range tails) draw nothing and are dropped.
   for (std::size_t first = begin; first < end; first += kLanes) {
     const std::size_t live = std::min(kLanes, end - first);
-    std::array<Rng, kLanes> rng = lane_streams(
-        spec_.seed, first, std::make_index_sequence<kLanes>{});
-    std::array<std::uint64_t, kLanes> threshold{};
+    detail::LaneWords seeds{}, thresholds{};
     for (std::size_t l = 0; l < live; ++l) {
-      threshold[l] =
+      seeds[l] = Rng::derive_seed(spec_.seed, first + l);
+      thresholds[l] =
           Rng::bernoulli_threshold(spec_.fault_rates[(first + l) / trials]);
     }
-    const auto count = [&](std::int64_t components, LaneCounts& dead) {
-      for (std::int64_t c = 0; c < components; ++c) {
-        for (std::size_t l = 0; l < kLanes; ++l) {
-          dead[l] += rng[l].bernoulli(threshold[l]);
-        }
-      }
-    };
-
-    LaneCounts ips{}, dps{}, luts{};
-    std::array<LaneCounts, kConnectivityRoleCount> ports{};
-    count(shape_.ips, ips);
-    for (std::int64_t d = 0; d < routed_dps; ++d) {
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        const bool hit = rng[l].bernoulli(threshold[l]);
-        dp_dead[static_cast<std::size_t>(d) * kLanes + l] = hit;
-        dps[l] += hit;
-      }
-    }
-    count(shape_.dps - routed_dps, dps);
-    count(shape_.luts, luts);
-    for (std::size_t role = 0; role < kConnectivityRoleCount; ++role) {
-      count(shape_.switch_ports[role], ports[role]);
-    }
-    for (int node = 0; node < nodes; ++node) {
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        if (!rng[l].bernoulli(threshold[l])) continue;
-        noc_faults[l].push_back(
-            Fault{FaultKind::NocRouterDead, ConnectivityRole::IpIp, node, 0});
-        if (node < routed_dps &&
-            !dp_dead[static_cast<std::size_t>(node) * kLanes + l]) {
-          ++dps[l];
-        }
-      }
-    }
-    const auto draw_link = [&](int a, int b) {
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        if (rng[l].bernoulli(threshold[l])) {
-          noc_faults[l].push_back(
-              Fault{FaultKind::NocLinkDead, ConnectivityRole::IpIp, a, b});
-        }
-      }
-    };
-    for (int y = 0; y < shape_.noc_height; ++y) {
-      for (int x = 0; x < shape_.noc_width; ++x) {
-        const int node = y * shape_.noc_width + x;
-        if (x + 1 < shape_.noc_width) draw_link(node, node + 1);
-        if (y + 1 < shape_.noc_height) draw_link(node, node + shape_.noc_width);
-      }
-    }
+    kernel.run(shape_, seeds, thresholds, live, block);
 
     for (std::size_t l = 0; l < live; ++l) {
       detail::DeadCensus dead;
-      dead.ips = ips[l];
-      dead.dps = dps[l];
-      dead.luts = luts[l];
+      dead.ips = block.ips[l];
+      dead.dps = block.dps[l];
+      dead.luts = block.luts[l];
       for (std::size_t role = 0; role < kConnectivityRoleCount; ++role) {
-        dead.ports[role] = ports[role][l];
+        dead.ports[role] = block.ports[role][l];
       }
+      lane_noc_faults(shape_, block, l, noc_faults);
       out[first - begin + l] = outcome_of(
           detail::structural_degrade(spec_.machine, shape_, dead),
-          original_score_, shape_, noc_faults[l]);
-      noc_faults[l].clear();
+          original_score_, shape_, noc_faults);
     }
   }
 }

@@ -1,8 +1,10 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cost/component_library.hpp"
@@ -76,12 +78,58 @@ struct CurveResult {
   friend bool operator==(const CurveResult&, const CurveResult&) = default;
 };
 
+namespace detail {
+
+/// Trials one census block draws together, one per lane.
+inline constexpr std::size_t kCensusLanes = 8;
+using LaneWords = std::array<std::uint64_t, kCensusLanes>;
+using LaneCounts = std::array<std::int64_t, kCensusLanes>;
+
+/// What one census block drew.  Per lane: the dead components of each
+/// population (DPs include those a dead co-located router killed, as in
+/// DeadCensus), and the hit masks (-1 hit, 0 miss) of the draws whose
+/// identity matters, laid out [item * kCensusLanes + lane].
+struct CensusBlock {
+  LaneCounts ips{};
+  LaneCounts dps{};
+  LaneCounts luts{};
+  std::array<LaneCounts, kConnectivityRoleCount> ports{};
+  std::vector<std::int64_t> dp_dead;      ///< the min(dps, nodes) routed DPs
+  std::vector<std::int64_t> router_dead;  ///< NoC routers, by node
+  std::vector<std::int64_t> link_dead;    ///< NoC links, sample_faults' order
+
+  friend bool operator==(const CensusBlock&, const CensusBlock&) = default;
+};
+
+/// One compiled form of the census kernel.  `run` draws one block: lane
+/// l < @p live steps the stream Rng(seeds[l]) through @p shape's
+/// populations in sample_faults' order, each draw hitting at
+/// Rng::bernoulli_hit(draw, thresholds[l]); lanes >= @p live draw
+/// nothing.  Every variant gives the same bits; they differ only in the
+/// instructions the lane vector compiles to.
+struct CensusVariant {
+  std::string_view name;  ///< "baseline" or "avx512"
+  void (*run)(const FabricShape& shape, const LaneWords& seeds,
+              const LaneWords& thresholds, std::size_t live,
+              CensusBlock& out);
+};
+
+/// The compiled variants this CPU can run, baseline first.
+std::span<const CensusVariant> census_variants();
+
+/// The variant CurveEvaluator uses: the last of census_variants(),
+/// chosen once per process from the CPU's feature bits.
+const CensusVariant& census_kernel();
+
+}  // namespace detail
+
 /// Memoized Monte-Carlo evaluator, the fault analogue of
 /// explore::SweepEvaluator.  Construction binds the shape once and
 /// hoists the per-spec invariants every trial used to re-derive (the
 /// original structure's flexibility score); evaluate_range() then runs
-/// trials through the batch census kernel: eight trials' streams drawn
-/// together, each trial's failures counted per population
+/// trials through the batch census kernel: eight trials' streams held
+/// in one lane vector and drawn in lockstep (detail::census_kernel()),
+/// each trial's failures counted per population
 /// (fault::detail::DeadCensus) rather than listed, and the shared
 /// structural kernel (fault::detail::structural_degrade), skipping the
 /// Eq. 1 / Eq. 2 pricing degrade() performs but no TrialOutcome field
@@ -106,10 +154,9 @@ class CurveEvaluator {
                           const cost::ComponentLibrary& lib =
                               cost::ComponentLibrary::default_library());
 
-  /// Trials the batch kernel advances together: eight independent
-  /// xorshift dependency chains keep the pipeline full where one chain
-  /// would stall on its own latency.
-  static constexpr std::size_t kLanes = 8;
+  /// Trials the batch kernel advances together: the lanes of one
+  /// 8 x 64-bit vector (a single AVX-512 register).
+  static constexpr std::size_t kLanes = detail::kCensusLanes;
 
   std::size_t cell_count() const { return cells_; }
   /// The batch kernel's block width, kLanes trials — the grain chunking

@@ -744,6 +744,138 @@ TEST(DegradationCurve, ArbitraryRangeSplitsAgreeWithFullRange) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Census kernel variants: every compiled form against eight scalar streams
+
+using fault::detail::CensusBlock;
+using fault::detail::kCensusLanes;
+using fault::detail::LaneWords;
+
+/// What eight scalar Rng streams draw for one census block, walked in
+/// sample_faults' order: the reference every kernel variant must equal.
+CensusBlock scalar_census(const FabricShape& shape, const LaneWords& seeds,
+                          const LaneWords& thresholds, std::size_t live) {
+  const std::int64_t nodes = std::max(shape.noc_nodes(), 0);
+  const std::int64_t routed = std::max<std::int64_t>(
+      std::min(shape.dps, nodes), 0);
+  const int w = shape.noc_width, h = shape.noc_height;
+  const std::int64_t links =
+      w > 0 && h > 0 ? std::int64_t{w - 1} * h + std::int64_t{w} * (h - 1)
+                     : 0;
+  CensusBlock block;
+  block.dp_dead.resize(static_cast<std::size_t>(routed) * kCensusLanes);
+  block.router_dead.resize(static_cast<std::size_t>(nodes) * kCensusLanes);
+  block.link_dead.resize(static_cast<std::size_t>(links) * kCensusLanes);
+  for (std::size_t l = 0; l < kCensusLanes; ++l) {
+    Rng rng(seeds[l]);
+    const std::uint64_t threshold = l < live ? thresholds[l] : 0;
+    const auto hit = [&] { return rng.bernoulli(threshold); };
+    const auto at = [&](std::int64_t item) {
+      return static_cast<std::size_t>(item) * kCensusLanes + l;
+    };
+    for (std::int64_t i = 0; i < shape.ips; ++i) block.ips[l] += hit();
+    for (std::int64_t d = 0; d < shape.dps; ++d) {
+      const bool dead = hit();
+      block.dps[l] += dead;
+      if (d < routed) block.dp_dead[at(d)] = dead ? -1 : 0;
+    }
+    for (std::int64_t i = 0; i < shape.luts; ++i) block.luts[l] += hit();
+    for (std::size_t role = 0; role < kConnectivityRoleCount; ++role) {
+      for (std::int64_t p = 0; p < shape.switch_ports[role]; ++p) {
+        block.ports[role][l] += hit();
+      }
+    }
+    for (std::int64_t node = 0; node < nodes; ++node) {
+      const bool dead = hit();
+      block.router_dead[at(node)] = dead ? -1 : 0;
+      if (dead && node < routed && block.dp_dead[at(node)] == 0) {
+        ++block.dps[l];
+      }
+    }
+    std::int64_t link = 0;
+    for (int y = 0; y < h; ++y) {
+      for (int x = 0; x < w; ++x) {
+        if (x + 1 < w) block.link_dead[at(link++)] = hit() ? -1 : 0;
+        if (y + 1 < h) block.link_dead[at(link++)] = hit() ? -1 : 0;
+      }
+    }
+  }
+  return block;
+}
+
+// Each variant reuses one output block across cases, as evaluate_range
+// does, so a case that shrinks the populations must not see stale masks.
+TEST(CensusKernel, EveryVariantMatchesEightScalarStreams) {
+  std::mt19937_64 rng(2424);
+  std::uniform_int_distribution<std::int64_t> population(0, 40);
+  std::uniform_int_distribution<int> side(0, 4);
+  std::uniform_int_distribution<std::uint64_t> any_threshold(
+      0, std::uint64_t{1} << 53);
+  const std::uint64_t edges[] = {0, 1, (std::uint64_t{1} << 53) - 1,
+                                 std::uint64_t{1} << 53};
+  std::vector<FabricShape> shapes(2);  // empty, then one DP behind a router
+  shapes[1].dps = 1;
+  shapes[1].noc_width = 1;
+  shapes[1].noc_height = 1;
+  for (int i = 0; i < 40; ++i) {
+    FabricShape shape;
+    shape.ips = population(rng);
+    shape.dps = population(rng);
+    shape.luts = i % 3 == 0 ? population(rng) * 8 : 0;
+    for (std::int64_t& ports : shape.switch_ports) {
+      ports = i % 2 == 0 ? population(rng) : 0;
+    }
+    if (i % 4 != 3) {
+      shape.noc_width = side(rng);
+      shape.noc_height = side(rng);
+    }
+    shapes.push_back(shape);
+  }
+
+  const auto variants = fault::detail::census_variants();
+  ASSERT_FALSE(variants.empty());
+  std::vector<CensusBlock> outs(variants.size());
+  int checked = 0;
+  for (const FabricShape& shape : shapes) {
+    for (std::size_t live = 0; live <= kCensusLanes; ++live) {
+      LaneWords seeds{}, thresholds{};
+      for (std::size_t l = 0; l < kCensusLanes; ++l) {
+        // Lane 3 holds seed 0, which Rng replaces by its fixed state.
+        seeds[l] = l == 3 ? 0 : Rng::derive_seed(rng(), l);
+        thresholds[l] = l < 4 ? edges[(l + live) % 4] : any_threshold(rng);
+      }
+      const CensusBlock expected =
+          scalar_census(shape, seeds, thresholds, live);
+      for (std::size_t v = 0; v < variants.size(); ++v) {
+        variants[v].run(shape, seeds, thresholds, live, outs[v]);
+        EXPECT_EQ(outs[v], expected)
+            << variants[v].name << ": ips " << shape.ips << ", dps "
+            << shape.dps << ", noc " << shape.noc_width << "x"
+            << shape.noc_height << ", live " << live;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_EQ(checked, static_cast<int>(shapes.size() * (kCensusLanes + 1) *
+                                       variants.size()));
+}
+
+// A build that silently lost the vector fast path fails here rather than
+// only in a benchmark.
+TEST(CensusKernel, StartupChoiceIsTheFastestVariantThisCpuRuns) {
+  const auto variants = fault::detail::census_variants();
+  ASSERT_FALSE(variants.empty());
+  EXPECT_EQ(variants.front().name, "baseline");
+  EXPECT_EQ(&fault::detail::census_kernel(), &variants.back());
+#if defined(__x86_64__)
+  if (__builtin_cpu_supports("avx512f") &&
+      __builtin_cpu_supports("avx512dq")) {
+    EXPECT_EQ(variants.size(), 2u);
+    EXPECT_EQ(fault::detail::census_kernel().name, "avx512");
+  }
+#endif
+}
+
 TEST(DegradationCurve, SvgRendersAllSeries) {
   const CurveResult result = fault::evaluate_curve(curve_spec());
   const std::string svg = fault::to_svg(result, "degradation");

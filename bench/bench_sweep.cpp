@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -20,6 +21,7 @@
 
 #include "bench_util.hpp"
 #include "core/classifier.hpp"
+#include "core/range_split.hpp"
 #include "core/taxonomy_index.hpp"
 #include "cost/area_model.hpp"
 #include "cost/config_bits.hpp"
@@ -47,13 +49,14 @@ constexpr double kBaselineClassifyNs[] = {4.13, 3.00, 3.91, 3.62, 1.68};
 // rewrite (sweep_cells_per_s.threads_0 = 2.76e5 at commit 586f006).
 constexpr double kSweepCellsPerSFloor = 1.38e6;
 
-// Hard regression ceiling for the Pareto-front stage (ns per grid cell
+// Hard regression ceilings for the Pareto-front stages (ns per grid cell
 // on the scaling grid), enforced by bench/check_regression.py against
-// the "ceilings" block this binary emits.  It sits below the earlier
-// sort-then-sweep front (79-118 ns/cell on the 4-vCPU recording host)
-// and well above the linear-time front (14-19 ns/cell there); see
-// docs/PERF.md.
-constexpr double kFrontNsPerCellCeiling = 50;
+// the "ceilings" block this binary emits: about twice what the
+// summary-and-filter front records on the 4-vCPU recording host (front
+// 6.9-8.0, merge 4.6-5.7 ns/cell), and below the linear-time front it
+// replaced (14-20 ns/cell there); see docs/PERF.md.
+constexpr double kFrontNsPerCellCeiling = 15;
+constexpr double kMergeNsPerCellCeiling = 12;
 
 /// ns/op of @p fn via a fixed-count timed loop, minimum over 7 runs —
 /// scheduler noise on a shared machine is strictly additive, so the
@@ -151,21 +154,30 @@ std::vector<ScalingRow> measure_scaling() {
 }
 
 /// Per-cell time split of a single-thread sweep().  `total` (the batch
-/// kernel, evaluate_range), `decode`, `evaluate`, `front` and `sweep`
-/// are measured; `reduce` is the remainder — the winner-fold cannot be
-/// timed in isolation through the public API, but total = decode +
-/// evaluate + reduce by construction of the kernel (see docs/PERF.md).
-/// `front` is pareto_front over the grid's points and `sweep` the whole
-/// sweep() call, so sweep - total - front is what sweep() adds around
-/// the two: building the evaluator and allocating its result vectors.
+/// kernel, evaluate_range), `decode`, `evaluate`, `front`, `merge` and
+/// `sweep` are measured; `reduce` is the remainder — the winner-fold
+/// cannot be timed in isolation through the public API, but total =
+/// decode + evaluate + reduce by construction of the kernel (see
+/// docs/PERF.md).  `front` is pareto_front over the grid's points
+/// (summarise the one range, then filter); `merge` is the serial step a
+/// served sweep runs after its chunks, which folded their own summaries:
+/// combine the kMergeChunks summaries, then filter.  `sweep` is the
+/// whole sweep() call, so sweep - total - front is roughly what sweep()
+/// adds around the two: building the evaluator and allocating its
+/// result vectors.
 struct StageBreakdown {
   double decode_ns = 0;
   double evaluate_ns = 0;
   double reduce_ns = 0;
   double total_ns = 0;
   double front_ns = 0;
+  double merge_ns = 0;
   double sweep_ns = 0;
 };
+
+/// Chunks a served sweep of the scaling grid is split into: the
+/// engine's two per worker at perfbench's two workers.
+constexpr std::size_t kMergeChunks = 4;
 
 StageBreakdown measure_stages() {
   const explore::SweepGrid grid = scaling_grid().normalized();
@@ -235,12 +247,27 @@ StageBreakdown measure_stages() {
   stages.reduce_ns = std::max(
       0.0, stages.total_ns - stages.evaluate_ns - stages.decode_ns);
 
-  // Front: the serial step sweep() (and the engine's last chunk) runs
-  // after every cell is evaluated, over the points computed above.
+  // Front: the whole front of the points computed above, built from
+  // scratch on one thread.
   stages.front_ns = measure_ns(
                         [&] {
                           std::vector<explore::SweepPoint> front =
                               explore::pareto_front(points);
+                          benchmark::DoNotOptimize(front.data());
+                        },
+                        4) /
+                    cells_d;
+  // Merge: what the engine's last chunk (and the proxy's gather) runs
+  // once every chunk has folded its slice into its own summary.
+  std::vector<explore::FrontSummary> summaries;
+  for (const CellRange& chunk : split_range(cells, kMergeChunks, row)) {
+    summaries.emplace_back(std::span<const explore::SweepPoint>(points).subspan(
+        chunk.begin, chunk.end - chunk.begin));
+  }
+  stages.merge_ns = measure_ns(
+                        [&] {
+                          std::vector<explore::SweepPoint> front =
+                              explore::pareto_front(points, summaries);
                           benchmark::DoNotOptimize(front.data());
                         },
                         4) /
@@ -326,10 +353,12 @@ void print_artifact(const std::string& json_path) {
   stage_csv.add_row({"reduce", fmt(stages.reduce_ns)});
   stage_csv.add_row({"total", fmt(stages.total_ns)});
   stage_csv.add_row({"front", fmt(stages.front_ns)});
+  stage_csv.add_row({"merge", fmt(stages.merge_ns)});
   stage_csv.add_row({"sweep", fmt(stages.sweep_ns)});
   std::cout << "# sweep() per-cell stage breakdown (single thread; decode "
                "+ evaluate + reduce = total; sweep = total + front + "
-               "evaluator build and result allocation)\n"
+               "evaluator build and result allocation; merge = combine "
+               << kMergeChunks << " chunk summaries + filter)\n"
             << stage_csv.str() << "\n";
 
   // Monotone-scaling gate: with the worker pool clamped to
@@ -385,6 +414,7 @@ void print_artifact(const std::string& json_path) {
       << ", \"reduce\": " << fmt(stages.reduce_ns)
       << ", \"total\": " << fmt(stages.total_ns)
       << ", \"front\": " << fmt(stages.front_ns)
+      << ", \"merge\": " << fmt(stages.merge_ns)
       << ", \"sweep\": " << fmt(stages.sweep_ns) << "}";
   out << ",\n    \"engine_sweep_cells_per_s\": " << fmt(cells / engine_s)
       << "\n  },\n"
@@ -393,7 +423,9 @@ void print_artifact(const std::string& json_path) {
       << "\n  },\n"
       << "  \"ceilings\": {\n"
       << "    \"sweep_stage_ns_per_cell.front\": "
-      << fmt(kFrontNsPerCellCeiling) << "\n  }\n}\n";
+      << fmt(kFrontNsPerCellCeiling) << ",\n"
+      << "    \"sweep_stage_ns_per_cell.merge\": "
+      << fmt(kMergeNsPerCellCeiling) << "\n  }\n}\n";
   std::cout << "JSON written to " << json_path << "\n\n";
 }
 

@@ -145,11 +145,13 @@ service::QueryResponse CombiningProxy::scatter(ClusterClient& cluster,
   const auto parts = cluster.call_many(chunks, deadline, trace_id, priority);
 
   // Gather: the same merge as the engine's complete_job(), over the
-  // chunk cells concatenated in index order.  A chunk must answer with
-  // exactly its range's cell count — a short or long answer (a bug or
-  // version skew behind the socket) would misplace every later cell.
+  // chunk cells concatenated in index order and each chunk's summary,
+  // folded as its cells are appended.  A chunk must answer with exactly
+  // its range's cell count — a short or long answer (a bug or version
+  // skew behind the socket) would misplace every later cell.
   std::vector<typename Kind::Cell> cells;
   cells.reserve(evaluator.cell_count());
+  std::vector<typename Kind::Summary> summaries(parts.size());
   for (std::size_t i = 0; i < parts.size(); ++i) {
     if (!parts[i].ok()) {
       response.status = parts[i].status;
@@ -172,9 +174,10 @@ service::QueryResponse CombiningProxy::scatter(ClusterClient& cluster,
     }
     cells.insert(cells.end(), Kind::cells(*chunk).begin(),
                  Kind::cells(*chunk).end());
+    summaries[i].add(Kind::cells(*chunk));
   }
   response.payload = std::make_shared<const service::ResponsePayload>(
-      Kind::merge(evaluator, std::move(cells)));
+      Kind::merge(evaluator, std::move(cells), summaries));
   return response;
 }
 

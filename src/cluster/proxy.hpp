@@ -52,7 +52,9 @@ struct ProxyOptions {
 /// count, and merged by *the same* GridKind::merge the engine's
 /// completion runs: chunk cells concatenate in index order, then
 ///
-///  * sweep — pareto_front(points) recomputes the front over all cells;
+///  * sweep — each chunk's explore::FrontSummary, folded as its cells
+///    are appended, combines into one, and a single filter pass over
+///    all cells copies the front out in bulk;
 ///  * fault sweep — CurveEvaluator::finalize reduces the outcomes (each
 ///    trial's RNG stream derives from its flat cell index, so placement
 ///    cannot change it).

@@ -45,22 +45,27 @@ inline std::vector<CellRange> split_range(std::size_t cells,
   return ranges;
 }
 
-/// Run @p body(begin, end) over split_range(cells, threads, grain), one
-/// scoped thread per range, and join them.  @p threads is clamped to
-/// the core count, since a CPU-bound kernel gains nothing from
-/// oversubscription; 0 or 1 runs body(0, cells) on the caller's thread.
+/// Run @p body(part, begin, end) over split_range(cells, threads, grain),
+/// one scoped thread per range, and join them; `part` numbers the ranges
+/// from 0 and stays below max(threads, 1), so a caller can give each
+/// range its own result slot.  @p threads is clamped to the core count,
+/// since a CPU-bound kernel gains nothing from oversubscription; 0 or 1
+/// runs body(0, 0, cells) on the caller's thread.
 template <typename Body>
 void parallel_ranges(std::size_t cells, unsigned threads, std::size_t grain,
                      const Body& body) {
   const unsigned workers =
       std::min(threads, std::max(1u, std::thread::hardware_concurrency()));
   if (workers <= 1) {
-    body(std::size_t{0}, cells);
+    body(std::size_t{0}, std::size_t{0}, cells);
     return;
   }
+  const std::vector<CellRange> ranges = split_range(cells, workers, grain);
   std::vector<std::thread> pool;
-  for (const CellRange& range : split_range(cells, workers, grain)) {
-    pool.emplace_back([&body, range] { body(range.begin, range.end); });
+  for (std::size_t part = 0; part < ranges.size(); ++part) {
+    pool.emplace_back([&body, part, range = ranges[part]] {
+      body(part, range.begin, range.end);
+    });
   }
   for (std::thread& thread : pool) thread.join();
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iterator>
 #include <limits>
 #include <optional>
 #include <span>
@@ -75,93 +74,132 @@ bool dominates(const SweepPoint& a, const SweepPoint& b) {
   return flex_ge && cost_le && (flex_gt || cost_lt);
 }
 
-/// The summary one objective group's domination test needs: for each
-/// distinct flexibility f, the minimum objective cost over the group's
-/// points with flexibility >= f.  A point (f, c) is dominated exactly
-/// when a point with flexibility >= f costs strictly less than c, or a
-/// point with flexibility > f costs no more than c, so each test is two
-/// lookups: the suffix minimum at f's slot and at the next slot.
+/// One objective's domination test, resolved from a MinCost table.
 ///
-/// Slots are dense (flexibility - lo) when the group's flexibility range
-/// is narrower than the group itself (the taxonomy scores 0..8), making
-/// the build one pass plus a suffix minimum over a handful of slots.
-/// Wider ranges (wire-decoded points may carry any int) fall back to
-/// ranks in the sorted distinct values: O(N log N), never worse.  A NaN
-/// cost fails every comparison, so it never dominates (it stays out of
-/// the minimum) and is never dominated, exactly as in dominates().
+/// Over the table's sorted keys k_0 < ... < k_{K-1} (the dense slots
+/// 0..63, or every distinct flexibility once any is wide), a query
+/// flexibility f falls at one of 2K+1 positions: exactly on k_i (2i+1),
+/// just below k_i (2i) or above them all (2K).  With ge / gt the minimum
+/// cost over the keys >= f / > f, a point (f, c) is dominated when
+/// ge < c or gt <= c.  As ge <= gt, that is c > ge, or c == ge when
+/// gt == ge, so each position stores one bound and a tie flag; a
+/// position with no key at or above it gets a bound nothing exceeds.
+///
+/// The same test counts the front: a point at k_i survives exactly when
+/// its cost is k_i's minimum and that minimum is below gt, so the
+/// survivors are those minima's tie counts plus the NaN-cost points.
 template <typename Cost>
-class MinCostByFlexibility {
+class FrontLookup {
  public:
-  MinCostByFlexibility(const std::vector<SweepPoint>& points,
-                       Requirements::Objective objective,
-                       Cost SweepPoint::*cost)
-      : cost_(cost) {
-    const auto in_group = [objective](const SweepPoint& p) {
-      return p.feasible && p.objective == objective;
+  template <typename Table>
+  explicit FrontLookup(const Table& table) : survivors_(table.unordered) {
+    constexpr auto dense_slots = std::size_t{FrontSummary::kDenseSlots};
+    if (table.wide.empty()) {
+      // Key k is flexibility k; the table is read in place, so the common
+      // case allocates nothing.
+      resolve(dense_slots, dense_.data(), [&](std::size_t k) {
+        return table.present >> k & 1
+                   ? Level{table.dense[k], table.ties[k]}
+                   : Level{};
+      });
+      return;
+    }
+    struct Entry {
+      int f;
+      Cost c;
+      std::size_t ties;
     };
-    std::size_t count = 0;
-    int lo = std::numeric_limits<int>::max();
-    int hi = std::numeric_limits<int>::min();
-    for (const SweepPoint& p : points) {
-      if (!in_group(p)) continue;
-      ++count;
-      lo = std::min(lo, p.flexibility);
-      hi = std::max(hi, p.flexibility);
-    }
-    if (count == 0) return;
-    lo_ = lo;
-    const auto range = static_cast<std::uint64_t>(std::int64_t{hi} - lo);
-    std::size_t slots = 0;
-    if (range < count) {
-      slots = static_cast<std::size_t>(range) + 1;
-    } else {
-      ranks_.reserve(count);
-      for (const SweepPoint& p : points) {
-        if (in_group(p)) ranks_.push_back(p.flexibility);
+    std::vector<Entry> all;
+    all.reserve(table.wide.size() + dense_slots);
+    for (const auto& [f, c] : table.wide) all.push_back({f, c, 1});
+    for (std::size_t f = 0; f < dense_slots; ++f) {
+      if (table.present >> f & 1) {
+        all.push_back({static_cast<int>(f), table.dense[f], table.ties[f]});
       }
-      std::sort(ranks_.begin(), ranks_.end());
-      ranks_.erase(std::unique(ranks_.begin(), ranks_.end()), ranks_.end());
-      slots = ranks_.size();
     }
-    // One extra empty slot past the highest flexibility, so the
-    // "strictly greater flexibility" lookup needs no bounds check.
-    min_.assign(slots + 1, std::nullopt);
-    for (const SweepPoint& p : points) {
-      if (!in_group(p)) continue;
-      const Cost c = p.*cost_;
-      if constexpr (std::is_floating_point_v<Cost>) {
-        if (std::isnan(c)) continue;
+    // NaN never enters a table, so entries sort strictly weakly and each
+    // flexibility's minimum and its ties come first.
+    std::sort(all.begin(), all.end(), [](const Entry& a, const Entry& b) {
+      return a.f != b.f ? a.f < b.f : a.c < b.c;
+    });
+    std::vector<Level> levels;  // index-aligned with keys_
+    for (const Entry& e : all) {
+      if (keys_.empty() || keys_.back() != e.f) {
+        keys_.push_back(e.f);
+        levels.push_back({e.c, e.ties});
+      } else if (e.c == *levels.back().min) {
+        levels.back().ties += e.ties;
       }
-      std::optional<Cost>& m = min_[slot(p.flexibility)];
-      if (!m || c < *m) m = c;
     }
-    for (std::size_t k = slots; k-- > 0;) {
-      const std::optional<Cost>& above = min_[k + 1];
-      if (above && (!min_[k] || *above < *min_[k])) min_[k] = above;
-    }
+    wide_.resize(2 * levels.size() + 1);
+    resolve(levels.size(), wide_.data(),
+            [&](std::size_t k) { return levels[k]; });
   }
 
-  /// Whether a point of this group is dominated by any point of it.
-  bool dominated(const SweepPoint& p) const {
-    const std::size_t k = slot(p.flexibility);
-    const Cost c = p.*cost_;
-    return (min_[k] && *min_[k] < c) || (min_[k + 1] && *min_[k + 1] <= c);
+  /// Whether a summarised point dominates a point at (@p f, @p c).
+  bool dominated(int f, Cost c) const {
+    const Verdict* verdicts = dense_.data();
+    std::size_t at = 0;
+    if (keys_.empty()) {  // dense: k_i == i
+      at = static_cast<std::size_t>(std::clamp<std::int64_t>(
+          2 * std::int64_t{f} + 1, 0,
+          static_cast<std::int64_t>(dense_.size() - 1)));
+    } else {
+      const std::size_t i = static_cast<std::size_t>(
+          std::lower_bound(keys_.begin(), keys_.end(), f) - keys_.begin());
+      at = 2 * i + (i < keys_.size() && keys_[i] == f ? 1 : 0);
+      verdicts = wide_.data();
+    }
+    const Verdict& v = verdicts[at];
+    return c > v.bound || (v.tie && c == v.bound);
   }
+
+  /// How many summarised points no summarised point dominates.
+  std::size_t survivors() const { return survivors_; }
 
  private:
-  std::size_t slot(int flexibility) const {
-    if (ranks_.empty()) {
-      return static_cast<std::size_t>(std::int64_t{flexibility} - lo_);
+  struct Level {
+    std::optional<Cost> min;
+    std::size_t ties = 0;
+  };
+  struct Verdict {
+    Cost bound;
+    bool tie;
+  };
+
+  /// Fill the 2K+1 positions of @p out from keys 0..K-1 (@p level(k) is
+  /// key k's minimum and tie count), walking down so the running
+  /// minimum over the keys above is gt, and count the survivors.
+  template <typename LevelAt>
+  void resolve(std::size_t keys, Verdict* out, const LevelAt& level) {
+    std::optional<Cost> above;  // minimum over keys > k
+    out[2 * keys] = verdict(above, above);
+    for (std::size_t k = keys; k-- > 0;) {
+      const Level own = level(k);
+      if (own.min && (!above || *own.min < *above)) survivors_ += own.ties;
+      const std::optional<Cost> ge =
+          above && (!own.min || *above < *own.min) ? above : own.min;
+      out[2 * k + 1] = verdict(ge, above);
+      out[2 * k] = verdict(ge, ge);
+      above = ge;
     }
-    return static_cast<std::size_t>(
-        std::lower_bound(ranks_.begin(), ranks_.end(), flexibility) -
-        ranks_.begin());
   }
 
-  Cost SweepPoint::*cost_;
-  std::int64_t lo_ = 0;
-  std::vector<int> ranks_;  ///< sorted distinct flexibilities; empty if dense
-  std::vector<std::optional<Cost>> min_;  ///< suffix minimum per slot
+  static Verdict verdict(const std::optional<Cost>& ge,
+                         const std::optional<Cost>& gt) {
+    if (!ge) {
+      using Limits = std::numeric_limits<Cost>;
+      return {Limits::has_infinity ? Limits::infinity() : Limits::max(),
+              false};
+    }
+    return {*ge, gt && *gt == *ge};
+  }
+
+  std::size_t survivors_ = 0;
+  std::vector<int> keys_;  ///< sorted distinct flexibilities; empty if dense
+  /// Per position, over the dense keys 0..kDenseSlots-1.
+  std::array<Verdict, 2 * FrontSummary::kDenseSlots + 1> dense_{};
+  std::vector<Verdict> wide_;         ///< per position, keys_ when wide
 };
 
 }  // namespace
@@ -188,23 +226,94 @@ std::vector<SweepPoint> pareto_front_reference(
 
 }  // namespace detail
 
-std::vector<SweepPoint> pareto_front(const std::vector<SweepPoint>& points) {
-  using Objective = Requirements::Objective;
-  const MinCostByFlexibility<std::int64_t> by_bits(
-      points, Objective::MinConfigBits, &SweepPoint::config_bits);
-  const MinCostByFlexibility<double> by_area(points, Objective::MinArea,
-                                             &SweepPoint::area_kge);
+template <typename Cost>
+void FrontSummary::MinCost<Cost>::add(int flexibility, Cost cost,
+                                      std::size_t count) {
+  if constexpr (std::is_floating_point_v<Cost>) {
+    if (std::isnan(cost)) {
+      unordered += count;
+      return;
+    }
+  }
+  if (flexibility < 0 || flexibility >= kDenseSlots) {
+    wide.insert(wide.end(), count, {flexibility, cost});
+    return;
+  }
+  const std::uint64_t bit = std::uint64_t{1} << flexibility;
+  const auto f = static_cast<std::size_t>(flexibility);
+  if (!(present & bit) || cost < dense[f]) {
+    dense[f] = cost;
+    ties[f] = count;
+  } else if (cost == dense[f]) {
+    ties[f] += count;
+  }
+  present |= bit;
+}
+
+template <typename Cost>
+void FrontSummary::MinCost<Cost>::combine(const MinCost& other) {
+  for (int f = 0; f < kDenseSlots; ++f) {
+    if (other.present >> f & 1) {
+      add(f, other.dense[static_cast<std::size_t>(f)],
+          other.ties[static_cast<std::size_t>(f)]);
+    }
+  }
+  wide.insert(wide.end(), other.wide.begin(), other.wide.end());
+  unordered += other.unordered;
+}
+
+void FrontSummary::add(std::span<const SweepPoint> points) {
+  for (const SweepPoint& p : points) {
+    if (!p.feasible) continue;
+    if (p.objective == Requirements::Objective::MinConfigBits) {
+      bits_.add(p.flexibility, p.config_bits);
+    } else {
+      area_.add(p.flexibility, p.area_kge);
+    }
+  }
+}
+
+void FrontSummary::combine(const FrontSummary& other) {
+  bits_.combine(other.bits_);
+  area_.combine(other.area_);
+}
+
+std::vector<SweepPoint> FrontSummary::filter(
+    std::span<const SweepPoint> points) const {
+  const FrontLookup<std::int64_t> by_bits(bits_);
+  const FrontLookup<double> by_area(area_);
   const auto on_front = [&](const SweepPoint& p) {
     if (!p.feasible) return false;
-    return p.objective == Objective::MinConfigBits ? !by_bits.dominated(p)
-                                                   : !by_area.dominated(p);
+    return p.objective == Requirements::Objective::MinConfigBits
+               ? !by_bits.dominated(p.flexibility, p.config_bits)
+               : !by_area.dominated(p.flexibility, p.area_kge);
   };
+  const std::size_t survivors = by_bits.survivors() + by_area.survivors();
+  if (survivors == points.size()) return {points.begin(), points.end()};
   std::vector<SweepPoint> front;
-  front.reserve(static_cast<std::size_t>(
-      std::count_if(points.begin(), points.end(), on_front)));
-  std::copy_if(points.begin(), points.end(), std::back_inserter(front),
-               on_front);
+  front.reserve(survivors);
+  for (std::size_t i = 0; i < points.size();) {
+    if (!on_front(points[i])) {
+      ++i;
+      continue;
+    }
+    const std::size_t begin = i;
+    while (++i < points.size() && on_front(points[i])) {
+    }
+    front.insert(front.end(), points.begin() + begin, points.begin() + i);
+  }
   return front;
+}
+
+std::vector<SweepPoint> pareto_front(const std::vector<SweepPoint>& points) {
+  return FrontSummary(points).filter(points);
+}
+
+std::vector<SweepPoint> pareto_front(std::span<const SweepPoint> points,
+                                     std::span<const FrontSummary> chunks) {
+  FrontSummary whole;
+  for (const FrontSummary& chunk : chunks) whole.combine(chunk);
+  return whole.filter(points);
 }
 
 SweepEvaluator::SweepEvaluator(const SweepGrid& grid,
@@ -274,8 +383,14 @@ SweepPoint SweepEvaluator::evaluate_cell(std::size_t index) const {
   return point;
 }
 
+struct SweepEvaluator::Champion {
+  int cand = -1;
+  cost::CostPoint cost;
+};
+
 void SweepEvaluator::evaluate_row_batch(std::size_t ni, SweepPoint* out,
-                                        cost::CostPoint* scratch) const {
+                                        cost::CostPoint* scratch,
+                                        Champion* champ) const {
   const std::int64_t n = grid_.n_values[ni];
   const std::size_t l_count = grid_.lut_budgets.size();
   const std::size_t o_count = grid_.objectives.size();
@@ -287,11 +402,7 @@ void SweepEvaluator::evaluate_row_batch(std::size_t ni, SweepPoint* out,
   // them into one champion per objective.  The per-cell reduction then
   // starts from the champion instead of re-folding them lane by lane.
   trace::profile_count_n(trace::ProfilePoint::CostEvaluate, v_indep_.size());
-  struct Champion {
-    int cand = -1;
-    cost::CostPoint cost;
-  };
-  std::vector<Champion> champ(o_count);
+  std::fill(champ, champ + o_count, Champion{});
   for (const std::uint32_t c : v_indep_) {
     const cost::CostPoint cost = plans_.evaluate(c, n, v_all[0]);
     for (std::size_t oi = 0; oi < o_count; ++oi) {
@@ -367,11 +478,13 @@ void SweepEvaluator::evaluate_range(std::size_t begin, std::size_t end,
   // Per-call scratch keeps evaluate_range const and concurrency-safe.
   std::vector<cost::CostPoint> scratch(
       v_dep_.size() * std::min(kBlockLanes, l_count));
+  std::vector<Champion> champ(grid_.objectives.size());
   std::size_t i = begin;
   while (i < end) {
     const std::size_t row_start = (i / row) * row;
     if (i == row_start && row_start + row <= end) {
-      evaluate_row_batch(i / row, out + (i - begin), scratch.data());
+      evaluate_row_batch(i / row, out + (i - begin), scratch.data(),
+                         champ.data());
       i += row;
     } else {
       // Partial row at a range edge: scalar path (bit-identical — the
@@ -391,13 +504,23 @@ SweepResult sweep(const SweepGrid& grid, const cost::ComponentLibrary& lib,
   result.candidate_classes = evaluator.candidate_count();
   result.points.resize(cells);
 
+  // One summary slot per worker range, each folded while its slice is
+  // cache-hot; the filter then runs once over their combination.  A
+  // sequential sweep keeps its one slot on the stack: a heap block
+  // between the points and the front made the allocator keep more
+  // memory resident across concurrent sweeps.
+  FrontSummary sequential;
+  std::vector<FrontSummary> parts(threads > 1 ? threads : 0);
+  const std::span<FrontSummary> summaries =
+      parts.empty() ? std::span(&sequential, 1) : std::span(parts);
   parallel_ranges(cells, threads, evaluator.row_cells(),
-                  [&](std::size_t begin, std::size_t end) {
-                    evaluator.evaluate_range(begin, end,
-                                             result.points.data() + begin);
+                  [&](std::size_t part, std::size_t begin, std::size_t end) {
+                    SweepPoint* out = result.points.data() + begin;
+                    evaluator.evaluate_range(begin, end, out);
+                    summaries[part].add({out, end - begin});
                   });
 
-  result.pareto_front = pareto_front(result.points);
+  result.pareto_front = pareto_front(result.points, summaries);
   return result;
 }
 

@@ -1,7 +1,10 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/taxonomy_index.hpp"
@@ -57,26 +60,85 @@ struct SweepResult {
   bool operator==(const SweepResult&) const = default;
 };
 
-/// Cells of @p points not dominated by any other cell *under the same
-/// objective*: a point dominates another when its flexibility is >= and
-/// its objective cost is <= with at least one strict.  Infeasible cells
-/// never appear.  Output order is deterministic (input order preserved).
+/// Mergeable summary of a point set's Pareto front: for each objective,
+/// the minimum cost at each flexibility over the feasible points added.
 ///
-/// Linear time: per objective group, one pass builds the minimum cost at
-/// each distinct flexibility, a suffix minimum over those few values
-/// answers every domination test with two lookups, and one filter pass
-/// copies the survivors into a front reserved to its exact size.
-/// Hostile input (any int flexibility, NaN or signed-zero costs, as a
-/// wire-decoded merge may carry) stays within O(N log N).  Returns
-/// exactly the front detail::pareto_front_reference computes, in the
-/// same order.
+/// A point dominates another of the same objective when its flexibility
+/// is >= and its objective cost is <= with at least one strict, so a
+/// point (f, c) is dominated exactly when the summarised points with
+/// flexibility >= f include a cost below c, or those with flexibility
+/// > f include a cost no greater than c.  Per-flexibility minima over a
+/// union are the minima of the parts' minima, so summaries built over
+/// disjoint chunks (each while its cells are cache-hot) and combined in
+/// any order equal the summary of all the points: a point dominated
+/// within its chunk is dominated globally, and the combined summary
+/// finds every domination across chunks.  A NaN cost fails every
+/// comparison, so it never enters a minimum and is never dominated.
+///
+/// Flexibilities in [0, 64) (the taxonomy scores 0..8) land in dense
+/// slots; any other int (hostile wire input) is kept as a (flexibility,
+/// cost) pair and resolved by sorting once in filter(), O(N log N).
+class FrontSummary {
+ public:
+  /// Flexibilities 0..kDenseSlots-1 take the dense slots.
+  static constexpr int kDenseSlots = 64;
+
+  FrontSummary() = default;
+  explicit FrontSummary(std::span<const SweepPoint> points) { add(points); }
+
+  /// Fold @p points into the summary.
+  void add(std::span<const SweepPoint> points);
+  /// Fold another summary in.  add() and combine() commute.
+  void combine(const FrontSummary& other);
+
+  /// The points of @p points that no summarised point dominates, in
+  /// input order; infeasible points never appear.  @p points must be
+  /// the points summarised: the summary then knows the front's size, so
+  /// the front is reserved to exactly that (cached payloads hold it) and
+  /// one scan copies each run of survivors in bulk as it ends.  When
+  /// every point survives, as on most taxonomy grids, the scan is
+  /// skipped and the points are copied whole.
+  std::vector<SweepPoint> filter(std::span<const SweepPoint> points) const;
+
+ private:
+  /// One objective's minimum cost at each flexibility, with how many
+  /// points share it (the ones that can be on the front).
+  template <typename Cost>
+  struct MinCost {
+    std::array<Cost, kDenseSlots> dense{};  ///< valid where `present`
+    std::array<std::size_t, kDenseSlots> ties{};  ///< points at dense[f]
+    std::uint64_t present = 0;              ///< bit f: dense[f] is set
+    std::vector<std::pair<int, Cost>> wide;  ///< flexibility outside dense
+    std::size_t unordered = 0;  ///< NaN costs: never dominated
+
+    void add(int flexibility, Cost cost, std::size_t count = 1);
+    void combine(const MinCost& other);
+  };
+
+  MinCost<std::int64_t> bits_;  ///< MinConfigBits points, by config_bits
+  MinCost<double> area_;        ///< MinArea points, by area_kge
+};
+
+/// Cells of @p points not dominated by any other cell under the same
+/// objective (see FrontSummary), in input order: the summary of the one
+/// range, then its filter.  Returns exactly the front
+/// detail::pareto_front_reference computes, in the same order.
 std::vector<SweepPoint> pareto_front(const std::vector<SweepPoint>& points);
+
+/// The same front, when @p points were split into chunks and @p chunks
+/// holds each chunk's summary (in any order): combine, then filter once.
+/// Exact, because a union's minimum cost at each flexibility is the
+/// minimum of its chunks' minima, and a NaN cost never enters one.
+/// The one merge of sweep(), the engine's grid jobs and the proxy.
+std::vector<SweepPoint> pareto_front(std::span<const SweepPoint> points,
+                                     std::span<const FrontSummary> chunks);
 
 namespace detail {
 
 /// The original all-pairs O(N^2) implementation, kept as the oracle the
-/// randomized equivalence test compares the linear-time front against
-/// (tests/test_sweep.cpp, ParetoFront.MatchesReference*).
+/// randomized equivalence tests compare the front against
+/// (tests/test_sweep.cpp, ParetoFront.MatchesReference* and
+/// FrontSummary.*).
 std::vector<SweepPoint> pareto_front_reference(
     const std::vector<SweepPoint>& points);
 
@@ -150,8 +212,11 @@ class SweepEvaluator {
     int flexibility = 0;
   };
 
+  /// Best v-independent candidate of a row under one objective.
+  struct Champion;
+
   void evaluate_row_batch(std::size_t ni, SweepPoint* out,
-                          cost::CostPoint* scratch) const;
+                          cost::CostPoint* scratch, Champion* champ) const;
 
   SweepGrid grid_;  ///< normalized
   std::size_t cells_ = 0;
@@ -164,7 +229,8 @@ class SweepEvaluator {
 /// Sweep the whole grid.  @p threads == 0 (or 1) evaluates sequentially
 /// on the caller's thread; otherwise the cell range is split
 /// (mpct::parallel_ranges) across scoped workers writing disjoint slices
-/// of the result (results are bit-identical either way).  The worker
+/// of the result, each folding its slice into its own FrontSummary for
+/// the one filter pass (results are bit-identical either way).  The worker
 /// count is clamped to std::thread::hardware_concurrency() —
 /// oversubscribing cores only adds scheduling overhead to a CPU-bound
 /// kernel — and chunks align to whole grid rows so every worker runs the

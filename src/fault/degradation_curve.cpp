@@ -356,7 +356,7 @@ CurveResult evaluate_curve(const CurveSpec& spec,
   std::vector<TrialOutcome> outcomes(cells);
 
   parallel_ranges(cells, threads, evaluator.row_cells(),
-                  [&](std::size_t begin, std::size_t end) {
+                  [&](std::size_t, std::size_t begin, std::size_t end) {
                     evaluator.evaluate_range(begin, end,
                                              outcomes.data() + begin);
                   });

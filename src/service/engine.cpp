@@ -153,8 +153,10 @@ QueryResponse execute_grid(const GridOrChunk& request,
     response.payload = std::make_shared<const ResponsePayload>(
         Kind::chunk_response(evaluator, std::move(cells)));
   } else {
+    typename Kind::Summary summary;
+    summary.add(cells);
     response.payload = std::make_shared<const ResponsePayload>(
-        Kind::merge(evaluator, std::move(cells)));
+        Kind::merge(evaluator, std::move(cells), {&summary, 1}));
   }
   return response;
 }
@@ -580,22 +582,40 @@ std::future<QueryResponse> QueryEngine::submit_grid(
     metrics_.cache_misses.add();
   }
 
-  // The kind's evaluator and the pre-sized result vector each chunk
-  // writes a disjoint slice of, shared by the job's two hooks.
+  // The kind's evaluator, the pre-sized result vector each chunk writes a
+  // disjoint slice of, and one summary slot per chunk, shared by the
+  // job's two hooks.
   struct Slices {
     typename Kind::Evaluator evaluator;
     std::vector<typename Kind::Cell> cells;
+    std::vector<typename Kind::Summary> summaries;
     Slices(const typename Kind::Input& in, const cost::ComponentLibrary& lib)
         : evaluator(in, lib), cells(evaluator.cell_count()) {}
   };
   auto slices = std::make_shared<Slices>(input, options_.library);
+
+  // Aim for ~2 chunks per worker (load balance without queue churn), but
+  // never more chunks than the queue could ever hold.  Boundaries land
+  // on whole evaluator rows, so every chunk runs the batch kernel end to
+  // end.
+  const std::vector<CellRange> chunks = split_range(
+      slices->evaluator.cell_count(),
+      std::min<std::size_t>(std::size_t{options_.worker_threads} * 2,
+                            queue_->capacity()),
+      slices->evaluator.row_cells());
+  slices->summaries.resize(chunks.size());
+
   auto job = std::make_shared<GridJob>();
-  job->evaluate = [slices](std::size_t begin, std::size_t end) {
-    slices->evaluator.evaluate_range(begin, end, slices->cells.data() + begin);
+  job->evaluate = [slices](std::size_t chunk, std::size_t begin,
+                           std::size_t end) {
+    typename Kind::Cell* out = slices->cells.data() + begin;
+    slices->evaluator.evaluate_range(begin, end, out);
+    // Folded right after the slice is written, while it is in cache.
+    slices->summaries[chunk].add({out, end - begin});
   };
   job->merge = [slices] {
-    return ResponsePayload(
-        Kind::merge(slices->evaluator, std::move(slices->cells)));
+    return ResponsePayload(Kind::merge(
+        slices->evaluator, std::move(slices->cells), slices->summaries));
   };
   job->type = Kind::type;
   job->chunk_span = Kind::chunk_span;
@@ -613,15 +633,6 @@ std::future<QueryResponse> QueryEngine::submit_grid(
   std::future<QueryResponse> future;
   if (!job->callback) future = job->promise.get_future();
 
-  // Aim for ~2 chunks per worker (load balance without queue churn), but
-  // never more chunks than the queue could ever hold.  Boundaries land
-  // on whole evaluator rows, so every chunk runs the batch kernel end to
-  // end.
-  const std::vector<CellRange> chunks = split_range(
-      slices->evaluator.cell_count(),
-      std::min<std::size_t>(std::size_t{options_.worker_threads} * 2,
-                            queue_->capacity()),
-      slices->evaluator.row_cells());
   job->remaining.store(chunks.size(), std::memory_order_relaxed);
 
   Status rejection;
@@ -638,15 +649,16 @@ std::future<QueryResponse> QueryEngine::submit_grid(
       metrics_.rejected_queue_full.add();
       rejection = Status::queue_full();
     } else {
-      for (const CellRange& chunk : chunks) {
+      for (std::size_t c = 0; c < chunks.size(); ++c) {
         Task task;
         task.deadline = deadline;
         task.enqueued = enqueued;
         task.trace_id = job->trace_id;
         task.job = job;
         task.priority = priority;
-        task.chunk_begin = chunk.begin;
-        task.chunk_end = chunk.end;
+        task.chunk = c;
+        task.chunk_begin = chunks[c].begin;
+        task.chunk_end = chunks[c].end;
         if (!queue_->try_push(enqueue_class(priority), task)) {
           // Unreachable (see the capacity check above); keep the job's
           // chunk accounting consistent anyway so the request resolves.
@@ -691,7 +703,7 @@ void QueryEngine::run_chunk(Task& task) {
       job.fail(StatusCode::DeadlineExceeded);
     } else if (job.fail_code.load(std::memory_order_relaxed) == 0) {
       try {
-        job.evaluate(task.chunk_begin, task.chunk_end);
+        job.evaluate(task.chunk, task.chunk_begin, task.chunk_end);
       } catch (const std::exception& e) {
         job.fail(StatusCode::InternalError, e.what());
       } catch (...) {

@@ -199,15 +199,17 @@ class QueryEngine {
   /// Shared state of one in-flight grid job — a SweepRequest or
   /// FaultSweepRequest whose cell range submit_grid() split into chunk
   /// tasks.  The kind's evaluator is immutable and its result vector
-  /// pre-sized, with each chunk writing only its own disjoint slice, so
-  /// chunk execution needs no locking, only the final fetch_sub on
-  /// `remaining` to elect the finisher (complete_job()).
+  /// and per-chunk summary slots pre-sized, with each chunk writing only
+  /// its own disjoint slice and slot, so chunk execution needs no
+  /// locking, only the final fetch_sub on `remaining` to elect the
+  /// finisher (complete_job()).
   struct GridJob {
-    /// Per-kind hooks, bound by submit_grid() to the kind's evaluator
-    /// and result vector (GridKind, service/grid_kind.hpp): evaluate
-    /// cells [begin, end) into their slice; merge every cell into the
-    /// payload (called once, by the finisher).
-    std::function<void(std::size_t, std::size_t)> evaluate;
+    /// Per-kind hooks, bound by submit_grid() to the kind's evaluator,
+    /// result vector and summary slots (GridKind,
+    /// service/grid_kind.hpp): evaluate chunk k's cells [begin, end)
+    /// into their slice and fold them into slot k; merge every cell and
+    /// summary into the payload (called once, by the finisher).
+    std::function<void(std::size_t, std::size_t, std::size_t)> evaluate;
     std::function<ResponsePayload()> merge;
     RequestType type = RequestType::Sweep;  ///< latency metric
     const char* chunk_span = nullptr;       ///< static span names
@@ -256,6 +258,7 @@ class QueryEngine {
     /// Non-null for a grid-job chunk; `request` is then unused and the
     /// response flows through the job instead.
     std::shared_ptr<GridJob> job;
+    std::size_t chunk = 0;  ///< index among the job's chunks
     std::size_t chunk_begin = 0;
     std::size_t chunk_end = 0;
     /// QoS class this task was admitted under (chunks inherit their

@@ -56,12 +56,13 @@ SweepChunkResponse GridKind<SweepRequest>::chunk_response(
 /// The candidate filter reads only the grid's requirements, never the
 /// component library, so the proxy's default-library evaluator reports
 /// the same candidate count as any backend's.
-SweepResponse GridKind<SweepRequest>::merge(const Evaluator& evaluator,
-                                            std::vector<Cell> cells) {
+SweepResponse GridKind<SweepRequest>::merge(
+    const Evaluator& evaluator, std::vector<Cell> cells,
+    std::span<const Summary> summaries) {
   SweepResponse payload;
   payload.result.candidate_classes = evaluator.candidate_count();
+  payload.result.pareto_front = explore::pareto_front(cells, summaries);
   payload.result.points = std::move(cells);
-  payload.result.pareto_front = explore::pareto_front(payload.result.points);
   return payload;
 }
 
@@ -103,7 +104,8 @@ FaultChunkResponse GridKind<FaultSweepRequest>::chunk_response(
 }
 
 FaultSweepResponse GridKind<FaultSweepRequest>::merge(
-    const Evaluator& evaluator, std::vector<Cell> cells) {
+    const Evaluator& evaluator, std::vector<Cell> cells,
+    std::span<const Summary>) {
   FaultSweepResponse payload;
   payload.result.spec = evaluator.spec();
   payload.result.points = evaluator.finalize(cells);

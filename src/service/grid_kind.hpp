@@ -1,5 +1,6 @@
 #pragma once
 
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -24,9 +25,11 @@ namespace mpct::service {
 ///  * `Evaluator`: built from the request's input and a component
 ///    library; exposes cell_count(), row_cells() (the chunk grain) and
 ///    evaluate_range(begin, end, Cell*);
+///  * `Summary`: what each chunk folds from its own cells while they
+///    are cache-hot (add(std::span<const Cell>)), one per chunk;
 ///  * validate(), stride() (admission Degrade), chunk_response() and
-///    merge() (the one merge the engine's completion and the proxy's
-///    gather both call).
+///    merge() (the one merge the engine's completion, its inline path
+///    and the proxy's gather all call, with every chunk's summary).
 template <typename GridRequest>
 struct GridKind;
 
@@ -39,6 +42,7 @@ struct GridKind<SweepRequest> {
   using Input = explore::SweepGrid;
   using Evaluator = explore::SweepEvaluator;
   using Cell = explore::SweepPoint;
+  using Summary = explore::FrontSummary;
   using ChunkRequest = SweepChunkRequest;
   using ChunkResponse = SweepChunkResponse;
   static constexpr RequestType type = RequestType::Sweep;
@@ -60,10 +64,12 @@ struct GridKind<SweepRequest> {
   static bool stride(SweepRequest& request);
   static ChunkResponse chunk_response(const Evaluator& evaluator,
                                       std::vector<Cell> cells);
-  /// Moves the points in, recomputes the Pareto front over all of them
-  /// and reports the candidate count.
+  /// Moves the points in, combines the chunks' front summaries (exact
+  /// in any order: see explore::FrontSummary), filters the points once
+  /// into the Pareto front and reports the candidate count.
   static SweepResponse merge(const Evaluator& evaluator,
-                             std::vector<Cell> cells);
+                             std::vector<Cell> cells,
+                             std::span<const Summary> summaries);
 };
 
 template <>
@@ -71,6 +77,11 @@ struct GridKind<FaultSweepRequest> {
   using Input = fault::CurveSpec;
   using Evaluator = fault::CurveEvaluator;
   using Cell = fault::TrialOutcome;
+  /// Outcomes reduce in index order at the merge, so a chunk folds
+  /// nothing.
+  struct Summary {
+    void add(std::span<const Cell>) {}
+  };
   using ChunkRequest = FaultChunkRequest;
   using ChunkResponse = FaultChunkResponse;
   static constexpr RequestType type = RequestType::FaultSweep;
@@ -96,7 +107,8 @@ struct GridKind<FaultSweepRequest> {
   /// It reads no component-library state, so any evaluator of the same
   /// spec merges any backend's outcomes identically.
   static FaultSweepResponse merge(const Evaluator& evaluator,
-                                  std::vector<Cell> cells);
+                                  std::vector<Cell> cells,
+                                  std::span<const Summary> summaries);
 };
 
 }  // namespace mpct::service

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <future>
 #include <iterator>
 #include <limits>
 #include <random>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -365,6 +367,84 @@ TEST(ParetoFront, MatchesReferenceOnRealSweepOutput) {
 }
 
 // ---------------------------------------------------------------------------
+// FrontSummary: summaries built per chunk and combined in any order must
+// filter to exactly the reference front.  The chunkings include empty
+// chunks, one-cell chunks and chunks holding only infeasible cells; the
+// points carry the same hostile values as above.
+
+std::vector<SweepPoint> hostile_points(std::mt19937_64& rng, int round) {
+  using Limits = std::numeric_limits<int>;
+  using Bits = std::numeric_limits<std::int64_t>;
+  const int extreme_flex[] = {Limits::min(), Limits::min() + 1, -1, 0,
+                              63, 64, Limits::max() - 1, Limits::max()};
+  const std::int64_t extreme_bits[] = {Bits::min(), -1, 0, 1, Bits::max()};
+  const double special_area[] = {std::numeric_limits<double>::quiet_NaN(),
+                                 -0.0, 0.0};
+  const int count = static_cast<int>(rng() % 160);
+  std::vector<SweepPoint> points;
+  for (int i = 0; i < count; ++i) {
+    SweepPoint p;
+    p.feasible = rng() % 8 != 0;
+    p.objective = rng() % 2 == 0 ? Requirements::Objective::MinConfigBits
+                                 : Requirements::Objective::MinArea;
+    switch (round % 3) {
+      case 0: p.flexibility = static_cast<int>(rng() % 9); break;
+      case 1: p.flexibility = extreme_flex[rng() % std::size(extreme_flex)];
+        break;
+      default: p.flexibility = static_cast<int>(rng() % 140) - 70; break;
+    }
+    p.config_bits = rng() % 4 == 0
+                        ? extreme_bits[rng() % std::size(extreme_bits)]
+                        : static_cast<std::int64_t>(rng() % 20);
+    p.area_kge = rng() % 4 == 0 ? special_area[rng() % std::size(special_area)]
+                                : 0.5 * static_cast<double>(rng() % 20);
+    points.push_back(p);
+  }
+  // A block of infeasible points, so some chunk can hold nothing else.
+  const std::size_t at = rng() % (points.size() + 1);
+  points.insert(points.begin() + static_cast<std::ptrdiff_t>(at),
+                rng() % 4, SweepPoint{});
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    points[i].n = static_cast<std::int64_t>(i);
+  }
+  return points;
+}
+
+TEST(FrontSummary, ShuffledChunkSummariesMatchReference) {
+  std::mt19937_64 rng(2025);
+  for (int round = 0; round < 600; ++round) {
+    const std::vector<SweepPoint> points = hostile_points(rng, round);
+    // Random cuts: repeats make empty chunks, neighbours one-cell ones,
+    // and the cuts around each infeasible run isolate it in its own.
+    std::vector<std::size_t> cuts{0, points.size()};
+    for (std::size_t k = rng() % 12; k > 0; --k) {
+      cuts.push_back(rng() % (points.size() + 1));
+    }
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      if (!points[i].feasible && (i == 0 || points[i - 1].feasible)) {
+        cuts.push_back(i);
+      }
+      if (!points[i].feasible &&
+          (i + 1 == points.size() || points[i + 1].feasible)) {
+        cuts.push_back(i + 1);
+      }
+    }
+    std::sort(cuts.begin(), cuts.end());
+    std::vector<FrontSummary> chunks;
+    for (std::size_t c = 0; c + 1 < cuts.size(); ++c) {
+      chunks.emplace_back(std::span<const SweepPoint>(points).subspan(
+          cuts[c], cuts[c + 1] - cuts[c]));
+    }
+    std::shuffle(chunks.begin(), chunks.end(), rng);
+    const std::vector<SweepPoint> front = pareto_front(points, chunks);
+    EXPECT_EQ(ids(front), ids(detail::pareto_front_reference(points)))
+        << "round " << round << ", " << chunks.size() << " chunks";
+    // The summary's survivor count sized the front exactly.
+    EXPECT_EQ(front.capacity(), front.size()) << "round " << round;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // split_range: the one chunk rule of the engine's grid jobs, the cluster
 // proxy's scatter and the library's threaded sweep and curve.
 
@@ -489,6 +569,28 @@ TEST(SweepService, WorkerPoolMatchesSequentialLibrarySweep) {
   const SweepResponse* payload = response.sweep();
   ASSERT_NE(payload, nullptr);
   EXPECT_EQ(payload->result, explore::sweep(grid));
+}
+
+TEST(SweepService, OneToFourWorkersMatchLibrarySweep) {
+  std::mt19937_64 rng(31);
+  std::vector<explore::SweepGrid> grids{service_grid()};
+  for (int i = 0; i < 3; ++i) grids.push_back(explore::random_grid(rng));
+  for (unsigned workers = 1; workers <= 4; ++workers) {
+    EngineOptions options;
+    options.worker_threads = workers;
+    options.enable_cache = false;
+    QueryEngine engine(options);
+    for (const explore::SweepGrid& grid : grids) {
+      const explore::SweepResult expected = explore::sweep(grid);
+      QueryResponse response = engine.submit(SweepRequest{grid}).get();
+      ASSERT_TRUE(response.ok()) << response.status.to_string();
+      ASSERT_NE(response.sweep(), nullptr);
+      EXPECT_EQ(response.sweep()->result.points, expected.points)
+          << "workers=" << workers;
+      EXPECT_EQ(response.sweep()->result.pareto_front, expected.pareto_front)
+          << "workers=" << workers;
+    }
+  }
 }
 
 TEST(SweepService, InlineModeMatchesWorkerPool) {

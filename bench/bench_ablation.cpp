@@ -12,6 +12,7 @@
 #include <iostream>
 #include <numeric>
 
+#include "core/indexed_name.hpp"
 #include "cost/energy.hpp"
 #include "cost/switch_cost.hpp"
 #include "interconnect/benes.hpp"
@@ -42,15 +43,15 @@ void print_placement_ablation() {
                "per DMP sub-type:\n\n";
   df::Graph wide;
   for (int i = 0; i < 8; ++i) {
-    const df::NodeId a = wide.add_input("a" + std::to_string(i));
-    const df::NodeId b = wide.add_input("b" + std::to_string(i));
-    wide.add_output("o" + std::to_string(i),
+    const df::NodeId a = wide.add_input(indexed_name("a", i));
+    const df::NodeId b = wide.add_input(indexed_name("b", i));
+    wide.add_output(indexed_name("o", i),
                     wide.add_op(df::Op::Mul, a, b));
   }
   std::vector<std::pair<std::string, Word>> inputs;
   for (int i = 0; i < 8; ++i) {
-    inputs.emplace_back("a" + std::to_string(i), i);
-    inputs.emplace_back("b" + std::to_string(i), 2);
+    inputs.emplace_back(indexed_name("a", i), i);
+    inputs.emplace_back(indexed_name("b", i), 2);
   }
   // The shipped policy is component-aware; approximating the round-robin
   // alternative by a connected workload of the same size shows what
@@ -243,8 +244,8 @@ done:
   df::Graph g;
   std::vector<df::NodeId> products;
   for (int i = 0; i < kN; ++i) {
-    const df::NodeId a = g.add_input("a" + std::to_string(i));
-    const df::NodeId b = g.add_input("b" + std::to_string(i));
+    const df::NodeId a = g.add_input(indexed_name("a", i));
+    const df::NodeId b = g.add_input(indexed_name("b", i));
     products.push_back(g.add_op(df::Op::Mul, a, b));
   }
   while (products.size() > 1) {
@@ -257,8 +258,8 @@ done:
   g.add_output("dot", products[0]);
   std::vector<std::pair<std::string, Word>> inputs;
   for (int i = 0; i < kN; ++i) {
-    inputs.emplace_back("a" + std::to_string(i), kA[i]);
-    inputs.emplace_back("b" + std::to_string(i), kB[i]);
+    inputs.emplace_back(indexed_name("a", i), kA[i]);
+    inputs.emplace_back(indexed_name("b", i), kB[i]);
   }
   df::TokenMachine dmp(g, df::TokenMachineConfig::for_subtype(4, 4));
   const auto dmp_result = dmp.run(inputs);

@@ -9,6 +9,7 @@
 
 #include <iostream>
 
+#include "core/indexed_name.hpp"
 #include "core/roman.hpp"
 #include "core/taxonomy_table.hpp"
 #include "sim/dataflow/token_machine.hpp"
@@ -38,9 +39,9 @@ df::Graph make_chain(int length) {
 df::Graph make_wide(int chains) {
   df::Graph g;
   for (int i = 0; i < chains; ++i) {
-    const df::NodeId a = g.add_input("a" + std::to_string(i));
-    const df::NodeId b = g.add_input("b" + std::to_string(i));
-    g.add_output("o" + std::to_string(i), g.add_op(df::Op::Mul, a, b));
+    const df::NodeId a = g.add_input(indexed_name("a", i));
+    const df::NodeId b = g.add_input(indexed_name("b", i));
+    g.add_output(indexed_name("o", i), g.add_op(df::Op::Mul, a, b));
   }
   return g;
 }
@@ -54,8 +55,8 @@ void print_fig3() {
   const df::Graph wide = make_wide(8);
   std::vector<std::pair<std::string, Word>> wide_inputs;
   for (int i = 0; i < 8; ++i) {
-    wide_inputs.emplace_back("a" + std::to_string(i), i);
-    wide_inputs.emplace_back("b" + std::to_string(i), 3);
+    wide_inputs.emplace_back(indexed_name("a", i), i);
+    wide_inputs.emplace_back(indexed_name("b", i), 3);
   }
   std::cout << "  sub-type   connected-chain   independent-chains\n";
   for (int subtype = 1; subtype <= 4; ++subtype) {
@@ -137,8 +138,8 @@ void print_fig6() {
   std::vector<std::pair<std::string, bool>> inputs;
   const unsigned a = 11, b = 5;
   for (int i = 0; i < 4; ++i) {
-    inputs.emplace_back("a" + std::to_string(i), (a >> i) & 1u);
-    inputs.emplace_back("b" + std::to_string(i), (b >> i) & 1u);
+    inputs.emplace_back(indexed_name("a", i), (a >> i) & 1u);
+    inputs.emplace_back(indexed_name("b", i), (b >> i) & 1u);
   }
   inputs.emplace_back("cin", false);
   const auto sum_bits = fabric.step(
@@ -146,7 +147,7 @@ void print_fig6() {
   unsigned sum = 0;
   for (int i = 0; i < 4; ++i) {
     if (sum_bits[static_cast<std::size_t>(
-            adder_map.output_index.at("s" + std::to_string(i)))]) {
+            adder_map.output_index.at(indexed_name("s", i)))]) {
       sum |= 1u << i;
     }
   }
@@ -166,7 +167,7 @@ void print_fig6() {
     unsigned value = 0;
     for (int bit = 0; bit < 3; ++bit) {
       if (out[static_cast<std::size_t>(
-              counter_map.output_index.at("q" + std::to_string(bit)))]) {
+              counter_map.output_index.at(indexed_name("q", bit)))]) {
         value |= 1u << bit;
       }
     }

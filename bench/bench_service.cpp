@@ -31,7 +31,8 @@ std::atomic<std::uint64_t> unique_counter{0};
 
 arch::ArchitectureSpec unique_spec() {
   arch::ArchitectureSpec spec = arch::surveyed_architectures()[2];
-  spec.name += "#" + std::to_string(unique_counter.fetch_add(1));
+  spec.name += '#';
+  spec.name += std::to_string(unique_counter.fetch_add(1));
   return spec;
 }
 

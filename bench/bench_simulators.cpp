@@ -7,6 +7,7 @@
 
 #include <iostream>
 
+#include "core/indexed_name.hpp"
 #include "sim/cgra/scheduler.hpp"
 #include "sim/dataflow/expr_parser.hpp"
 #include "sim/dataflow/token_machine.hpp"
@@ -19,6 +20,7 @@
 namespace {
 
 using namespace mpct::sim;
+using mpct::indexed_name;
 
 const char* kLoopKernel = R"(
   ldi r1, 0
@@ -129,7 +131,7 @@ void bm_dataflow_firings(benchmark::State& state) {
   mpct::sim::df::Graph g;
   std::vector<mpct::sim::df::NodeId> layer;
   for (int i = 0; i < 32; ++i) {
-    layer.push_back(g.add_input("i" + std::to_string(i)));
+    layer.push_back(g.add_input(indexed_name("i", i)));
   }
   // Reduction tree: 32 -> 1.
   while (layer.size() > 1) {
@@ -145,7 +147,7 @@ void bm_dataflow_firings(benchmark::State& state) {
 
   std::vector<std::pair<std::string, mpct::sim::Word>> inputs;
   for (int i = 0; i < 32; ++i) {
-    inputs.emplace_back("i" + std::to_string(i), i);
+    inputs.emplace_back(indexed_name("i", i), i);
   }
   const auto config =
       pes == 1 ? mpct::sim::df::TokenMachineConfig::uniprocessor()
@@ -166,8 +168,8 @@ void bm_fabric_steps(benchmark::State& state) {
   const MappingReport report = map_netlist(adder, fabric);
   std::vector<std::pair<std::string, bool>> values;
   for (int i = 0; i < 4; ++i) {
-    values.emplace_back("a" + std::to_string(i), i % 2 == 0);
-    values.emplace_back("b" + std::to_string(i), i % 2 == 1);
+    values.emplace_back(indexed_name("a", i), i % 2 == 0);
+    values.emplace_back(indexed_name("b", i), i % 2 == 1);
   }
   values.emplace_back("cin", false);
   const auto inputs = pack_inputs(report, fabric.primary_inputs(), values);

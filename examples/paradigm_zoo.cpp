@@ -14,6 +14,7 @@
 ///                                      mapped adder tree (4-bit slice)
 #include <iostream>
 
+#include "core/indexed_name.hpp"
 #include "sim/dataflow/token_machine.hpp"
 #include "sim/isa/assembler.hpp"
 #include "sim/isa/uniprocessor.hpp"
@@ -24,6 +25,7 @@
 namespace {
 
 using namespace mpct::sim;
+using mpct::indexed_name;
 
 constexpr int kN = 8;
 constexpr Word kA[kN] = {1, 2, 3, 4, 5, 6, 7, 8};
@@ -146,8 +148,8 @@ Word run_dataflow() {
   df::Graph g;
   std::vector<df::NodeId> products;
   for (int i = 0; i < kN; ++i) {
-    const df::NodeId a = g.add_input("a" + std::to_string(i));
-    const df::NodeId b = g.add_input("b" + std::to_string(i));
+    const df::NodeId a = g.add_input(indexed_name("a", i));
+    const df::NodeId b = g.add_input(indexed_name("b", i));
     products.push_back(g.add_op(df::Op::Mul, a, b));
   }
   while (products.size() > 1) {
@@ -161,8 +163,8 @@ Word run_dataflow() {
 
   std::vector<std::pair<std::string, Word>> inputs;
   for (int i = 0; i < kN; ++i) {
-    inputs.emplace_back("a" + std::to_string(i), kA[i]);
-    inputs.emplace_back("b" + std::to_string(i), kB[i]);
+    inputs.emplace_back(indexed_name("a", i), kA[i]);
+    inputs.emplace_back(indexed_name("b", i), kB[i]);
   }
   df::TokenMachine machine(g, df::TokenMachineConfig::for_subtype(4, 4));
   const auto result = machine.run(inputs);
@@ -186,8 +188,8 @@ Word run_usp() {
   const unsigned p1 = static_cast<unsigned>(kA[1] * kB[1]);  // 6
   std::vector<std::pair<std::string, bool>> values;
   for (int i = 0; i < 4; ++i) {
-    values.emplace_back("a" + std::to_string(i), (p0 >> i) & 1u);
-    values.emplace_back("b" + std::to_string(i), (p1 >> i) & 1u);
+    values.emplace_back(indexed_name("a", i), (p0 >> i) & 1u);
+    values.emplace_back(indexed_name("b", i), (p1 >> i) & 1u);
   }
   values.emplace_back("cin", false);
   const auto out =
@@ -195,7 +197,7 @@ Word run_usp() {
   unsigned sum = 0;
   for (int i = 0; i < 4; ++i) {
     if (out[static_cast<std::size_t>(
-            report.output_index.at("s" + std::to_string(i)))]) {
+            report.output_index.at(indexed_name("s", i)))]) {
       sum |= 1u << i;
     }
   }

@@ -57,13 +57,20 @@ std::string describe(const QueryResponse& response) {
   std::string out = response.cache_hit ? "[cached] " : "[computed] ";
   if (const ClassifyResponse* c = response.classify()) {
     out += c->spec.name + " -> ";
-    out += c->classification.ok() ? to_string(*c->classification.name)
-                                  : ("unclassifiable: " + c->classification.note);
-    out += " (flexibility " + std::to_string(c->flexibility.total()) + ")";
+    if (c->classification.ok()) {
+      out += to_string(*c->classification.name);
+    } else {
+      out += "unclassifiable: ";
+      out += c->classification.note;
+    }
+    out += " (flexibility ";
+    out += std::to_string(c->flexibility.total());
+    out += ')';
   } else if (const RecommendResponse* r = response.recommend()) {
     out += "top classes:";
     for (const auto& rec : r->recommendations) {
-      out += " " + to_string(rec.name);
+      out += ' ';
+      out += to_string(rec.name);
     }
   } else if (const CostResponse* c = response.cost()) {
     out += "cost sweep:";

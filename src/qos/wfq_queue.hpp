@@ -63,16 +63,29 @@ class WfqQueue {
   WfqQueue& operator=(const WfqQueue&) = delete;
 
   /// Attempt to enqueue without blocking.  On failure the item is left
-  /// untouched so the caller still owns its state (promise, callback).
+  /// untouched so the caller still owns its state (its callback).
   bool try_push(PriorityClass cls, T& item) {
+    return try_push_all(cls, 1,
+                        [&item](std::size_t) { return std::move(item); });
+  }
+
+  /// Enqueue @p count items, item i built by @p make(i), all or none:
+  /// false, with nothing built, when the class's subqueue lacks room for
+  /// all of them or the queue is closed.
+  template <typename Make>
+  bool try_push_all(PriorityClass cls, std::size_t count, Make make) {
     {
       std::lock_guard<std::mutex> lock(mutex_);
       std::deque<T>& queue = queues_[index(cls)];
-      if (closed_ || queue.size() >= capacity_) return false;
-      queue.push_back(std::move(item));
-      ++total_;
+      if (closed_ || queue.size() + count > capacity_) return false;
+      for (std::size_t i = 0; i < count; ++i) queue.push_back(make(i));
+      total_ += count;
     }
-    not_empty_.notify_one();
+    if (count == 1) {
+      not_empty_.notify_one();
+    } else {
+      not_empty_.notify_all();
+    }
     return true;
   }
 

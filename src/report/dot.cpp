@@ -5,6 +5,7 @@
 
 #include "core/comparison.hpp"
 #include "core/flexibility.hpp"
+#include "core/indexed_name.hpp"
 #include "core/taxonomy_table.hpp"
 #include "report/svg.hpp"
 
@@ -19,7 +20,7 @@ void emit_node(std::ostringstream& os, const std::string& id,
 
 void walk(const HierarchyNode& node, const std::string& parent,
           std::ostringstream& os, int& counter) {
-  const std::string id = "n" + std::to_string(counter++);
+  const std::string id = indexed_name("n", counter++);
   std::string label = node.label;
   if (!node.classes.empty()) {
     label += "\\n";

@@ -146,18 +146,6 @@ class ShardedLruCache {
     return total;
   }
 
-  std::vector<CacheStats> shard_stats() const {
-    std::vector<CacheStats> out;
-    out.reserve(shards_.size());
-    for (const Shard& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      CacheStats s = shard.stats;
-      s.entries = shard.lru.size();
-      out.push_back(s);
-    }
-    return out;
-  }
-
  private:
   struct Entry {
     Fingerprint key = 0;

@@ -40,24 +40,19 @@ QueryResponse rejected(Status status) {
   return response;
 }
 
-std::future<QueryResponse> ready_future(QueryResponse response) {
-  std::promise<QueryResponse> promise;
-  std::future<QueryResponse> future = promise.get_future();
-  promise.set_value(std::move(response));
-  return future;
+/// submit()'s delivery: a callback fulfilling the promise behind
+/// @p future (shared, because std::function needs a copyable target).
+QueryEngine::ResponseCallback fulfil(std::future<QueryResponse>& future) {
+  auto promise = std::make_shared<std::promise<QueryResponse>>();
+  future = promise->get_future();
+  return [promise](QueryResponse response) {
+    promise->set_value(std::move(response));
+  };
 }
 
-/// Resolve an immediately-available response on the submitter's thread:
-/// through the callback (submit_async, returning an invalid future the
-/// caller discards) or as a ready future (submit).
-std::future<QueryResponse> resolve_ready(
-    const QueryEngine::ResponseCallback& callback, QueryResponse response) {
-  if (callback) {
-    callback(std::move(response));
-    return {};
-  }
-  return ready_future(std::move(response));
-}
+/// Most tasks a worker drains from the queue per wake-up (amortises
+/// queue synchronisation; recorded in the batch-size histogram).
+constexpr std::size_t kMaxBatch = 16;
 
 QueryResponse execute_classify(const ClassifyRequest& request) {
   QueryResponse response;
@@ -285,7 +280,6 @@ QueryEngine::QueryEngine(EngineOptions options)
           options_.queue_capacity == 0 ? 1 : options_.queue_capacity,
           options_.wfq_weights)),
       admission_(options_.admission) {
-  if (options_.max_batch == 0) options_.max_batch = 1;
   if (options_.start_workers) start();
 }
 
@@ -311,13 +305,17 @@ void QueryEngine::start() {
 
 std::future<QueryResponse> QueryEngine::submit(Request request,
                                                Deadline deadline) {
-  return submit_impl(std::move(request), deadline, nullptr);
+  std::future<QueryResponse> future;
+  submit_impl(std::move(request), deadline, fulfil(future));
+  return future;
 }
 
 std::future<QueryResponse> QueryEngine::submit(Request request,
                                                Deadline deadline,
                                                qos::PriorityClass priority) {
-  return submit_impl(std::move(request), deadline, nullptr, priority);
+  std::future<QueryResponse> future;
+  submit_impl(std::move(request), deadline, fulfil(future), priority);
+  return future;
 }
 
 void QueryEngine::submit_async(Request request, Deadline deadline,
@@ -334,10 +332,11 @@ void QueryEngine::submit_async(Request request, Deadline deadline,
               cancel_owner, cancel_id);
 }
 
-std::future<QueryResponse> QueryEngine::submit_impl(
-    Request request, Deadline deadline, ResponseCallback callback,
-    std::optional<qos::PriorityClass> priority, std::uint64_t cancel_owner,
-    std::uint64_t cancel_id) {
+void QueryEngine::submit_impl(Request request, Deadline deadline,
+                              ResponseCallback callback,
+                              std::optional<qos::PriorityClass> priority,
+                              std::uint64_t cancel_owner,
+                              std::uint64_t cancel_id) {
   trace::ScopedSpan span("engine.submit", trace::Category::Engine, "type",
                          static_cast<std::int64_t>(request_type(request)));
   metrics_.submitted.add();
@@ -345,7 +344,7 @@ std::future<QueryResponse> QueryEngine::submit_impl(
   if (deadline.expired()) {
     metrics_.rejected_deadline.add();
     trace::emit_instant("deadline.expired", trace::Category::Mark);
-    return resolve_ready(callback, rejected(Status::deadline_exceeded()));
+    return callback(rejected(Status::deadline_exceeded()));
   }
 
   const qos::PriorityClass cls =
@@ -366,12 +365,10 @@ std::future<QueryResponse> QueryEngine::submit_impl(
         metrics_.qos_shed_batch.add();
       }
       trace::emit_instant("qos.shed", trace::Category::Qos);
-      return resolve_ready(
-          callback,
-          rejected(Status::overloaded(
-              std::string(qos::to_string(cls)) + " load shed: pressure " +
-                  std::to_string(admission.pressure),
-              admission.retry_after_ms)));
+      return callback(rejected(Status::overloaded(
+          std::string(qos::to_string(cls)) + " load shed: pressure " +
+              std::to_string(admission.pressure),
+          admission.retry_after_ms)));
     }
     if (admission.action == qos::AdmissionAction::Degrade) {
       degraded = true;
@@ -386,56 +383,27 @@ std::future<QueryResponse> QueryEngine::submit_impl(
     QueryResponse response =
         run_request(request, deadline, Clock::now(), degraded);
     if (strided) mark_degraded(response);
-    return resolve_ready(callback, std::move(response));
+    return callback(std::move(response));
   }
 
-  if (auto* sweep = std::get_if<SweepRequest>(&request)) {
-    return submit_grid(std::move(*sweep), deadline, std::move(callback), cls,
-                       degraded, strided, cancel_owner, cancel_id);
+  auto job = std::make_shared<Job>();
+  job->request = std::move(request);
+  job->deadline = deadline;
+  job->enqueued = Clock::now();
+  job->trace_id = trace::current_trace_id();
+  job->allow_stale = degraded;
+  job->sampled = strided;
+  job->callback = std::move(callback);
+  job->cancel_owner = cancel_owner;
+  job->cancel_id = cancel_id;
+  if (std::holds_alternative<SweepRequest>(job->request)) {
+    return submit_grid<SweepRequest>(std::move(job), cls);
   }
-  if (auto* curve = std::get_if<FaultSweepRequest>(&request)) {
-    return submit_grid(std::move(*curve), deadline, std::move(callback), cls,
-                       degraded, strided, cancel_owner, cancel_id);
+  if (std::holds_alternative<FaultSweepRequest>(job->request)) {
+    return submit_grid<FaultSweepRequest>(std::move(job), cls);
   }
-
-  Task task;
-  task.request = std::move(request);
-  task.deadline = deadline;
-  task.enqueued = Clock::now();
-  task.trace_id = trace::current_trace_id();
-  task.callback = std::move(callback);
-  task.priority = cls;
-  task.allow_stale = degraded;
-  if (cancel_owner != 0 || cancel_id != 0) {
-    task.cancel = cancels_.add(cancel_owner, cancel_id);
-    task.cancel_owner = cancel_owner;
-    task.cancel_id = cancel_id;
-  }
-  std::future<QueryResponse> future;
-  if (!task.callback) future = task.promise.get_future();
-
-  Status rejection;
-  {
-    trace::ScopedSpan enqueue("engine.enqueue", trace::Category::Engine);
-    std::lock_guard<std::mutex> lock(lifecycle_mutex_);
-    if (shutdown_) {
-      metrics_.rejected_shutdown.add();
-      rejection = Status::shutting_down();
-    } else if (!queue_->try_push(enqueue_class(cls), task)) {
-      metrics_.rejected_queue_full.add();
-      rejection = Status::queue_full();
-    } else {
-      ++pending_;
-    }
-  }
-  if (!rejection.ok()) {
-    if (task.cancel) cancels_.erase(task.cancel_owner, task.cancel_id);
-    // Resolved after the lock is released so a callback can never run
-    // while the engine's lifecycle mutex is held.
-    return resolve_ready(task.callback, rejected(std::move(rejection)));
-  }
-  metrics_.queue_depth.increment();
-  return future;
+  const CellRange whole;  // a point job is one chunk, run whole
+  enqueue(std::move(job), cls, {&whole, 1});
 }
 
 std::vector<std::future<QueryResponse>> QueryEngine::submit_batch(
@@ -457,129 +425,33 @@ QueryResponse QueryEngine::execute(const Request& request, Deadline deadline) {
   return run_request(request, deadline, Clock::now());
 }
 
-void QueryEngine::worker_loop() {
-  std::vector<Task> batch;
-  for (;;) {
-    batch.clear();
-    Task first;
-    if (!queue_->pop(first)) return;  // closed and drained
-    batch.push_back(std::move(first));
-    while (batch.size() < options_.max_batch) {
-      std::optional<Task> next = queue_->try_pop();
-      if (!next) break;
-      batch.push_back(std::move(*next));
-    }
-    metrics_.batch_sizes.record(batch.size());
-    for (Task& task : batch) {
-      metrics_.queue_depth.decrement();
-      metrics_.in_flight.increment();
-      // Restore the submitter's trace context for everything this task
-      // records — queue.wait, execute spans, chunk spans, merge spans.
-      trace::TraceContextScope context(task.trace_id);
-      if (trace::enabled()) [[unlikely]] {
-        // The wait is only measurable here: the submitter stamped
-        // task.enqueued, this worker knows the dequeue time.
-        trace::emit_span("queue.wait", trace::Category::Queue, task.enqueued,
-                         Clock::now());
-      }
-      if (task.job) {
-        run_chunk(task);
-        metrics_.in_flight.decrement();
-        continue;
-      }
-      if (task.cancel && task.cancel->is_cancelled()) {
-        // The cancel arrived after this worker popped the task (the
-        // queue sweep missed it) — honour it here instead of spending
-        // the execution.
-        metrics_.qos_cancelled_inflight.add();
-        trace::emit_instant("qos.cancelled", trace::Category::Qos);
-        metrics_.in_flight.decrement();
-        finish_task(task, rejected(Status::cancelled()));
-        continue;
-      }
-      QueryResponse response = run_request(task.request, task.deadline,
-                                           task.enqueued, task.allow_stale);
-      metrics_.in_flight.decrement();
-      finish_task(task, std::move(response));
-    }
-  }
-}
-
-void QueryEngine::finish_task(Task& task, QueryResponse response) {
-  if (task.cancel) cancels_.erase(task.cancel_owner, task.cancel_id);
-  if (task.callback) {
-    task.callback(std::move(response));
-  } else {
-    task.promise.set_value(std::move(response));
-  }
-  {
-    std::lock_guard<std::mutex> lock(lifecycle_mutex_);
-    --pending_;
-  }
-  drained_.notify_all();
-}
-
-bool QueryEngine::GridJob::fail(StatusCode code, std::string message) {
-  int expected = 0;
-  if (fail_code.compare_exchange_strong(expected, static_cast<int>(code),
-                                        std::memory_order_acq_rel)) {
-    // Only the winning CAS writes the message; complete_job() reads it
-    // after the final fetch_sub on `remaining` synchronizes with ours.
-    fail_message = std::move(message);
-    return true;
-  }
-  return false;
-}
-
-void QueryEngine::GridJob::resolve(QueryResponse response) {
-  if (callback) {
-    callback(std::move(response));
-  } else {
-    promise.set_value(std::move(response));
-  }
-}
-
 template <typename GridRequest>
-std::future<QueryResponse> QueryEngine::submit_grid(
-    GridRequest request, Deadline deadline, ResponseCallback callback,
-    qos::PriorityClass priority, bool degraded, bool strided,
-    std::uint64_t cancel_owner, std::uint64_t cancel_id) {
+void QueryEngine::submit_grid(std::shared_ptr<Job> job,
+                              qos::PriorityClass priority) {
   using Kind = GridKind<GridRequest>;
-  const Clock::time_point enqueued = Clock::now();
+  const GridRequest& request = std::get<GridRequest>(job->request);
   const typename Kind::Input& input = Kind::input(request);
+  // Metered and answered here, on the submitter's thread, as the inline
+  // path would answer the same request.
+  const auto answer_now = [this, &job](QueryResponse response) {
+    meter(response, Kind::type, job->enqueued);
+    job->callback(std::move(response));
+  };
 
-  Status valid = Kind::validate(input);
-  if (!valid.ok()) {
-    metrics_.failed.add();
-    return resolve_ready(callback, rejected(std::move(valid)));
+  if (Status valid = Kind::validate(input); !valid.ok()) {
+    return answer_now(rejected(std::move(valid)));
   }
 
   // fingerprint(Request(request)) without the copy, so the inline and
   // chunk-parallel paths share cache entries.  A strided (degraded)
   // request hashes differently, so it can only hit other degraded runs.
-  const Fingerprint key = fingerprint(request);
-
+  job->key = fingerprint(request);
   if (options_.enable_cache) {
-    bool served_stale = false;
-    std::shared_ptr<const ResponsePayload> hit;
-    {
-      trace::ScopedSpan probe("cache.probe", trace::Category::Cache);
-      hit = probe_cache(key, degraded, served_stale);
-      probe.annotate("hit", hit ? 1 : 0);
-    }
+    std::optional<QueryResponse> hit = cached(job->key, job->allow_stale);
     if (hit) {
-      metrics_.cache_hits.add();
-      QueryResponse response;
-      response.payload = std::move(hit);
-      response.cache_hit = true;
-      if (served_stale || strided) mark_degraded(response);
-      response.latency = std::chrono::duration_cast<std::chrono::nanoseconds>(
-          Clock::now() - enqueued);
-      metrics_.latency(Kind::type).record(response.latency);
-      metrics_.completed.add();
-      return resolve_ready(callback, std::move(response));
+      if (job->sampled) mark_degraded(*hit);
+      return answer_now(std::move(*hit));
     }
-    metrics_.cache_misses.add();
   }
 
   // The kind's evaluator, the pre-sized result vector each chunk writes a
@@ -605,7 +477,6 @@ std::future<QueryResponse> QueryEngine::submit_grid(
       slices->evaluator.row_cells());
   slices->summaries.resize(chunks.size());
 
-  auto job = std::make_shared<GridJob>();
   job->evaluate = [slices](std::size_t chunk, std::size_t begin,
                            std::size_t end) {
     typename Kind::Cell* out = slices->cells.data() + begin;
@@ -617,58 +488,36 @@ std::future<QueryResponse> QueryEngine::submit_grid(
     return ResponsePayload(Kind::merge(
         slices->evaluator, std::move(slices->cells), slices->summaries));
   };
-  job->type = Kind::type;
   job->chunk_span = Kind::chunk_span;
   job->merge_span = Kind::merge_span;
-  job->key = key;
-  job->enqueued = enqueued;
-  job->trace_id = trace::current_trace_id();
-  job->callback = std::move(callback);
-  job->sampled = strided;
-  if (cancel_owner != 0 || cancel_id != 0) {
-    job->cancel = cancels_.add(cancel_owner, cancel_id);
-    job->cancel_owner = cancel_owner;
-    job->cancel_id = cancel_id;
-  }
-  std::future<QueryResponse> future;
-  if (!job->callback) future = job->promise.get_future();
+  enqueue(std::move(job), priority, chunks);
+}
 
+void QueryEngine::enqueue(std::shared_ptr<Job> job,
+                          qos::PriorityClass priority,
+                          std::span<const CellRange> chunks) {
+  if (job->cancel_owner != 0 || job->cancel_id != 0) {
+    job->cancel = cancels_.add(job->cancel_owner, job->cancel_id);
+  }
   job->remaining.store(chunks.size(), std::memory_order_relaxed);
 
   Status rejection;
   {
-    trace::ScopedSpan enqueue("engine.enqueue", trace::Category::Engine);
+    trace::ScopedSpan span("engine.enqueue", trace::Category::Engine);
     std::lock_guard<std::mutex> lock(lifecycle_mutex_);
     if (shutdown_) {
       metrics_.rejected_shutdown.add();
       rejection = Status::shutting_down();
-    } else if (!queue_->has_room(enqueue_class(priority), chunks.size())) {
-      // All-or-nothing enqueue: pushes are serialized by lifecycle_mutex_
-      // and concurrent pops only shrink the queue, so after this capacity
-      // check every chunk's try_push is guaranteed to succeed.
+    } else if (!queue_->try_push_all(
+                   enqueue_class(priority), chunks.size(),
+                   [&](std::size_t c) {
+                     return Task{job, c, chunks[c], priority};
+                   })) {
+      // All or nothing: a job never leaves some of its chunks behind.
       metrics_.rejected_queue_full.add();
       rejection = Status::queue_full();
     } else {
       for (std::size_t c = 0; c < chunks.size(); ++c) {
-        Task task;
-        task.deadline = deadline;
-        task.enqueued = enqueued;
-        task.trace_id = job->trace_id;
-        task.job = job;
-        task.priority = priority;
-        task.chunk = c;
-        task.chunk_begin = chunks[c].begin;
-        task.chunk_end = chunks[c].end;
-        if (!queue_->try_push(enqueue_class(priority), task)) {
-          // Unreachable (see the capacity check above); keep the job's
-          // chunk accounting consistent anyway so the request resolves.
-          job->fail(StatusCode::InternalError, "grid chunk enqueue failed");
-          if (job->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-            job->resolve(rejected(Status::internal_error(job->fail_message)));
-            return future;  // no chunk enqueued; pending_ untouched
-          }
-          continue;
-        }
         metrics_.queue_depth.increment();
       }
       ++pending_;
@@ -676,100 +525,155 @@ std::future<QueryResponse> QueryEngine::submit_grid(
   }
   if (!rejection.ok()) {
     if (job->cancel) cancels_.erase(job->cancel_owner, job->cancel_id);
-    // Resolved after the lock is released so a callback can never run
+    // Answered after the lock is released so a callback can never run
     // while the engine's lifecycle mutex is held.
-    return resolve_ready(job->callback, rejected(std::move(rejection)));
+    job->callback(rejected(std::move(rejection)));
   }
-  return future;
 }
 
-void QueryEngine::run_chunk(Task& task) {
-  GridJob& job = *task.job;
-  {
-    // Scoped so the merge (complete_job) traces as a sibling span, not
-    // a child of whichever chunk happens to finish last.
-    trace::ScopedSpan span(
-        job.chunk_span, trace::Category::Chunk, "cells",
-        static_cast<std::int64_t>(task.chunk_end - task.chunk_begin));
-    if (job.cancel && job.cancel->is_cancelled()) {
-      // Cooperative cancellation: checked once per chunk, so an
-      // in-flight job stops within one chunk's work.
-      if (job.fail(StatusCode::Cancelled)) {
-        metrics_.qos_cancelled_inflight.add();
-        trace::emit_instant("qos.cancelled", trace::Category::Qos);
+void QueryEngine::worker_loop() {
+  std::vector<Task> batch;
+  for (;;) {
+    batch.clear();
+    Task first;
+    if (!queue_->pop(first)) return;  // closed and drained
+    batch.push_back(std::move(first));
+    while (batch.size() < kMaxBatch) {
+      std::optional<Task> next = queue_->try_pop();
+      if (!next) break;
+      batch.push_back(std::move(*next));
+    }
+    metrics_.batch_sizes.record(batch.size());
+    for (const Task& task : batch) {
+      metrics_.queue_depth.decrement();
+      metrics_.in_flight.increment();
+      // Restore the submitter's trace context for everything this task
+      // records — queue.wait, execute spans, chunk spans, merge spans.
+      trace::TraceContextScope context(task.job->trace_id);
+      if (trace::enabled()) [[unlikely]] {
+        // The wait is only measurable here: the submitter stamped
+        // job->enqueued, this worker knows the dequeue time.
+        trace::emit_span("queue.wait", trace::Category::Queue,
+                         task.job->enqueued, Clock::now());
       }
-    } else if (task.deadline.expired()) {
-      trace::emit_instant("deadline.expired", trace::Category::Mark);
-      job.fail(StatusCode::DeadlineExceeded);
-    } else if (job.fail_code.load(std::memory_order_relaxed) == 0) {
-      try {
-        job.evaluate(task.chunk, task.chunk_begin, task.chunk_end);
-      } catch (const std::exception& e) {
-        job.fail(StatusCode::InternalError, e.what());
-      } catch (...) {
-        job.fail(StatusCode::InternalError, "unknown exception");
-      }
+      run_chunk(task);
+      metrics_.in_flight.decrement();
+      release_chunk(*task.job);
     }
   }
-  release_chunk(job);
 }
 
-void QueryEngine::release_chunk(GridJob& job) {
+bool QueryEngine::Job::fail(StatusCode code, std::string message) {
+  int expected = 0;
+  if (fail_code.compare_exchange_strong(expected, static_cast<int>(code),
+                                        std::memory_order_acq_rel)) {
+    // Only the winning CAS writes the message; complete_job() reads it
+    // after the final fetch_sub on `remaining` synchronizes with ours.
+    fail_message = std::move(message);
+    return true;
+  }
+  return false;
+}
+
+void QueryEngine::run_chunk(const Task& task) {
+  Job& job = *task.job;
+  if (!job.evaluate) {
+    if (!cancelled_in_flight(job)) {
+      job.response = run_request(job.request, job.deadline, job.enqueued,
+                                 job.allow_stale);
+    }
+    return;
+  }
+  // Closed before release_chunk(), so the merge (complete_job) traces as
+  // a sibling span, not a child of whichever chunk happens to finish last.
+  trace::ScopedSpan span(
+      job.chunk_span, trace::Category::Chunk, "cells",
+      static_cast<std::int64_t>(task.range.end - task.range.begin));
+  if (cancelled_in_flight(job)) return;
+  if (job.deadline.expired()) {
+    // One expiry per job, however many of its chunks find it dead.
+    if (job.fail(StatusCode::DeadlineExceeded)) {
+      trace::emit_instant("deadline.expired", trace::Category::Mark);
+    }
+    return;
+  }
+  if (job.fail_code.load(std::memory_order_relaxed) != 0) return;
+  try {
+    job.evaluate(task.chunk, task.range.begin, task.range.end);
+  } catch (const std::exception& e) {
+    job.fail(StatusCode::InternalError, e.what());
+  } catch (...) {
+    job.fail(StatusCode::InternalError, "unknown exception");
+  }
+}
+
+bool QueryEngine::cancelled_in_flight(Job& job) {
+  if (!job.cancel || !job.cancel->is_cancelled()) return false;
+  // The cancel arrived after a worker popped this chunk (the queue sweep
+  // missed it).  Checked once per chunk, so a running job stops within
+  // one chunk's work.
+  if (job.fail(StatusCode::Cancelled)) {
+    metrics_.qos_cancelled_inflight.add();
+    trace::emit_instant("qos.cancelled", trace::Category::Qos);
+  }
+  return true;
+}
+
+void QueryEngine::release_chunk(Job& job) {
   if (job.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     complete_job(job);
   }
 }
 
-void QueryEngine::complete_job(GridJob& job) {
+void QueryEngine::complete_job(Job& job) {
+  const auto code = static_cast<StatusCode>(
+      job.fail_code.load(std::memory_order_acquire));
   QueryResponse response;
-  {
-    // Closed before the end-to-end latency is stamped, so queue-wait +
-    // chunk + merge spans stay accountable within the recorded latency.
-    trace::ScopedSpan span(job.merge_span, trace::Category::Merge);
-    const int fail = job.fail_code.load(std::memory_order_acquire);
-    if (fail != 0) {
-      switch (static_cast<StatusCode>(fail)) {
-        case StatusCode::DeadlineExceeded:
-          metrics_.rejected_deadline.add();
-          metrics_.expired_in_queue.add();
-          response = rejected(Status::deadline_exceeded());
-          break;
-        case StatusCode::ShuttingDown:
-          metrics_.rejected_shutdown.add();
-          response = rejected(Status::shutting_down());
-          break;
-        case StatusCode::Cancelled:
-          // Already counted (queued or in-flight) by whoever won the
-          // fail CAS; the response is just the ack.
-          response = rejected(Status::cancelled());
-          break;
-        default:
-          response = rejected(Status::internal_error(job.fail_message));
-          trace::emit_instant("request.failed", trace::Category::Mark);
-          break;
+  if (!job.merge) {
+    // A point job that ran was already metered by run_request().
+    response = code == StatusCode::Ok ? std::move(job.response)
+                                      : failure(job, code);
+  } else {
+    {
+      // Closed before the end-to-end latency is stamped, so queue-wait +
+      // chunk + merge spans stay accountable within the recorded latency.
+      trace::ScopedSpan span(job.merge_span, trace::Category::Merge);
+      if (code != StatusCode::Ok) {
+        response = failure(job, code);
+      } else {
+        response.payload =
+            std::make_shared<const ResponsePayload>(job.merge());
+        if (options_.enable_cache) cache_.put(job.key, response.payload);
+        if (job.sampled) mark_degraded(response);
       }
-    } else {
-      response.payload = std::make_shared<const ResponsePayload>(job.merge());
-      if (options_.enable_cache) cache_.put(job.key, response.payload);
-      if (job.sampled) mark_degraded(response);
     }
-  }
-  response.latency = std::chrono::duration_cast<std::chrono::nanoseconds>(
-      Clock::now() - job.enqueued);
-  metrics_.latency(job.type).record(response.latency);
-  if (response.ok()) {
-    metrics_.completed.add();
-  } else if (response.status.code != StatusCode::DeadlineExceeded &&
-             response.status.code != StatusCode::Cancelled) {
-    metrics_.failed.add();
+    meter(response, request_type(job.request), job.enqueued);
   }
   if (job.cancel) cancels_.erase(job.cancel_owner, job.cancel_id);
-  job.resolve(std::move(response));
+  job.callback(std::move(response));
   {
     std::lock_guard<std::mutex> lock(lifecycle_mutex_);
     --pending_;
   }
   drained_.notify_all();
+}
+
+QueryResponse QueryEngine::failure(const Job& job, StatusCode code) {
+  switch (code) {
+    case StatusCode::DeadlineExceeded:
+      metrics_.rejected_deadline.add();
+      metrics_.expired_in_queue.add();
+      return rejected(Status::deadline_exceeded());
+    case StatusCode::ShuttingDown:
+      metrics_.rejected_shutdown.add();
+      return rejected(Status::shutting_down());
+    case StatusCode::Cancelled:
+      // Already counted (queued or in-flight) by whoever won the fail
+      // CAS; the response is just the ack.
+      return rejected(Status::cancelled());
+    default:
+      return rejected(Status::internal_error(job.fail_message));
+  }
 }
 
 QueryResponse QueryEngine::run_request(const Request& request,
@@ -800,17 +704,28 @@ QueryResponse QueryEngine::run_request(const Request& request,
       }
     }
   }
+  meter(response, request_type(request), start);
+  return response;
+}
+
+void QueryEngine::meter(QueryResponse& response, RequestType type,
+                        Clock::time_point start) {
   response.latency = std::chrono::duration_cast<std::chrono::nanoseconds>(
       Clock::now() - start);
-  metrics_.latency(request_type(request)).record(response.latency);
-  if (response.ok()) {
-    metrics_.completed.add();
-  } else if (response.status.code != StatusCode::DeadlineExceeded) {
-    metrics_.failed.add();
-    // Tail-sampling trigger: a failed request force-keeps its trace.
-    trace::emit_instant("request.failed", trace::Category::Mark);
+  metrics_.latency(type).record(response.latency);
+  switch (response.status.code) {
+    case StatusCode::Ok:
+      metrics_.completed.add();
+      break;
+    case StatusCode::DeadlineExceeded:
+    case StatusCode::ShuttingDown:
+    case StatusCode::Cancelled:
+      break;  // counted as rejections where they happen
+    default:
+      metrics_.failed.add();
+      // Tail-sampling trigger: a failed request force-keeps its trace.
+      trace::emit_instant("request.failed", trace::Category::Mark);
   }
-  return response;
 }
 
 QueryResponse QueryEngine::execute_cached(const Request& request,
@@ -818,22 +733,9 @@ QueryResponse QueryEngine::execute_cached(const Request& request,
   if (!options_.enable_cache) return execute_uncached(request);
 
   const Fingerprint key = fingerprint(request);
-  bool served_stale = false;
-  std::shared_ptr<const ResponsePayload> hit;
-  {
-    trace::ScopedSpan probe("cache.probe", trace::Category::Cache);
-    hit = probe_cache(key, allow_stale, served_stale);
-    probe.annotate("hit", hit ? 1 : 0);
+  if (std::optional<QueryResponse> hit = cached(key, allow_stale)) {
+    return std::move(*hit);
   }
-  if (hit) {
-    metrics_.cache_hits.add();
-    QueryResponse response;
-    response.payload = std::move(hit);
-    response.cache_hit = true;
-    if (served_stale) mark_degraded(response);
-    return response;
-  }
-  metrics_.cache_misses.add();
   QueryResponse response = execute_uncached(request);
   if (response.ok()) cache_.put(key, response.payload);
   return response;
@@ -844,16 +746,29 @@ QueryResponse QueryEngine::execute_cached(const Request& request,
 /// fresh entry is a hit; a stale one is served only under admission
 /// Degrade (trading staleness for a worker's time), otherwise treated
 /// as a miss so the recompute refreshes it.
-std::shared_ptr<const ResponsePayload> QueryEngine::probe_cache(
-    Fingerprint key, bool allow_stale, bool& served_stale) {
-  served_stale = false;
-  if (options_.cache_soft_ttl.count() <= 0) return cache_.get(key);
+std::optional<QueryResponse> QueryEngine::cached(Fingerprint key,
+                                                 bool allow_stale) {
+  const bool ttl = options_.cache_soft_ttl.count() > 0;
   std::chrono::steady_clock::duration age{};
-  std::shared_ptr<const ResponsePayload> hit = cache_.get(key, &age);
-  if (!hit || age <= options_.cache_soft_ttl) return hit;
-  if (!allow_stale) return nullptr;  // stale ⇒ miss; the put() refreshes
-  served_stale = true;
-  return hit;
+  std::shared_ptr<const ResponsePayload> hit;
+  bool stale = false;
+  {
+    trace::ScopedSpan probe("cache.probe", trace::Category::Cache);
+    hit = cache_.get(key, ttl ? &age : nullptr);
+    stale = hit && ttl && age > options_.cache_soft_ttl;
+    if (stale && !allow_stale) hit = nullptr;  // a miss; the put() refreshes
+    probe.annotate("hit", hit ? 1 : 0);
+  }
+  if (!hit) {
+    metrics_.cache_misses.add();
+    return std::nullopt;
+  }
+  metrics_.cache_hits.add();
+  QueryResponse response;
+  response.payload = std::move(hit);
+  response.cache_hit = true;
+  if (stale) mark_degraded(response);
+  return response;
 }
 
 void QueryEngine::mark_degraded(QueryResponse& response) {
@@ -887,28 +802,15 @@ bool QueryEngine::cancel(std::uint64_t owner, std::uint64_t id) {
   // work sees the token at the next chunk boundary instead.
   std::vector<Task> removed;
   queue_->remove_all_if(
-      [owner, id](const Task& task) {
-        if (task.job) {
-          return task.job->cancel_owner == owner &&
-                 task.job->cancel_id == id && task.job->cancel;
-        }
-        return task.cancel_owner == owner && task.cancel_id == id &&
-               task.cancel != nullptr;
-      },
+      [&token](const Task& task) { return task.job->cancel == token; },
       removed);
-  for (Task& task : removed) {
+  for (const Task& task : removed) {
     metrics_.queue_depth.decrement();
-    if (task.job) {
-      if (task.job->fail(StatusCode::Cancelled)) {
-        metrics_.qos_cancelled_queued.add();
-        trace::emit_instant("qos.cancelled", trace::Category::Qos);
-      }
-      release_chunk(*task.job);
-      continue;
+    if (task.job->fail(StatusCode::Cancelled)) {
+      metrics_.qos_cancelled_queued.add();
+      trace::emit_instant("qos.cancelled", trace::Category::Qos);
     }
-    metrics_.qos_cancelled_queued.add();
-    trace::emit_instant("qos.cancelled", trace::Category::Qos);
-    finish_task(task, rejected(Status::cancelled()));
+    release_chunk(*task.job);
   }
   return true;
 }
@@ -964,16 +866,11 @@ void QueryEngine::shutdown() {
   // An engine that was never start()ed can still hold enqueued tasks;
   // every accepted future must become ready, so reject them here.
   while (std::optional<Task> leftover = queue_->try_pop()) {
+    // Every chunk resolves through its job; the last one drained answers
+    // ShuttingDown (and counts it) exactly once.
     metrics_.queue_depth.decrement();
-    if (leftover->job) {
-      // Chunks resolve through their shared job; the last chunk drained
-      // answers ShuttingDown (and counts it) exactly once.
-      leftover->job->fail(StatusCode::ShuttingDown);
-      release_chunk(*leftover->job);
-      continue;
-    }
-    metrics_.rejected_shutdown.add();
-    finish_task(*leftover, rejected(Status::shutting_down()));
+    leftover->job->fail(StatusCode::ShuttingDown);
+    release_chunk(*leftover->job);
   }
 }
 

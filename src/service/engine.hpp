@@ -10,9 +10,11 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <thread>
 #include <vector>
 
+#include "core/range_split.hpp"
 #include "cost/component_library.hpp"
 #include "qos/admission.hpp"
 #include "qos/cancel.hpp"
@@ -42,11 +44,6 @@ struct EngineOptions {
   std::size_t cache_shards = 8;
   std::size_t cache_capacity_per_shard = 128;
   bool enable_cache = true;
-
-  /// Upper bound on the number of requests a worker drains from the
-  /// queue per wake-up (amortises queue synchronisation; recorded in the
-  /// batch-size histogram).
-  std::size_t max_batch = 16;
 
   /// When false, worker threads are created by start() instead of the
   /// constructor.  Lets tests fill the bounded queue deterministically
@@ -89,10 +86,15 @@ struct EngineOptions {
 /// into a query service: requests are submitted (individually or as a
 /// batch), flow through a bounded per-class queue (weighted fair
 /// queueing when enable_qos is on, plain FIFO otherwise) into a fixed
-/// worker pool,
-/// hit a sharded LRU result cache keyed by canonical request fingerprint,
-/// and resolve to std::future<QueryResponse> with structured Status codes
-/// instead of exceptions.
+/// worker pool, hit a sharded LRU result cache keyed by canonical
+/// request fingerprint, and resolve with structured Status codes instead
+/// of exceptions.
+///
+/// Every queued request is one job of one or more chunk tasks: a point
+/// request is a one-chunk job run whole, a grid request (GridKind) is
+/// split into cell-range chunks merged by the last one to finish.  A
+/// job resolves exactly once, through one ResponseCallback; submit()'s
+/// future is a promise that callback fulfils.
 ///
 /// Guarantees:
 ///  * submit() never blocks on a full queue — it returns a ready future
@@ -187,128 +189,109 @@ class QueryEngine {
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
   CacheStats cache_stats() const { return cache_.stats(); }
-  void clear_cache() { cache_.clear(); }
 
   std::size_t queue_depth() const { return queue_->size(); }
-  unsigned worker_count() const {
-    return static_cast<unsigned>(workers_.size());
-  }
   const EngineOptions& options() const { return options_; }
 
  private:
-  /// Shared state of one in-flight grid job — a SweepRequest or
-  /// FaultSweepRequest whose cell range submit_grid() split into chunk
-  /// tasks.  The kind's evaluator is immutable and its result vector
-  /// and per-chunk summary slots pre-sized, with each chunk writing only
-  /// its own disjoint slice and slot, so chunk execution needs no
-  /// locking, only the final fetch_sub on `remaining` to elect the
-  /// finisher (complete_job()).
-  struct GridJob {
-    /// Per-kind hooks, bound by submit_grid() to the kind's evaluator,
-    /// result vector and summary slots (GridKind,
-    /// service/grid_kind.hpp): evaluate chunk k's cells [begin, end)
-    /// into their slice and fold them into slot k; merge every cell and
-    /// summary into the payload (called once, by the finisher).
-    std::function<void(std::size_t, std::size_t, std::size_t)> evaluate;
-    std::function<ResponsePayload()> merge;
-    RequestType type = RequestType::Sweep;  ///< latency metric
-    const char* chunk_span = nullptr;       ///< static span names
-    const char* merge_span = nullptr;
-
-    std::promise<QueryResponse> promise;
-    /// Set instead of using `promise` for submit_async() jobs.
-    ResponseCallback callback;
-    std::atomic<std::size_t> remaining{0};
-    /// First failure wins: 0 = ok, otherwise the StatusCode to answer
-    /// with (deadline, shutdown, cancelled, internal).
-    std::atomic<int> fail_code{0};
-    std::string fail_message;  ///< written only by the winning CAS
-    Fingerprint key = 0;
+  /// One accepted request, shared by its chunk tasks.  A point request
+  /// is a one-chunk job whose run step is run_request(); a grid request
+  /// (SweepRequest / FaultSweepRequest) has GridKind hooks instead.  A
+  /// grid's evaluator is immutable and its result vector and per-chunk
+  /// summary slots pre-sized, with each chunk writing only its own
+  /// disjoint slice and slot, so chunks need no locking, only the final
+  /// fetch_sub on `remaining` to elect the finisher (complete_job()).
+  struct Job {
+    Request request;
+    Deadline deadline;
     Clock::time_point enqueued;
     /// Submitter's trace context, restored on every worker that runs a
-    /// chunk so the whole scatter/merge carries one trace ID.
+    /// chunk so queue waits, execute, chunk and merge spans join it.
     std::uint64_t trace_id = 0;
+    /// Admission said Degrade at submit: the cache may answer with an
+    /// entry past its soft-TTL (marked sampled) instead of recomputing.
+    bool allow_stale = false;
     /// The grid was strided by admission Degrade: the merged response
     /// carries QueryResponse::sampled.
     bool sampled = false;
+    /// Invoked exactly once with the response, by whoever resolves the
+    /// job: the submitter for a rejection, the finisher otherwise.
+    ResponseCallback callback;
     /// Cancellation identity + shared token (null when unregistered).
     qos::CancelToken cancel;
     std::uint64_t cancel_owner = 0;
     std::uint64_t cancel_id = 0;
 
+    std::atomic<std::size_t> remaining{0};
+    /// First failure wins: 0 = ok, otherwise the StatusCode to answer
+    /// with (deadline, shutdown, cancelled, internal).
+    std::atomic<int> fail_code{0};
+    std::string fail_message;  ///< written only by the winning CAS
+
+    /// A point job's answer, metered by run_request().
+    QueryResponse response;
+
+    /// Grid hooks, bound by submit_grid() to the kind's evaluator,
+    /// result vector and summary slots (service/grid_kind.hpp): evaluate
+    /// chunk k's cells [begin, end) into their slice and fold them into
+    /// slot k; merge every cell and summary into the payload (called
+    /// once, by the finisher).  Empty for a point job.
+    std::function<void(std::size_t, std::size_t, std::size_t)> evaluate;
+    std::function<ResponsePayload()> merge;
+    const char* chunk_span = nullptr;  ///< static span names
+    const char* merge_span = nullptr;
+    Fingerprint key = 0;  ///< cache key of the merged response
+
     /// Returns true when this call won the first-failure CAS — the
     /// caller that gets to count the failure exactly once.
     bool fail(StatusCode code, std::string message = {});
-    /// Deliver the response through the callback when set, else the
-    /// promise.  Called exactly once, by the finisher.
-    void resolve(QueryResponse response);
   };
 
+  /// One queue entry: a chunk of a job.
   struct Task {
-    Request request;
-    Deadline deadline;
-    std::promise<QueryResponse> promise;
-    /// Set instead of using `promise` for submit_async() requests.
-    ResponseCallback callback;
-    Clock::time_point enqueued;
-    /// Trace context active on the submitting thread, captured at
-    /// submit and restored around the worker's execution so queue.wait
-    /// and execute spans join the request's trace.
-    std::uint64_t trace_id = 0;
-    /// Non-null for a grid-job chunk; `request` is then unused and the
-    /// response flows through the job instead.
-    std::shared_ptr<GridJob> job;
+    std::shared_ptr<Job> job;
     std::size_t chunk = 0;  ///< index among the job's chunks
-    std::size_t chunk_begin = 0;
-    std::size_t chunk_end = 0;
-    /// QoS class this task was admitted under (chunks inherit their
-    /// job's class) — the WFQ subqueue it waits in.
+    CellRange range;        ///< a grid chunk's cells; unused for a point job
+    /// QoS class the job was admitted under — the WFQ subqueue it waits in.
     qos::PriorityClass priority = qos::PriorityClass::Interactive;
-    /// Admission said Degrade at submit: the cache may answer with an
-    /// entry past its soft-TTL (marked sampled) instead of recomputing.
-    bool allow_stale = false;
-    /// Cancellation token + registry identity (plain tasks only; chunk
-    /// tasks carry their token on the shared job).
-    qos::CancelToken cancel;
-    std::uint64_t cancel_owner = 0;
-    std::uint64_t cancel_id = 0;
   };
 
   void worker_loop();
-  void finish_task(Task& task, QueryResponse response);
 
-  /// Common body of submit() and submit_async(): with a null callback
-  /// the response flows through the returned future; with a callback the
-  /// future is default-constructed (invalid) and unused.  @p priority
-  /// nullopt derives the class from the request type; the admission
-  /// controller (enable_qos only) may degrade or shed before any
-  /// enqueue.
-  std::future<QueryResponse> submit_impl(
-      Request request, Deadline deadline, ResponseCallback callback,
-      std::optional<qos::PriorityClass> priority = std::nullopt,
-      std::uint64_t cancel_owner = 0, std::uint64_t cancel_id = 0);
+  /// Common body of submit() and submit_async().  @p priority nullopt
+  /// derives the class from the request type; the admission controller
+  /// (enable_qos only) may degrade or shed before any enqueue.
+  void submit_impl(Request request, Deadline deadline,
+                   ResponseCallback callback,
+                   std::optional<qos::PriorityClass> priority = std::nullopt,
+                   std::uint64_t cancel_owner = 0,
+                   std::uint64_t cancel_id = 0);
 
-  /// Parallel path for a grid request (GridKind): validate, probe the
-  /// cache, split the cells into chunk tasks and enqueue them all
-  /// (atomically — either every chunk is accepted or the request is
-  /// rejected).  @p degraded marks an admission-Degrade submission (the
-  /// grid was already strided by the caller when stridable; stale cache
-  /// hits are allowed); @p strided says the grid actually shrank.
+  /// Grid half of submit_impl() (GridKind): validate, probe the cache,
+  /// bind the job's hooks and enqueue one task per chunk.  An invalid
+  /// request or a cache hit is answered on the caller's thread.
   template <typename GridRequest>
-  std::future<QueryResponse> submit_grid(GridRequest request,
-                                         Deadline deadline,
-                                         ResponseCallback callback,
-                                         qos::PriorityClass priority,
-                                         bool degraded, bool strided,
-                                         std::uint64_t cancel_owner,
-                                         std::uint64_t cancel_id);
-  /// Evaluate one chunk (skipped once the job has failed), then release
-  /// it.
-  void run_chunk(Task& task);
+  void submit_grid(std::shared_ptr<Job> job, qos::PriorityClass priority);
+
+  /// Register the job's cancel token and enqueue one task per chunk in
+  /// @p chunks, all or none; a shutdown or full-queue rejection is
+  /// answered through the callback after the lifecycle lock is released.
+  void enqueue(std::shared_ptr<Job> job, qos::PriorityClass priority,
+               std::span<const CellRange> chunks);
+
+  /// A job's run step for one chunk (skipped once the job has failed):
+  /// run_request() for a point job, the evaluate hook for a grid chunk.
+  void run_chunk(const Task& task);
+  /// True (and the cancel counted once) when the job was cancelled
+  /// before this chunk started.
+  bool cancelled_in_flight(Job& job);
   /// Count one chunk done; the last one calls complete_job().
-  void release_chunk(GridJob& job);
+  void release_chunk(Job& job);
   /// Merge (or answer the first failure), publish to the cache, resolve.
-  void complete_job(GridJob& job);
+  void complete_job(Job& job);
+  /// The response for a job that failed with @p code, counted under its
+  /// rejection counter.
+  QueryResponse failure(const Job& job, StatusCode code);
 
   /// Deadline check + cache + execution + completion metrics; shared by
   /// workers, the inline single-threaded path, and execute().
@@ -319,13 +302,18 @@ class QueryEngine {
   QueryResponse execute_uncached(const Request& request) const;
   QueryResponse execute_cached(const Request& request, bool allow_stale);
 
-  /// Cache lookup honouring the soft-TTL ladder: a fresh entry is a
-  /// hit; a stale one is served only when @p allow_stale (setting
-  /// @p served_stale), otherwise treated as a miss so the recompute
-  /// refreshes it.  Engine-level hit/miss counters are the caller's.
-  std::shared_ptr<const ResponsePayload> probe_cache(Fingerprint key,
-                                                     bool allow_stale,
-                                                     bool& served_stale);
+  /// Stamp @p response's latency since @p start, record it under
+  /// @p type, and count a success as completed and a failure as failed
+  /// (deadline, shutdown and cancel answers are counted where they
+  /// happen).  Shared by run_request() and the grid path.
+  void meter(QueryResponse& response, RequestType type,
+             Clock::time_point start);
+
+  /// Cache lookup honouring the soft-TTL ladder, traced and counted: a
+  /// fresh entry is a hit; a stale one is served (marked sampled) only
+  /// when @p allow_stale, otherwise treated as a miss so the recompute
+  /// refreshes it.
+  std::optional<QueryResponse> cached(Fingerprint key, bool allow_stale);
 
   /// Merged cumulative latency buckets of the Interactive request types
   /// — the admission controller's latency signal.

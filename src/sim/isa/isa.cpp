@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "core/indexed_name.hpp"
 #include "sim/memory.hpp"
 
 namespace mpct::sim {
@@ -44,7 +45,7 @@ std::optional<Opcode> opcode_from_mnemonic(std::string_view text) {
 std::string to_string(const Instruction& inst) {
   std::ostringstream os;
   os << mnemonic(inst.op);
-  const auto r = [](int index) { return "r" + std::to_string(index); };
+  const auto r = [](int index) { return indexed_name("r", index); };
   switch (inst.op) {
     case Opcode::Nop:
     case Opcode::Halt:

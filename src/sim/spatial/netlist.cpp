@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 
+#include "core/indexed_name.hpp"
 #include "sim/memory.hpp"
 
 namespace mpct::sim::spatial {
@@ -312,10 +313,10 @@ Netlist build_ripple_adder(int bits) {
   Netlist nl;
   std::vector<GateId> a, b;
   for (int i = 0; i < bits; ++i) {
-    a.push_back(nl.add_input("a" + std::to_string(i)));
+    a.push_back(nl.add_input(indexed_name("a", i)));
   }
   for (int i = 0; i < bits; ++i) {
-    b.push_back(nl.add_input("b" + std::to_string(i)));
+    b.push_back(nl.add_input(indexed_name("b", i)));
   }
   GateId carry = nl.add_input("cin");
   for (int i = 0; i < bits; ++i) {
@@ -326,7 +327,7 @@ Netlist build_ripple_adder(int bits) {
                                    b[static_cast<std::size_t>(i)]);
     const GateId and2 = nl.add_and(axb, carry);
     carry = nl.add_or(and1, and2);
-    nl.add_output("s" + std::to_string(i), sum);
+    nl.add_output(indexed_name("s", i), sum);
   }
   nl.add_output("cout", carry);
   return nl;
@@ -343,7 +344,7 @@ Netlist build_counter(int bits) {
     const GateId next = nl.add_xor(q[static_cast<std::size_t>(i)], carry);
     carry = nl.add_and(carry, q[static_cast<std::size_t>(i)]);
     nl.connect_dff(q[static_cast<std::size_t>(i)], next);
-    nl.add_output("q" + std::to_string(i), q[static_cast<std::size_t>(i)]);
+    nl.add_output(indexed_name("q", i), q[static_cast<std::size_t>(i)]);
   }
   return nl;
 }

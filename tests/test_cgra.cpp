@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/indexed_name.hpp"
 #include "sim/memory.hpp"
 
 namespace mpct::sim::cgra {
@@ -22,7 +23,7 @@ df::Graph reduction_tree(int leaves) {
   df::Graph g;
   std::vector<df::NodeId> layer;
   for (int i = 0; i < leaves; ++i) {
-    layer.push_back(g.add_input("i" + std::to_string(i)));
+    layer.push_back(g.add_input(indexed_name("i", i)));
   }
   while (layer.size() > 1) {
     std::vector<df::NodeId> next;
@@ -39,7 +40,7 @@ df::Graph reduction_tree(int leaves) {
 std::vector<std::pair<std::string, Word>> tree_inputs(int leaves) {
   std::vector<std::pair<std::string, Word>> inputs;
   for (int i = 0; i < leaves; ++i) {
-    inputs.emplace_back("i" + std::to_string(i), i + 1);
+    inputs.emplace_back(indexed_name("i", i), i + 1);
   }
   return inputs;
 }

@@ -33,9 +33,10 @@ TEST(MorphDot, ContainsAllNamedClasses) {
   EXPECT_EQ(dot.rfind("digraph morph {", 0), 0u);
   for (const char* name : {"DUP", "DMP-IV", "IUP", "IAP-II", "IMP-XVI",
                            "ISP-IV", "USP"}) {
-    EXPECT_NE(dot.find("\"" + std::string(name) + "\""),
-              std::string::npos)
-        << name;
+    std::string quoted = "\"";
+    quoted += name;
+    quoted += '"';
+    EXPECT_NE(dot.find(quoted), std::string::npos) << name;
   }
   EXPECT_NE(dot.find("flex 8"), std::string::npos);  // USP label
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/indexed_name.hpp"
 #include "sim/memory.hpp"
 
 namespace mpct::sim::spatial {
@@ -12,8 +13,8 @@ std::vector<std::pair<std::string, bool>> adder_inputs(int bits, unsigned a,
                                                        bool cin) {
   std::vector<std::pair<std::string, bool>> in;
   for (int i = 0; i < bits; ++i) {
-    in.emplace_back("a" + std::to_string(i), (a >> i) & 1u);
-    in.emplace_back("b" + std::to_string(i), (b >> i) & 1u);
+    in.emplace_back(indexed_name("a", i), (a >> i) & 1u);
+    in.emplace_back(indexed_name("b", i), (b >> i) & 1u);
   }
   in.emplace_back("cin", cin);
   return in;
@@ -73,7 +74,7 @@ TEST(Mapper, MappedCounterCountsOnFabric) {
         pack_inputs(report, fabric.primary_inputs(), {{"en", true}}));
     unsigned value = 0;
     for (int bit = 0; bit < 3; ++bit) {
-      const int index = report.output_index.at("q" + std::to_string(bit));
+      const int index = report.output_index.at(indexed_name("q", bit));
       if (out[static_cast<std::size_t>(index)]) value |= 1u << bit;
     }
     EXPECT_EQ(value, static_cast<unsigned>(cycle) % 8) << cycle;
@@ -93,7 +94,7 @@ TEST(Mapper, SameFabricReconfiguresAcrossParadigms) {
   unsigned value = 0;
   for (int bit = 0; bit < 2; ++bit) {
     if (sum[static_cast<std::size_t>(
-            adder_map.output_index.at("s" + std::to_string(bit)))]) {
+            adder_map.output_index.at(indexed_name("s", bit)))]) {
       value |= 1u << bit;
     }
   }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/indexed_name.hpp"
 #include "sim/memory.hpp"
 
 namespace mpct::sim::spatial {
@@ -12,8 +13,8 @@ std::vector<std::pair<std::string, bool>> adder_inputs(int bits, unsigned a,
                                                        bool cin) {
   std::vector<std::pair<std::string, bool>> in;
   for (int i = 0; i < bits; ++i) {
-    in.emplace_back("a" + std::to_string(i), (a >> i) & 1u);
-    in.emplace_back("b" + std::to_string(i), (b >> i) & 1u);
+    in.emplace_back(indexed_name("a", i), (a >> i) & 1u);
+    in.emplace_back(indexed_name("b", i), (b >> i) & 1u);
   }
   in.emplace_back("cin", cin);
   return in;

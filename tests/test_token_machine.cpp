@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/indexed_name.hpp"
 #include "sim/memory.hpp"
 
 namespace mpct::sim::df {
@@ -12,11 +13,11 @@ namespace {
 Graph wide_graph(int chains) {
   Graph g;
   for (int i = 0; i < chains; ++i) {
-    const NodeId a = g.add_input("a" + std::to_string(i));
-    const NodeId b = g.add_input("b" + std::to_string(i));
+    const NodeId a = g.add_input(indexed_name("a", i));
+    const NodeId b = g.add_input(indexed_name("b", i));
     const NodeId m = g.add_op(Op::Mul, a, b);
     const NodeId c = g.add_const(1);
-    g.add_output("o" + std::to_string(i), g.add_op(Op::Add, m, c));
+    g.add_output(indexed_name("o", i), g.add_op(Op::Add, m, c));
   }
   return g;
 }
@@ -24,8 +25,8 @@ Graph wide_graph(int chains) {
 std::vector<std::pair<std::string, Word>> wide_inputs(int chains) {
   std::vector<std::pair<std::string, Word>> inputs;
   for (int i = 0; i < chains; ++i) {
-    inputs.emplace_back("a" + std::to_string(i), i + 1);
-    inputs.emplace_back("b" + std::to_string(i), 2);
+    inputs.emplace_back(indexed_name("a", i), i + 1);
+    inputs.emplace_back(indexed_name("b", i), 2);
   }
   return inputs;
 }

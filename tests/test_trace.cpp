@@ -957,6 +957,32 @@ TEST_F(EngineTraceTest, ExpiredDeadlineEmitsAnInstantMarker) {
   EXPECT_EQ(marks[0]->category, Category::Mark);
 }
 
+/// A grid job that ages out in the queue is one expiry, however many
+/// chunks find it dead: one instant, one rejection.
+TEST_F(EngineTraceTest, QueuedGridExpiryEmitsOneInstant) {
+  Tracer::instance().enable();
+  EngineOptions options;
+  options.worker_threads = 4;
+  options.start_workers = false;
+  QueryEngine engine(options);
+  explore::SweepGrid grid = traced_grid();
+  grid.n_values.clear();
+  for (std::int64_t n = 1; n <= 16; ++n) grid.n_values.push_back(n);
+  std::future<QueryResponse> future = engine.submit(
+      SweepRequest{grid}, Deadline::in(std::chrono::milliseconds(5)));
+  EXPECT_GT(engine.queue_depth(), 1u);  // really split into chunks
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  engine.start();
+  EXPECT_EQ(future.get().status.code, StatusCode::DeadlineExceeded);
+  engine.drain();
+  Tracer::instance().disable();
+
+  const TraceSnapshot snap = Tracer::instance().snapshot();
+  EXPECT_EQ(spans_named(snap, "deadline.expired").size(), 1u);
+  EXPECT_EQ(engine.metrics().rejected_deadline.value(), 1u);
+  EXPECT_EQ(engine.metrics().expired_in_queue.value(), 1u);
+}
+
 /// Trace-id propagation across the submit boundary: the submitter's
 /// context must reach every span the request produces, including the
 /// queue waits and chunk spans recorded on pool worker threads.

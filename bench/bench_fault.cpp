@@ -1,9 +1,8 @@
 /// Fault-injection benchmarks + the BENCH_fault baseline artifact.
 ///
 /// Artifact: a CSV summary (degrade ns/op per canonical probe class;
-/// Monte-Carlo degradation-curve throughput vs thread count, library
-/// evaluate_curve() vs the engine's chunk-parallel FaultSweepRequest;
-/// single-thread throughput of a NoC-free curve) printed first, and —
+/// single-thread throughput of a Monte-Carlo degradation curve on a 4x4
+/// NoC and of a NoC-free one) printed first, and —
 /// with `--json <path>` — the same numbers as JSON in the BENCH_fault
 /// format committed at the repo root.
 #include <benchmark/benchmark.h>
@@ -22,7 +21,6 @@
 #include "core/taxonomy_index.hpp"
 #include "fault/fault.hpp"
 #include "report/csv.hpp"
-#include "service/service.hpp"
 
 namespace {
 
@@ -119,55 +117,21 @@ double measure_fabric_curve_trials_per_s() {
   return static_cast<double>(spec.cell_count()) / (ns * 1e-9);
 }
 
-struct ScalingRow {
-  unsigned threads = 0;
-  double cells_per_s = 0;
-  double speedup = 1;
-};
-
-std::vector<ScalingRow> measure_scaling() {
-  const fault::CurveSpec spec = scaling_spec();
-  const double cells = static_cast<double>(spec.cell_count());
-  std::vector<ScalingRow> rows;
-  double sequential_s = 0;
-  for (unsigned threads : {0u, 1u, 2u, 4u}) {
-    std::vector<double> runs;
-    for (int run = 0; run < 3; ++run) {
-      const auto start = std::chrono::steady_clock::now();
-      fault::CurveResult result = fault::evaluate_curve(
-          spec, cost::ComponentLibrary::default_library(), threads);
-      benchmark::DoNotOptimize(result);
-      runs.push_back(std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - start)
-                         .count());
-    }
-    std::sort(runs.begin(), runs.end());
-    const double seconds = runs[runs.size() / 2];
-    if (threads == 0) sequential_s = seconds;
-    rows.push_back(
-        {threads, cells / seconds, threads == 0 ? 1 : sequential_s / seconds});
-  }
-  return rows;
-}
-
-double measure_engine_curve_s() {
-  service::EngineOptions options;
-  options.worker_threads = 4;
-  options.enable_cache = false;  // measure execution, not the cache
-  service::QueryEngine engine(options);
+/// Single-thread evaluate_curve() cells/s on scaling_spec() (4x4 NoC),
+/// median of three runs.
+double measure_noc_curve_cells_per_s() {
   const fault::CurveSpec spec = scaling_spec();
   std::vector<double> runs;
   for (int run = 0; run < 3; ++run) {
     const auto start = std::chrono::steady_clock::now();
-    service::QueryResponse response =
-        engine.submit(service::FaultSweepRequest{spec}).get();
-    benchmark::DoNotOptimize(response);
+    fault::CurveResult result = fault::evaluate_curve(spec);
+    benchmark::DoNotOptimize(result);
     runs.push_back(std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - start)
                        .count());
   }
   std::sort(runs.begin(), runs.end());
-  return runs[runs.size() / 2];
+  return static_cast<double>(spec.cell_count()) / runs[runs.size() / 2];
 }
 
 std::string fmt(double value) {
@@ -193,22 +157,10 @@ void print_artifact(const std::string& json_path) {
                "(n=16, v=256)\n"
             << degrade_csv.str() << "\n";
 
-  const std::vector<ScalingRow> scaling = measure_scaling();
-  const double engine_s = measure_engine_curve_s();
-  const double cells = static_cast<double>(scaling_spec().cell_count());
-  report::CsvWriter scaling_csv;
-  scaling_csv.add_row({"threads", "cells_per_s", "speedup_vs_sequential"});
-  for (const ScalingRow& row : scaling) {
-    scaling_csv.add_row({std::to_string(row.threads), fmt(row.cells_per_s),
-                         fmt(row.speedup)});
-  }
-  scaling_csv.add_row({"engine(4 workers)", fmt(cells / engine_s),
-                       fmt(scaling[0].cells_per_s > 0
-                               ? (cells / engine_s) / scaling[0].cells_per_s
-                               : 0)});
-  std::cout << "# degradation-curve scaling: 1008-cell Monte-Carlo grid, "
-               "library evaluate_curve() + engine FaultSweepRequest\n"
-            << scaling_csv.str() << "\n";
+  const double noc_cells_per_s = measure_noc_curve_cells_per_s();
+  std::cout << "# degradation curve on a 4x4 NoC (serial 40, 1008 "
+               "trials), single thread\ncells_per_s\n"
+            << fmt(noc_cells_per_s) << "\n\n";
 
   const double fabric_trials_per_s = measure_fabric_curve_trials_per_s();
   std::cout << "# NoC-free degradation curve (serial 40, n=16, 2688 "
@@ -232,19 +184,10 @@ void print_artifact(const std::string& json_path) {
   for (std::size_t i = 1; i < degrade_ns.size(); ++i) {
     out << ", " << fmt(degrade_ns[i]);
   }
-  out << "],\n    \"curve_grid_cells\": " << static_cast<long>(cells)
-      << ",\n    \"curve_cells_per_s\": {";
-  for (std::size_t i = 0; i < scaling.size(); ++i) {
-    out << (i ? ", " : "") << "\"threads_" << scaling[i].threads
-        << "\": " << fmt(scaling[i].cells_per_s);
-  }
-  out << "},\n    \"curve_speedup\": {";
-  for (std::size_t i = 0; i < scaling.size(); ++i) {
-    out << (i ? ", " : "") << "\"threads_" << scaling[i].threads
-        << "\": " << fmt(scaling[i].speedup);
-  }
-  out << "},\n    \"engine_curve_cells_per_s\": " << fmt(cells / engine_s)
-      << ",\n    \"fabric_curve_grid_cells\": " << fabric_spec().cell_count()
+  out << "],\n    \"curve_grid_cells\": " << scaling_spec().cell_count()
+      << ",\n    \"curve_cells_per_s\": {\"threads_0\": "
+      << fmt(noc_cells_per_s)
+      << "},\n    \"fabric_curve_grid_cells\": " << fabric_spec().cell_count()
       << ",\n    \"fabric_curve_trials_per_s\": " << fmt(fabric_trials_per_s)
       << "\n  },\n"
       << "  \"floors\": {\n"
@@ -315,27 +258,6 @@ BENCHMARK(bm_curve)
     ->ArgName("threads")
     ->Arg(0)
     ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-void bm_engine_fault_sweep(benchmark::State& state) {
-  service::EngineOptions options;
-  options.worker_threads = static_cast<unsigned>(state.range(0));
-  options.enable_cache = false;
-  service::QueryEngine engine(options);
-  const fault::CurveSpec spec = scaling_spec();
-  for (auto _ : state) {
-    service::QueryResponse response =
-        engine.submit(service::FaultSweepRequest{spec}).get();
-    benchmark::DoNotOptimize(response);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(spec.cell_count()));
-}
-BENCHMARK(bm_engine_fault_sweep)
-    ->ArgName("workers")
     ->Arg(2)
     ->Arg(4)
     ->UseRealTime()

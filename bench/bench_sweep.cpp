@@ -30,7 +30,6 @@
 #include "explore/recommend.hpp"
 #include "explore/sweep.hpp"
 #include "report/csv.hpp"
-#include "service/service.hpp"
 
 namespace {
 
@@ -153,22 +152,17 @@ std::vector<ScalingRow> measure_scaling() {
   return rows;
 }
 
-/// Per-cell time split of a single-thread sweep().  `total` (the batch
-/// kernel, evaluate_range), `decode`, `evaluate`, `front`, `merge` and
-/// `sweep` are measured; `reduce` is the remainder — the winner-fold
-/// cannot be timed in isolation through the public API, but total =
-/// decode + evaluate + reduce by construction of the kernel (see
-/// docs/PERF.md).  `front` is pareto_front over the grid's points
-/// (summarise the one range, then filter); `merge` is the serial step a
-/// served sweep runs after its chunks, which folded their own summaries:
-/// combine the kMergeChunks summaries, then filter.  `sweep` is the
-/// whole sweep() call, so sweep - total - front is roughly what sweep()
-/// adds around the two: building the evaluator and allocating its
-/// result vectors.
+/// Per-cell time split of a single-thread sweep(), each stage timed on
+/// its own.  `total` is the batch kernel (evaluate_range); `evaluate`
+/// replays just the kernel's CostPlanSet calls.  `front` is
+/// pareto_front over the grid's points (summarise the one range, then
+/// filter); `merge` is the serial step a served sweep runs after its
+/// chunks, which folded their own summaries: combine the kMergeChunks
+/// summaries, then filter.  `sweep` is the whole sweep() call, so
+/// sweep - total - front is roughly what sweep() adds around the two:
+/// building the evaluator and allocating its result vectors.
 struct StageBreakdown {
-  double decode_ns = 0;
   double evaluate_ns = 0;
-  double reduce_ns = 0;
   double total_ns = 0;
   double front_ns = 0;
   double merge_ns = 0;
@@ -195,23 +189,6 @@ StageBreakdown measure_stages() {
                         },
                         4) /
                     cells_d;
-
-  // Decode: flat cell index -> (ni, li, oi), once per cell.
-  const std::size_t row = evaluator.row_cells();
-  const std::size_t o_count = grid.objectives.size();
-  stages.decode_ns = measure_ns(
-                         [&] {
-                           std::size_t acc = 0;
-                           for (std::size_t i = 0; i < cells; ++i) {
-                             const std::size_t ni = i / row;
-                             const std::size_t rest = i - ni * row;
-                             const std::size_t li = rest / o_count;
-                             acc += ni + li + (rest - li * o_count);
-                           }
-                           benchmark::DoNotOptimize(acc);
-                         },
-                         16) /
-                     cells_d;
 
   // Evaluate: replay exactly the kernel's CostPlanSet calls — the
   // scaling grid's min_flexibility 0 admits every named taxonomy row,
@@ -244,8 +221,6 @@ StageBreakdown measure_stages() {
           },
           4) /
       cells_d;
-  stages.reduce_ns = std::max(
-      0.0, stages.total_ns - stages.evaluate_ns - stages.decode_ns);
 
   // Front: the whole front of the points computed above, built from
   // scratch on one thread.
@@ -260,7 +235,8 @@ StageBreakdown measure_stages() {
   // Merge: what the engine's last chunk (and the proxy's gather) runs
   // once every chunk has folded its slice into its own summary.
   std::vector<explore::FrontSummary> summaries;
-  for (const CellRange& chunk : split_range(cells, kMergeChunks, row)) {
+  for (const CellRange& chunk :
+       split_range(cells, kMergeChunks, evaluator.row_cells())) {
     summaries.emplace_back(std::span<const explore::SweepPoint>(points).subspan(
         chunk.begin, chunk.end - chunk.begin));
   }
@@ -280,26 +256,6 @@ StageBreakdown measure_stages() {
                         4) /
                     cells_d;
   return stages;
-}
-
-double measure_engine_sweep_s() {
-  service::EngineOptions options;
-  options.worker_threads = 4;
-  options.enable_cache = false;  // measure execution, not the cache
-  service::QueryEngine engine(options);
-  const explore::SweepGrid grid = scaling_grid();
-  std::vector<double> runs;
-  for (int run = 0; run < 3; ++run) {
-    const auto start = std::chrono::steady_clock::now();
-    service::QueryResponse response =
-        engine.submit(service::SweepRequest{grid}).get();
-    benchmark::DoNotOptimize(response);
-    runs.push_back(std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - start)
-                       .count());
-  }
-  std::sort(runs.begin(), runs.end());
-  return runs[runs.size() / 2];
 }
 
 std::string fmt(double value) {
@@ -330,7 +286,6 @@ void print_artifact(const std::string& json_path) {
 
   const std::vector<ScalingRow> scaling = measure_scaling();
   const StageBreakdown stages = measure_stages();
-  const double engine_s = measure_engine_sweep_s();
   const double cells = static_cast<double>(scaling_grid().cell_count());
   report::CsvWriter scaling_csv;
   scaling_csv.add_row({"threads", "cells_per_s", "speedup_vs_sequential"});
@@ -338,26 +293,21 @@ void print_artifact(const std::string& json_path) {
     scaling_csv.add_row({std::to_string(row.threads), fmt(row.cells_per_s),
                          fmt(row.speedup)});
   }
-  scaling_csv.add_row({"engine(4 workers)", fmt(cells / engine_s),
-                       fmt(scaling[0].cells_per_s > 0
-                               ? (cells / engine_s) / scaling[0].cells_per_s
-                               : 0)});
   std::cout << "# sweep scaling: " << static_cast<long>(cells)
-            << "-cell grid, library sweep() + engine SweepRequest\n"
+            << "-cell grid, library sweep()\n"
             << scaling_csv.str() << "\n";
 
   report::CsvWriter stage_csv;
   stage_csv.add_row({"stage", "ns_per_cell"});
-  stage_csv.add_row({"decode", fmt(stages.decode_ns)});
   stage_csv.add_row({"evaluate", fmt(stages.evaluate_ns)});
-  stage_csv.add_row({"reduce", fmt(stages.reduce_ns)});
   stage_csv.add_row({"total", fmt(stages.total_ns)});
   stage_csv.add_row({"front", fmt(stages.front_ns)});
   stage_csv.add_row({"merge", fmt(stages.merge_ns)});
   stage_csv.add_row({"sweep", fmt(stages.sweep_ns)});
-  std::cout << "# sweep() per-cell stage breakdown (single thread; decode "
-               "+ evaluate + reduce = total; sweep = total + front + "
-               "evaluator build and result allocation; merge = combine "
+  std::cout << "# sweep() per-cell stage breakdown (single thread; "
+               "evaluate = the kernel's cost-plan calls within total; sweep "
+               "= total + front + evaluator build and result allocation; "
+               "merge = combine "
                << kMergeChunks << " chunk summaries + filter)\n"
             << stage_csv.str() << "\n";
 
@@ -409,14 +359,11 @@ void print_artifact(const std::string& json_path) {
     out << (i ? ", " : "") << "\"threads_" << scaling[i].threads
         << "\": " << fmt(scaling[i].speedup);
   }
-  out << "},\n    \"sweep_stage_ns_per_cell\": {\"decode\": "
-      << fmt(stages.decode_ns) << ", \"evaluate\": " << fmt(stages.evaluate_ns)
-      << ", \"reduce\": " << fmt(stages.reduce_ns)
-      << ", \"total\": " << fmt(stages.total_ns)
+  out << "},\n    \"sweep_stage_ns_per_cell\": {\"evaluate\": "
+      << fmt(stages.evaluate_ns) << ", \"total\": " << fmt(stages.total_ns)
       << ", \"front\": " << fmt(stages.front_ns)
       << ", \"merge\": " << fmt(stages.merge_ns)
-      << ", \"sweep\": " << fmt(stages.sweep_ns) << "}";
-  out << ",\n    \"engine_sweep_cells_per_s\": " << fmt(cells / engine_s)
+      << ", \"sweep\": " << fmt(stages.sweep_ns) << "}"
       << "\n  },\n"
       << "  \"floors\": {\n"
       << "    \"sweep_cells_per_s.threads_0\": " << fmt(kSweepCellsPerSFloor)
@@ -496,27 +443,6 @@ BENCHMARK(bm_sweep)
     ->ArgName("threads")
     ->Arg(0)
     ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-void bm_engine_sweep(benchmark::State& state) {
-  service::EngineOptions options;
-  options.worker_threads = static_cast<unsigned>(state.range(0));
-  options.enable_cache = false;
-  service::QueryEngine engine(options);
-  const explore::SweepGrid grid = scaling_grid();
-  for (auto _ : state) {
-    service::QueryResponse response =
-        engine.submit(service::SweepRequest{grid}).get();
-    benchmark::DoNotOptimize(response);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(grid.cell_count()));
-}
-BENCHMARK(bm_engine_sweep)
-    ->ArgName("workers")
     ->Arg(2)
     ->Arg(4)
     ->UseRealTime()

@@ -5,9 +5,16 @@ Usage:
     check_regression.py COMMITTED FRESH [COMMITTED FRESH ...]
 
 Each pair is two files in the BENCH_* format (bench_sweep/bench_fault/
-bench_trace --json output).  Every numeric leaf under the "current"
-block is compared pairwise; a relative deviation beyond the band
-(default +/-30%, override with --band 0.5) prints a WARNING line.
+bench_trace/bench_qos --json output).  Every numeric leaf under the
+"current" block is compared pairwise; a relative deviation beyond the
+band (default +/-30%, override with --band 0.5) prints a WARNING line.
+
+These files hold kernel-level numbers and the hard gates below.
+Serving-path throughput and latency (the engine, the TCP server, the
+fleet proxy, simulation over the wire) are compared across commits by
+perfbench instead (perfbench/README.md): interactive ok_per_s, p50_us
+and p50_alt_us, batch ok_per_s, and the per-layer net.*, wire.*,
+service.*, cluster.* and workload.simulate_us figures.
 
 Band deviations are warn-only by design: CI runners are noisy shared
 machines and the committed numbers come from a different host, so

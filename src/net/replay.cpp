@@ -14,6 +14,10 @@
 #include "wire/protocol.hpp"
 
 namespace mpct::net {
+/// Per-poll IO timeout and the overall quiet-period cutoff while
+/// waiting for outstanding responses.
+constexpr int kIoTimeoutMs = 5000;
+
 
 std::uint64_t normalized_response_fingerprint(const std::uint8_t* frame,
                                               std::size_t frame_size) {
@@ -40,7 +44,7 @@ ReplayOutcome replay_capture(const CaptureFile& capture,
 
   std::string connect_error;
   Socket socket = connect_tcp(options.host, options.port,
-                              options.io_timeout_ms, connect_error);
+                              kIoTimeoutMs, connect_error);
   if (!socket.valid()) {
     outcome.error = "replay: " + connect_error;
     return outcome;
@@ -104,7 +108,7 @@ ReplayOutcome replay_capture(const CaptureFile& capture,
     pfd.fd = socket.fd();
     pfd.events = POLLIN;
     if (next_record < capture.records.size()) pfd.events |= POLLOUT;
-    const int ready = ::poll(&pfd, 1, options.io_timeout_ms);
+    const int ready = ::poll(&pfd, 1, kIoTimeoutMs);
     if (ready < 0) {
       if (errno == EINTR) continue;
       outcome.error = "replay: poll failed";
@@ -169,7 +173,7 @@ ReplayOutcome replay_capture(const CaptureFile& capture,
     // Defensive cutoff: poll kept returning readable/writable without
     // any bytes moving (shouldn't happen, but never spin forever).
     if (std::chrono::steady_clock::now() - last_progress >
-        std::chrono::milliseconds(options.io_timeout_ms)) {
+        std::chrono::milliseconds(kIoTimeoutMs)) {
       outcome.error = "replay: no progress within the io timeout";
       break;
     }

@@ -16,9 +16,6 @@ struct ReplayOptions {
   /// Ignore the recorded arrival gaps and send as fast as the socket
   /// accepts; default honours the recorded pacing.
   bool max_speed = false;
-  /// Per-poll IO timeout and the overall quiet-period cutoff while
-  /// waiting for outstanding responses.
-  int io_timeout_ms = 5000;
 };
 
 /// What a replay run observed.  `fingerprints` holds one entry per

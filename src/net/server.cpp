@@ -26,6 +26,19 @@ constexpr std::size_t kReadChunk = 64 * 1024;
 /// self-pipe, so this is not a latency floor.
 constexpr int kPollTickMs = 100;
 
+/// Reading from a connection pauses once its unsent response bytes
+/// exceed this (and resumes below half of it).  Bounds per-connection
+/// memory against a client that pipelines faster than it reads.
+constexpr std::size_t kWriteHighWatermark = 4u << 20;
+
+/// A connection with no traffic, no queued writes and no in-flight
+/// requests for this long is closed.
+constexpr std::chrono::milliseconds kIdleTimeout{30000};
+
+/// How long stop() waits for in-flight requests to complete and
+/// response bytes to flush before closing connections anyway.
+constexpr std::chrono::milliseconds kDrainTimeout{5000};
+
 }  // namespace
 
 Server::Server(service::QueryEngine& engine, ServerOptions options)
@@ -121,7 +134,7 @@ void Server::loop() {
   for (;;) {
     const bool stopping = stopping_.load(std::memory_order_acquire);
     if (stopping && !drain_deadline_set) {
-      drain_deadline = Clock::now() + options_.drain_timeout;
+      drain_deadline = Clock::now() + kDrainTimeout;
       drain_deadline_set = true;
     }
     if (stopping) {
@@ -444,7 +457,7 @@ bool Server::queue_write(Connection& conn, std::vector<std::uint8_t> bytes) {
                            bytes.end());
   metrics_.net_frames_out.add();
   const std::size_t pending = conn.write_buffer.size() - conn.write_offset;
-  if (!conn.paused && pending > options_.write_high_watermark) {
+  if (!conn.paused && pending > kWriteHighWatermark) {
     conn.paused = true;
   }
   // Opportunistic flush: most responses fit the socket buffer, so this
@@ -481,7 +494,7 @@ bool Server::handle_writable(Connection& conn) {
     conn.write_offset = 0;
   }
   const std::size_t pending = conn.write_buffer.size() - conn.write_offset;
-  if (conn.paused && pending < options_.write_high_watermark / 2) {
+  if (conn.paused && pending < kWriteHighWatermark / 2) {
     conn.paused = false;
   }
   return true;
@@ -500,12 +513,11 @@ void Server::close_connection(std::uint64_t conn_id) {
 }
 
 void Server::sweep_idle(Clock::time_point now) {
-  if (options_.idle_timeout.count() <= 0) return;
   std::vector<std::uint64_t> idle;
   for (const auto& [id, conn] : connections_) {
     if (conn.in_flight > 0) continue;
     if (conn.write_buffer.size() > conn.write_offset) continue;
-    if (now - conn.last_activity >= options_.idle_timeout) idle.push_back(id);
+    if (now - conn.last_activity >= kIdleTimeout) idle.push_back(id);
   }
   for (std::uint64_t id : idle) close_connection(id);
 }

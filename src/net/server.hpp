@@ -25,19 +25,6 @@ struct ServerOptions {
   std::uint16_t port = 0;
   std::size_t max_connections = 256;
 
-  /// Reading from a connection pauses once its unsent response bytes
-  /// exceed this (and resumes below half of it).  Bounds per-connection
-  /// memory against a client that pipelines faster than it reads.
-  std::size_t write_high_watermark = 4u << 20;
-
-  /// Close a connection with no traffic, no queued writes and no
-  /// in-flight requests for this long.  <= 0 disables the idle sweep.
-  std::chrono::milliseconds idle_timeout{30000};
-
-  /// How long stop() waits for in-flight requests to complete and
-  /// response bytes to flush before closing connections anyway.
-  std::chrono::milliseconds drain_timeout{5000};
-
   /// When non-empty, record every well-framed request frame (verbatim,
   /// with arrival gaps) to this capture file for later replay with
   /// net::replay_capture.  Opening the file is part of start(): a path
@@ -73,7 +60,7 @@ struct ServerOptions {
 ///
 /// Backpressure is never silent: a full engine queue surfaces as a
 /// QueueFull response on the wire, and a slow-reading client stops being
-/// read from (write_high_watermark) until it catches up.
+/// read from (past 4 MiB of unsent response bytes) until it catches up.
 class Server {
  public:
   /// Per-request wire context handed to a Handler alongside the decoded
@@ -120,8 +107,8 @@ class Server {
   bool start();
 
   /// Graceful drain: stop accepting connections and reading requests,
-  /// wait (up to drain_timeout) for in-flight requests to resolve and
-  /// their responses to flush, then close everything and join the loop.
+  /// wait (up to 5 s) for in-flight requests to resolve and their
+  /// responses to flush, then close everything and join the loop.
   /// Idempotent; called by the destructor.
   void stop();
 

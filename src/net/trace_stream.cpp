@@ -9,6 +9,9 @@
 #include "wire/protocol.hpp"
 
 namespace mpct::net {
+/// Spans per SpanBatch frame; bigger drains split into several.
+constexpr std::size_t kMaxSpansPerBatch = 2048;
+
 
 TraceStreamer::TraceStreamer(TraceStreamerOptions options)
     : options_(std::move(options)), filter_(options_.policy) {}
@@ -76,7 +79,7 @@ void TraceStreamer::pump(bool final_tick) {
   std::size_t offset = 0;
   do {
     const std::size_t count =
-        std::min(options_.max_spans_per_batch, kept.size() - offset);
+        std::min(kMaxSpansPerBatch, kept.size() - offset);
     trace::SpanBatch batch;
     batch.node = options_.node;
     batch.send_ns = trace::Tracer::instance().now_ns();

@@ -25,8 +25,6 @@ struct TraceStreamerOptions {
   /// Drain cadence.  Shorter = fresher collector view; the per-tick
   /// cost is one registry walk regardless.
   std::chrono::milliseconds interval{50};
-  /// Spans per SpanBatch frame; bigger drains split into several.
-  std::size_t max_spans_per_batch = 2048;
   /// Unsent encoded bytes the streamer will hold while the collector
   /// is slow; beyond this, whole batches are shed (drop-counted).
   /// This is the back-pressure bound — memory never grows past it.

@@ -3,6 +3,11 @@
 #include <algorithm>
 
 namespace mpct::qos {
+/// Pressure at which Background requests are shed, then Batch too (the
+/// ladder in admission.hpp).
+constexpr double kShedBackgroundPressure = 0.85;
+constexpr double kShedBatchPressure = 0.95;
+
 
 AdmissionController::AdmissionController(AdmissionOptions options)
     : options_(options) {}
@@ -77,7 +82,7 @@ std::uint32_t AdmissionController::retry_after(double pressure) const {
   // One base unit at the first shed threshold, growing a unit per 5%
   // of overshoot, capped at 8x — deep overload spreads retries out
   // without quoting hints so long that clients give up.
-  const double over = std::max(0.0, pressure - options_.shed_background_pressure);
+  const double over = std::max(0.0, pressure - kShedBackgroundPressure);
   const std::uint32_t scale =
       1 + std::min<std::uint32_t>(7, static_cast<std::uint32_t>(over * 20.0));
   return options_.retry_after_base_ms * scale;
@@ -90,9 +95,9 @@ Admission AdmissionController::decide(PriorityClass cls,
   if (result.pressure < options_.degrade_pressure) return result;
   const bool shed =
       (cls == PriorityClass::Background &&
-       result.pressure >= options_.shed_background_pressure) ||
+       result.pressure >= kShedBackgroundPressure) ||
       (cls == PriorityClass::Batch &&
-       result.pressure >= options_.shed_batch_pressure);
+       result.pressure >= kShedBatchPressure);
   if (shed) {
     result.action = AdmissionAction::Shed;
     result.retry_after_ms = retry_after(result.pressure);

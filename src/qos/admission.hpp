@@ -21,17 +21,15 @@ namespace mpct::qos {
 ///                                          sweeps answer on a strided
 ///                                          subgrid, caches may serve
 ///                                          entries past soft-TTL
-///   >= shed_background_pressure            Background is rejected with
+///   >= 0.85                                Background is rejected with
 ///                                          Overloaded + retry-after
-///   >= shed_batch_pressure                 Batch is rejected too
+///   >= 0.95                                Batch is rejected too
 ///
 /// Interactive is never shed: by the time Interactive would be the
 /// problem, everything cheaper has already been turned away and WFQ
 /// gives it almost the whole machine.
 struct AdmissionOptions {
   double degrade_pressure = 0.70;
-  double shed_background_pressure = 0.85;
-  double shed_batch_pressure = 0.95;
   /// Interactive p99 the service tries to hold; windowed p99 at budget
   /// contributes pressure 1.0.
   std::chrono::microseconds interactive_p99_budget{5000};

@@ -155,12 +155,6 @@ class WfqQueue {
     return queues_[index(cls)].size();
   }
 
-  /// True when @p count more items of @p cls would still fit.
-  bool has_room(PriorityClass cls, std::size_t count) const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return !closed_ && queues_[index(cls)].size() + count <= capacity_;
-  }
-
   /// Per-class capacity (the whole queue's when one class is in use).
   std::size_t capacity() const { return capacity_; }
 

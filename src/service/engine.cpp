@@ -278,7 +278,7 @@ QueryEngine::QueryEngine(EngineOptions options)
       cache_(options_.cache_shards, options_.cache_capacity_per_shard),
       queue_(std::make_unique<qos::WfqQueue<Task>>(
           options_.queue_capacity == 0 ? 1 : options_.queue_capacity,
-          options_.wfq_weights)),
+          qos::WfqWeights{})),
       admission_(options_.admission) {
   if (options_.start_workers) start();
 }
@@ -629,10 +629,13 @@ void QueryEngine::complete_job(Job& job) {
   const auto code = static_cast<StatusCode>(
       job.fail_code.load(std::memory_order_acquire));
   QueryResponse response;
-  if (!job.merge) {
+  if (!job.merge && code == StatusCode::Ok) {
     // A point job that ran was already metered by run_request().
-    response = code == StatusCode::Ok ? std::move(job.response)
-                                      : failure(job, code);
+    response = std::move(job.response);
+  } else if (!job.merge) {
+    // Cancelled or drained before it ran: still one latency sample.
+    response = failure(job, code);
+    meter(response, request_type(job.request), job.enqueued);
   } else {
     {
       // Closed before the end-to-end latency is stamped, so queue-wait +

@@ -64,9 +64,6 @@ struct EngineOptions {
   /// subject to the admission controller's degrade/shed ladder.
   bool enable_qos = false;
 
-  /// Deficit-round-robin dispatch weights, used when enable_qos is on.
-  qos::WfqWeights wfq_weights;
-
   /// Admission-control thresholds, used when enable_qos is on.
   qos::AdmissionOptions admission;
 

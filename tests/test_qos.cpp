@@ -123,9 +123,6 @@ TEST(WfqQueue, TryPushRespectsPerClassCapacityAndLeavesItemUntouched) {
 
   // Capacity is per class: Batch admission is independent of the
   // Interactive backlog.
-  EXPECT_FALSE(queue.has_room(PriorityClass::Interactive, 1));
-  EXPECT_TRUE(queue.has_room(PriorityClass::Batch, 2));
-  EXPECT_FALSE(queue.has_room(PriorityClass::Batch, 3));
   std::string d = "d";
   EXPECT_TRUE(queue.try_push(PriorityClass::Batch, d));
 }

@@ -8,6 +8,7 @@
 /// sequential API rather than for exact metric counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -618,6 +619,20 @@ TEST(QueryEngineBackpressure, NeverStartedEngineRejectsPendingOnShutdown) {
   EXPECT_EQ(response.status.code, StatusCode::ShuttingDown);
 }
 
+TEST(QueryEngineBackpressure, RequestDrainedOnShutdownRecordsOneLatencySample) {
+  EngineOptions options;
+  options.worker_threads = 2;
+  options.start_workers = false;
+  QueryEngine engine(options);
+  std::future<QueryResponse> pending =
+      engine.submit(classify_request(arch::surveyed_architectures()[0]));
+  engine.shutdown();
+  EXPECT_EQ(pending.get().status.code, StatusCode::ShuttingDown);
+  // Answered like a grid job drained the same way: one sample.
+  EXPECT_EQ(engine.metrics().latency(RequestType::Classify).snapshot().count,
+            1u);
+}
+
 TEST(QueryEngineBackpressure, DeadlineExpiresWhileQueued) {
   EngineOptions options;
   options.worker_threads = 1;
@@ -948,6 +963,16 @@ TEST(QueryEngineAccounting, SeededMixObeysTheCountingLawInBothModes) {
   EXPECT_EQ(m.submitted.value(), mix.size());
   EXPECT_GT(m.qos_cancelled_queued.value(), 0u);
   expect_counting_law(m);
+  // Every answer but a submit-time expiry records one latency sample,
+  // cancelled point requests included.
+  const auto expired =
+      std::count_if(mix.begin(), mix.end(),
+                    [](const MixEntry& entry) { return entry.expired; });
+  std::uint64_t recorded = 0;
+  for (std::size_t type = 0; type < kRequestTypeCount; ++type) {
+    recorded += m.latency(static_cast<RequestType>(type)).snapshot().count;
+  }
+  EXPECT_EQ(recorded, mix.size() - static_cast<std::size_t>(expired));
 }
 
 }  // namespace

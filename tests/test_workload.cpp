@@ -159,6 +159,21 @@ TEST(WorkloadRunner, RepeatedRunsAreByteIdentical) {
   }
 }
 
+TEST(WorkloadRunner, StencilCyclesPerParadigmAreExact) {
+  // stencil5 8x8x4 at the default options and seed: the simulators are
+  // deterministic, so the cycle count per paradigm is an exact figure
+  // (docs/WORKLOAD.md) and any change to it is a change to a model.
+  const std::vector<std::pair<std::string, std::int64_t>> expected = {
+      {"IUP", 4558}, {"IAP-III", 1545}, {"IMP-IV", 1221}, {"DUP", 852},
+      {"DMP-II", 120}, {"ISP-II", 720},  {"USP", 720},
+  };
+  for (const auto& [machine, cycles] : expected) {
+    EXPECT_EQ(workload::run_workload(stencil_spec(), name_of(machine)).cycles,
+              cycles)
+        << machine;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Faults: degraded mesh => route-around => measurable cycle cost
 

@@ -26,7 +26,6 @@
 #include "cost/area_model.hpp"
 #include "cost/config_bits.hpp"
 #include "cost/cost_plan.hpp"
-#include "cost/cost_plan_set.hpp"
 #include "explore/recommend.hpp"
 #include "explore/sweep.hpp"
 #include "report/csv.hpp"
@@ -154,7 +153,7 @@ std::vector<ScalingRow> measure_scaling() {
 
 /// Per-cell time split of a single-thread sweep(), each stage timed on
 /// its own.  `total` is the batch kernel (evaluate_range); `evaluate`
-/// replays just the kernel's CostPlanSet calls.  `front` is
+/// replays just the kernel's CostPlan calls.  `front` is
 /// pareto_front over the grid's points (summarise the one range, then
 /// filter); `merge` is the serial step a served sweep runs after its
 /// chunks, which folded their own summaries: combine the kMergeChunks
@@ -190,31 +189,28 @@ StageBreakdown measure_stages() {
                         4) /
                     cells_d;
 
-  // Evaluate: replay exactly the kernel's CostPlanSet calls — the
-  // scaling grid's min_flexibility 0 admits every named taxonomy row,
-  // so this is the same candidate set the evaluator built; v-dependent
-  // plans price every (n, v) lane, v-independent ones once per row.
+  // Evaluate: replay exactly the kernel's CostPlan calls — the scaling
+  // grid's min_flexibility 0 admits every named taxonomy row, so this is
+  // the same candidate set the evaluator built; v-dependent plans price
+  // every (n, v) lane, v-independent ones once per row.
   const cost::ComponentLibrary lib = cost::ComponentLibrary::default_library();
-  cost::CostPlanSet plans;
-  std::vector<std::size_t> v_dep, v_indep;
+  std::vector<cost::CostPlan> v_dep, v_indep;
   for (const TaxonomyIndex::ClassInfo& taxon : taxonomy_index().rows()) {
     if (!taxon.named) continue;
-    const std::size_t p = plans.size();
-    plans.add(taxon.machine, lib);
-    (plans.depends_v(p) ? v_dep : v_indep).push_back(p);
+    cost::CostPlan plan(taxon.machine, lib);
+    (plan.depends_v() ? v_dep : v_indep).push_back(plan);
   }
   std::vector<cost::CostPoint> lane(grid.lut_budgets.size());
   stages.evaluate_ns =
       measure_ns(
           [&] {
             for (const std::int64_t n : grid.n_values) {
-              for (const std::size_t p : v_indep) {
-                cost::CostPoint point =
-                    plans.evaluate(p, n, grid.lut_budgets[0]);
+              for (const cost::CostPlan& plan : v_indep) {
+                cost::CostPoint point = plan.evaluate(n, grid.lut_budgets[0]);
                 benchmark::DoNotOptimize(point);
               }
-              for (const std::size_t p : v_dep) {
-                plans.evaluate_row(p, n, grid.lut_budgets, lane.data());
+              for (const cost::CostPlan& plan : v_dep) {
+                plan.evaluate_row(n, grid.lut_budgets, lane.data());
                 benchmark::DoNotOptimize(lane.data());
               }
             }

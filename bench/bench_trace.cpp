@@ -41,135 +41,88 @@ using namespace mpct;
 /// 3 GHz — generous for that, unreachable for anything heavier.
 constexpr double kDisabledSpanBudgetNs = 2.0;
 
-/// ns/op via a fixed-count timed loop, minimum over 7 runs (noise on a
-/// shared machine is additive; the minimum is the robust estimator).
-template <typename Fn>
-double measure_ns(Fn&& fn, std::size_t iterations) {
-  double best = 0;
-  for (int run = 0; run < 7; ++run) {
+/// Minimum ns/op over fixed-count timed loops taken one at a time
+/// (noise on a shared machine is additive; the minimum is the robust
+/// estimator).
+class MinNs {
+ public:
+  template <typename Fn>
+  void sample(Fn&& fn, std::size_t iterations) {
     const auto start = std::chrono::steady_clock::now();
     for (std::size_t i = 0; i < iterations; ++i) fn();
     const auto elapsed = std::chrono::steady_clock::now() - start;
     const double ns =
         std::chrono::duration<double, std::nano>(elapsed).count() /
         static_cast<double>(iterations);
-    if (run == 0 || ns < best) best = ns;
+    if (samples_++ == 0 || ns < best_) best_ = ns;
   }
-  return best;
-}
+  double ns() const { return best_; }
 
-double measure_disabled_span_ns() {
-  trace::Tracer::instance().disable();
-  return measure_ns(
-      [] {
-        trace::ScopedSpan span("bench.disabled", trace::Category::Core);
-        benchmark::DoNotOptimize(span);
-      },
-      1u << 20);
-}
-
-double measure_disabled_profile_ns() {
-  trace::Tracer::instance().disable();
-  return measure_ns(
-      [] { trace::profile_count(trace::ProfilePoint::ClassifyFast); },
-      1u << 20);
-}
-
-double measure_enabled_span_ns() {
-  trace::Tracer& tracer = trace::Tracer::instance();
-  tracer.set_capacity_per_thread(trace::Tracer::kDefaultCapacity);
-  tracer.clear();
-  tracer.enable();
-  const double ns = measure_ns(
-      [] {
-        trace::ScopedSpan span("bench.enabled", trace::Category::Core,
-                               "i", 1);
-        benchmark::DoNotOptimize(span);
-      },
-      1u << 16);
-  tracer.disable();
-  tracer.clear();
-  return ns;
-}
-
-/// Spans/s for snapshot() + to_chrome_json() over a full default ring.
-double measure_export_spans_per_s(std::size_t* exported_spans) {
-  trace::Tracer& tracer = trace::Tracer::instance();
-  tracer.set_capacity_per_thread(trace::Tracer::kDefaultCapacity);
-  tracer.clear();
-  tracer.enable();
-  for (int i = 0; i < 10000; ++i) {
-    trace::ScopedSpan span("bench.fill", trace::Category::Sweep, "i", i);
-  }
-  tracer.disable();
-
-  std::size_t spans = 0;
-  const double ns_per_export = measure_ns(
-      [&spans] {
-        trace::TraceSnapshot snap = trace::Tracer::instance().snapshot();
-        std::string json = trace::to_chrome_json(snap);
-        benchmark::DoNotOptimize(json);
-        spans = snap.spans.size();
-      },
-      64);
-  *exported_spans = spans;
-  tracer.clear();
-  return spans == 0 ? 0
-                    : static_cast<double>(spans) / (ns_per_export * 1e-9);
-}
-
-/// Streaming-export overhead cells: hot-path span costs while a live
-/// net::TraceStreamer drains the rings, and export throughput / drop
-/// rate when span production far outruns the drain cadence.
-struct StreamingCells {
-  double disabled_span_ns = 0;  ///< disabled path, exporter thread live
-  double enabled_1pct_ns = 0;   ///< enabled path, exporter at 1% sampling
-  double export_spans_per_s = 0;
-  double drop_rate = 0;  ///< dropped / (exported + dropped) at saturation
-  std::uint64_t exported = 0;
-  std::uint64_t dropped = 0;
+ private:
+  double best_ = 0;
+  int samples_ = 0;
 };
 
-StreamingCells measure_streaming_export() {
-  StreamingCells cells;
+/// Samples per fixed-count cell.  They are taken in rounds, one sample
+/// of every cell per round, so a cell's samples lie a whole round (about
+/// half a second, mostly the export cell) apart: one CPU-steal episode
+/// on a shared host cannot cover all of a gated cell's samples, as it
+/// could when they ran back to back.
+constexpr int kRounds = 7;
+
+/// The fixed-count cells: span and profile-hook costs with the tracer
+/// off and on, the same span costs while a live net::TraceStreamer
+/// drains the rings at 1% head sampling (the recorder must not feel the
+/// export thread on either path), and snapshot() + to_chrome_json()
+/// throughput over a full default ring.
+struct HotPathCells {
+  double disabled_span_ns = 0;
+  double disabled_profile_ns = 0;
+  double enabled_span_ns = 0;
+  double exporter_disabled_span_ns = 0;  ///< disabled path, exporter live
+  double exporter_enabled_1pct_ns = 0;   ///< enabled path, exporter at 1%
+  double export_spans_per_s = 0;
+  std::size_t export_spans = 0;
+};
+
+HotPathCells measure_hot_paths(std::uint16_t collector_port) {
   trace::Tracer& tracer = trace::Tracer::instance();
   tracer.set_capacity_per_thread(trace::Tracer::kDefaultCapacity);
-  tracer.clear();
-
-  // A collector in the same process: inline engine, sink just counts.
-  service::EngineOptions engine_options;
-  engine_options.worker_threads = 0;
-  service::QueryEngine engine(engine_options);
-  std::atomic<std::uint64_t> received{0};
-  net::ServerOptions server_options;
-  server_options.span_sink = [&received](wire::SpanBatchFrame frame) {
-    received.fetch_add(frame.batch.spans.size(), std::memory_order_relaxed);
+  const auto disabled_span = [] {
+    trace::ScopedSpan span("bench.disabled", trace::Category::Core);
+    benchmark::DoNotOptimize(span);
   };
-  net::Server server(engine, server_options);
-  if (!server.start()) {
-    std::cerr << "bench_trace: collector server: " << server.error() << "\n";
-    return cells;
-  }
+  MinNs disabled, profile, enabled, exporter_disabled, exporter_enabled,
+      export_ns;
+  std::size_t spans = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    tracer.disable();
+    tracer.clear();
+    disabled.sample(disabled_span, 1u << 20);
+    profile.sample(
+        [] { trace::profile_count(trace::ProfilePoint::ClassifyFast); },
+        1u << 20);
+    tracer.enable();
+    enabled.sample(
+        [] {
+          trace::ScopedSpan span("bench.enabled", trace::Category::Core,
+                                 "i", 1);
+          benchmark::DoNotOptimize(span);
+        },
+        1u << 16);
+    tracer.disable();
+    tracer.clear();
 
-  // Hot-path costs with the exporter live at 1% head sampling: the
-  // recorder must not feel the export thread on either path.
-  {
     net::TraceStreamerOptions stream_options;
-    stream_options.port = server.port();
+    stream_options.port = collector_port;
     stream_options.node = "bench";
     stream_options.policy = trace::SamplerPolicy::probabilistic(0.01);
     stream_options.interval = std::chrono::milliseconds(5);
     net::TraceStreamer streamer(stream_options);
     streamer.start();
-    tracer.disable();
-    cells.disabled_span_ns = measure_ns(
-        [] {
-          trace::ScopedSpan span("bench.disabled", trace::Category::Core);
-          benchmark::DoNotOptimize(span);
-        },
-        1u << 20);
+    exporter_disabled.sample(disabled_span, 1u << 20);
     tracer.enable();
-    cells.enabled_1pct_ns = measure_ns(
+    exporter_enabled.sample(
         [] {
           trace::ScopedSpan span("bench.streamed", trace::Category::Core,
                                  "i", 1);
@@ -179,44 +132,80 @@ StreamingCells measure_streaming_export() {
     tracer.disable();
     streamer.stop();
     tracer.clear();
-  }
 
-  // Saturation: hammer spans for a fixed window at a drain cadence they
-  // easily outrun, then count what crossed the wire vs what the ring
-  // wrapped away — the drop-counted back-pressure story in one number.
-  {
-    net::TraceStreamerOptions stream_options;
-    stream_options.port = server.port();
-    stream_options.node = "bench";
-    stream_options.interval = std::chrono::milliseconds(2);
-    net::TraceStreamer streamer(stream_options);
-    streamer.start();
     tracer.enable();
-    const auto start = std::chrono::steady_clock::now();
-    while (std::chrono::steady_clock::now() - start <
-           std::chrono::milliseconds(400)) {
-      for (int i = 0; i < 1024; ++i) {
-        trace::ScopedSpan span("bench.saturate", trace::Category::Sweep,
-                               "i", i);
-      }
+    for (int i = 0; i < 10000; ++i) {
+      trace::ScopedSpan span("bench.fill", trace::Category::Sweep, "i", i);
     }
     tracer.disable();
-    streamer.stop();  // final drain + flush included in the window
-    const double elapsed_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-    cells.exported = streamer.spans_exported();
-    cells.dropped = streamer.spans_dropped();
-    const double total =
-        static_cast<double>(cells.exported + cells.dropped);
-    cells.drop_rate =
-        total == 0 ? 0 : static_cast<double>(cells.dropped) / total;
-    cells.export_spans_per_s =
-        elapsed_s == 0 ? 0 : static_cast<double>(cells.exported) / elapsed_s;
+    export_ns.sample(
+        [&spans] {
+          trace::TraceSnapshot snap = trace::Tracer::instance().snapshot();
+          std::string json = trace::to_chrome_json(snap);
+          benchmark::DoNotOptimize(json);
+          spans = snap.spans.size();
+        },
+        64);
     tracer.clear();
   }
-  server.stop();
+
+  HotPathCells cells;
+  cells.disabled_span_ns = disabled.ns();
+  cells.disabled_profile_ns = profile.ns();
+  cells.enabled_span_ns = enabled.ns();
+  cells.exporter_disabled_span_ns = exporter_disabled.ns();
+  cells.exporter_enabled_1pct_ns = exporter_enabled.ns();
+  cells.export_spans = spans;
+  cells.export_spans_per_s =
+      spans == 0 ? 0 : static_cast<double>(spans) / (export_ns.ns() * 1e-9);
+  return cells;
+}
+
+/// Streaming export throughput and drop rate when span production far
+/// outruns the drain cadence.
+struct SaturationCells {
+  double export_spans_per_s = 0;
+  double drop_rate = 0;  ///< dropped / (exported + dropped)
+  std::uint64_t exported = 0;
+  std::uint64_t dropped = 0;
+};
+
+SaturationCells measure_saturation(std::uint16_t collector_port) {
+  // Hammer spans for a fixed window at a drain cadence they easily
+  // outrun, then count what crossed the wire vs what the ring wrapped
+  // away — the drop-counted back-pressure story in one number.
+  SaturationCells cells;
+  trace::Tracer& tracer = trace::Tracer::instance();
+  tracer.set_capacity_per_thread(trace::Tracer::kDefaultCapacity);
+  tracer.clear();
+  net::TraceStreamerOptions stream_options;
+  stream_options.port = collector_port;
+  stream_options.node = "bench";
+  stream_options.interval = std::chrono::milliseconds(2);
+  net::TraceStreamer streamer(stream_options);
+  streamer.start();
+  tracer.enable();
+  const auto start = std::chrono::steady_clock::now();
+  while (std::chrono::steady_clock::now() - start <
+         std::chrono::milliseconds(400)) {
+    for (int i = 0; i < 1024; ++i) {
+      trace::ScopedSpan span("bench.saturate", trace::Category::Sweep, "i",
+                             i);
+    }
+  }
+  tracer.disable();
+  streamer.stop();  // final drain + flush included in the window
+  const double elapsed_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  cells.exported = streamer.spans_exported();
+  cells.dropped = streamer.spans_dropped();
+  const double total = static_cast<double>(cells.exported + cells.dropped);
+  cells.drop_rate =
+      total == 0 ? 0 : static_cast<double>(cells.dropped) / total;
+  cells.export_spans_per_s =
+      elapsed_s == 0 ? 0 : static_cast<double>(cells.exported) / elapsed_s;
+  tracer.clear();
   return cells;
 }
 
@@ -258,41 +247,48 @@ std::string fmt(double value) {
 }
 
 /// Prints the artifact CSV, writes the optional JSON/trace outputs, and
-/// returns false when the disabled-path budget is blown.
+/// returns false when the disabled-path budget is blown (or the
+/// collector the exporter cells stream to cannot start).
 bool print_artifact(const std::string& json_path,
                     const std::string& trace_path) {
-  const double disabled_span_ns = measure_disabled_span_ns();
-  const double disabled_profile_ns = measure_disabled_profile_ns();
-  const double enabled_span_ns = measure_enabled_span_ns();
-  std::size_t exported_spans = 0;
-  const double export_spans_per_s =
-      measure_export_spans_per_s(&exported_spans);
-  const StreamingCells streaming = measure_streaming_export();
+  // The streaming cells' collector, in this process: an inline engine
+  // behind a server that decodes and counts the span batches it gets.
+  service::EngineOptions engine_options;
+  engine_options.worker_threads = 0;
+  service::QueryEngine engine(engine_options);
+  net::Server server(engine, net::ServerOptions{});
+  if (!server.start()) {
+    std::cerr << "bench_trace: collector server: " << server.error() << "\n";
+    return false;
+  }
+  const HotPathCells hot = measure_hot_paths(server.port());
+  const SaturationCells saturation = measure_saturation(server.port());
+  server.stop();
 
   report::CsvWriter csv;
   csv.add_row({"metric", "value", "budget"});
-  csv.add_row({"disabled_scoped_span_ns", fmt(disabled_span_ns),
+  csv.add_row({"disabled_scoped_span_ns", fmt(hot.disabled_span_ns),
                fmt(kDisabledSpanBudgetNs)});
   csv.add_row({"disabled_span_exporter_on_ns",
-               fmt(streaming.disabled_span_ns), fmt(kDisabledSpanBudgetNs)});
-  csv.add_row({"disabled_profile_count_ns", fmt(disabled_profile_ns), ""});
-  csv.add_row({"enabled_scoped_span_ns", fmt(enabled_span_ns), ""});
+               fmt(hot.exporter_disabled_span_ns), fmt(kDisabledSpanBudgetNs)});
+  csv.add_row({"disabled_profile_count_ns", fmt(hot.disabled_profile_ns), ""});
+  csv.add_row({"enabled_scoped_span_ns", fmt(hot.enabled_span_ns), ""});
   csv.add_row({"enabled_span_1pct_exporter_ns",
-               fmt(streaming.enabled_1pct_ns), ""});
-  csv.add_row({"snapshot_export_spans_per_s", fmt(export_spans_per_s), ""});
+               fmt(hot.exporter_enabled_1pct_ns), ""});
+  csv.add_row({"snapshot_export_spans_per_s", fmt(hot.export_spans_per_s), ""});
   csv.add_row({"streaming_export_spans_per_s",
-               fmt(streaming.export_spans_per_s), ""});
-  csv.add_row({"streaming_drop_rate", fmt(streaming.drop_rate), ""});
+               fmt(saturation.export_spans_per_s), ""});
+  csv.add_row({"streaming_drop_rate", fmt(saturation.drop_rate), ""});
   std::cout << "# tracing overhead (disabled path is the CI-enforced "
                "budget, with and without a live exporter)\n"
             << csv.str() << "\n";
 
   const bool within_budget =
-      disabled_span_ns < kDisabledSpanBudgetNs &&
-      streaming.disabled_span_ns < kDisabledSpanBudgetNs;
+      hot.disabled_span_ns < kDisabledSpanBudgetNs &&
+      hot.exporter_disabled_span_ns < kDisabledSpanBudgetNs;
   std::cout << (within_budget ? "BUDGET OK: " : "BUDGET EXCEEDED: ")
-            << fmt(disabled_span_ns) << " ns/span disabled, "
-            << fmt(streaming.disabled_span_ns)
+            << fmt(hot.disabled_span_ns) << " ns/span disabled, "
+            << fmt(hot.exporter_disabled_span_ns)
             << " ns/span disabled with exporter live (budget "
             << fmt(kDisabledSpanBudgetNs) << " ns)\n\n";
 
@@ -308,22 +304,22 @@ bool print_artifact(const std::string& json_path,
         << "    \"disabled_span_ns\": " << fmt(kDisabledSpanBudgetNs)
         << "\n  },\n"
         << "  \"current\": {\n"
-        << "    \"disabled_span_ns\": " << fmt(disabled_span_ns) << ",\n"
+        << "    \"disabled_span_ns\": " << fmt(hot.disabled_span_ns) << ",\n"
         << "    \"disabled_span_exporter_on_ns\": "
-        << fmt(streaming.disabled_span_ns) << ",\n"
-        << "    \"disabled_profile_count_ns\": " << fmt(disabled_profile_ns)
+        << fmt(hot.exporter_disabled_span_ns) << ",\n"
+        << "    \"disabled_profile_count_ns\": " << fmt(hot.disabled_profile_ns)
         << ",\n"
-        << "    \"enabled_span_ns\": " << fmt(enabled_span_ns) << ",\n"
+        << "    \"enabled_span_ns\": " << fmt(hot.enabled_span_ns) << ",\n"
         << "    \"enabled_span_1pct_exporter_ns\": "
-        << fmt(streaming.enabled_1pct_ns) << ",\n"
-        << "    \"snapshot_export_spans_per_s\": " << fmt(export_spans_per_s)
-        << ",\n"
-        << "    \"snapshot_export_span_count\": " << exported_spans << ",\n"
+        << fmt(hot.exporter_enabled_1pct_ns) << ",\n"
+        << "    \"snapshot_export_spans_per_s\": "
+        << fmt(hot.export_spans_per_s) << ",\n"
+        << "    \"snapshot_export_span_count\": " << hot.export_spans << ",\n"
         << "    \"streaming_export_spans_per_s\": "
-        << fmt(streaming.export_spans_per_s) << ",\n"
-        << "    \"streaming_export_spans\": " << streaming.exported << ",\n"
-        << "    \"streaming_dropped_spans\": " << streaming.dropped << ",\n"
-        << "    \"streaming_drop_rate\": " << fmt(streaming.drop_rate)
+        << fmt(saturation.export_spans_per_s) << ",\n"
+        << "    \"streaming_export_spans\": " << saturation.exported << ",\n"
+        << "    \"streaming_dropped_spans\": " << saturation.dropped << ",\n"
+        << "    \"streaming_drop_rate\": " << fmt(saturation.drop_rate)
         << "\n  }\n}\n";
     std::cout << "JSON written to " << json_path << "\n\n";
   }

@@ -1,14 +1,14 @@
 #include "cost/cost_plan.hpp"
 
-#include <stdexcept>
-
 #include "trace/trace.hpp"
 
 namespace mpct::cost {
 
-namespace detail {
-
 namespace {
+
+using detail::Bind;
+using detail::PlanTerms;
+using detail::RoleTerm;
 
 Bind bind_of(Multiplicity mult) {
   switch (mult) {
@@ -20,7 +20,15 @@ Bind bind_of(Multiplicity mult) {
   return Bind::Zero;
 }
 
-}  // namespace
+std::int64_t bind_count(Bind bind, std::int64_t n, std::int64_t v) {
+  switch (bind) {
+    case Bind::Zero: return 0;
+    case Bind::One:  return 1;
+    case Bind::N:    return n;
+    case Bind::V:    return v;
+  }
+  return 0;
+}
 
 PlanTerms build_plan_terms(const MachineClass& mc, const ComponentLibrary& lib,
                            bool include_ip_dp_switch) {
@@ -63,36 +71,95 @@ PlanTerms build_plan_terms(const MachineClass& mc, const ComponentLibrary& lib,
   // Axis dependence: every count the kernel reads derives from the
   // processor binds (block terms and switch endpoints alike), or from v
   // directly for a LUT fabric.
-  if (t.lut_grain) {
-    t.depends_v = true;
-  } else {
-    t.depends_n = t.ips == Bind::N || t.dps == Bind::N;
-    t.depends_v = t.ips == Bind::V || t.dps == Bind::V;
-  }
+  t.depends_v = t.lut_grain || t.ips == Bind::V || t.dps == Bind::V;
   return t;
 }
 
-}  // namespace detail
+/// The one scalar kernel: one design point of one plan.
+///
+/// Bit-identity contract: performs the *same floating point operations
+/// in the same order* as the unmemoized pair
+/// (`estimate_area(mc, lib, o).total_kge()`,
+/// `estimate_config_bits(mc, lib, o).total()`).  CostPlan::evaluate and
+/// CostPlan::evaluate_row both funnel through it, so scalar and row
+/// results cannot diverge.
+inline CostPoint evaluate_terms(const PlanTerms& t, std::int64_t n,
+                                std::int64_t v) {
+  // Bind the symbolic structure exactly as detail::resolve(mc, options)
+  // does: memory bank counts mirror their processors; for a LUT fabric
+  // every connectivity column spans the v-block pool.
+  std::int64_t ips = 0, dps = 0, luts = 0;
+  if (t.lut_grain) {
+    luts = v;
+  } else {
+    ips = bind_count(t.ips, n, v);
+    dps = bind_count(t.dps, n, v);
+  }
+  const std::int64_t ims = ips, dms = dps;
+
+  // Block terms — same expressions as the estimate_from helpers.
+  double a_ip = 0, a_im = 0, a_dp = 0, a_dm = 0, a_lut = 0;
+  std::int64_t b_ip = 0, b_im = 0, b_dp = 0, b_dm = 0, b_lut = 0;
+  if (t.lut_grain) {
+    a_lut = static_cast<double>(luts) * t.lut_area;
+    b_lut = luts * t.lut_bits;
+  } else {
+    a_ip = static_cast<double>(ips) * t.ip_area;
+    a_dp = static_cast<double>(dps) * t.dp_area;
+    a_im = static_cast<double>(ims) * t.im_area;
+    a_dm = static_cast<double>(dms) * t.dm_area;
+    b_ip = ips * t.ip_bits;
+    b_dp = dps * t.dp_bits;
+    b_im = ims * t.im_bits;
+    b_dm = dms * t.dm_bits;
+  }
+
+  // Switch terms through the same (inline) cost function the estimates
+  // use; role slots carry the lut-grain override (both endpoints = V,
+  // width 1) resolved at build time.
+  const auto link = [&](const RoleTerm& role) {
+    return switch_cost(role.kind, bind_count(role.left, n, v),
+                       bind_count(role.right, n, v), t.width,
+                       t.switch_params);
+  };
+  const SwitchCost ip_ip = link(t.roles[0]);
+  const SwitchCost ip_im = link(t.roles[1]);
+  const SwitchCost dp_dm = link(t.roles[3]);
+  const SwitchCost dp_dp = link(t.roles[4]);
+  SwitchCost ip_dp;  // Eq. 1/2 as printed omit IP-DP; extended model adds it
+  if (t.roles[2].kind != SwitchKind::None) ip_dp = link(t.roles[2]);
+
+  // Totals in the exact member order of AreaEstimate::total_kge() and
+  // ConfigBitsEstimate::total() — addition order matters for the
+  // bit-identity contract.
+  CostPoint point;
+  point.area_kge = a_ip + a_im + a_dp + a_dm + a_lut + ip_ip.area_kge +
+                   ip_im.area_kge + ip_dp.area_kge + dp_dm.area_kge +
+                   dp_dp.area_kge;
+  point.config_bits = b_ip + b_im + b_dp + b_dm + b_lut +
+                      ip_ip.config_bits + ip_im.config_bits +
+                      ip_dp.config_bits + dp_dm.config_bits +
+                      dp_dp.config_bits;
+  return point;
+}
+
+}  // namespace
 
 CostPlan::CostPlan(const MachineClass& mc, const ComponentLibrary& lib,
                    bool include_ip_dp_switch)
-    : terms_(detail::build_plan_terms(mc, lib, include_ip_dp_switch)) {}
+    : terms_(build_plan_terms(mc, lib, include_ip_dp_switch)) {}
 
 CostPoint CostPlan::evaluate(std::int64_t n, std::int64_t v) const {
   trace::profile_count(trace::ProfilePoint::CostEvaluate);
-  return detail::evaluate_terms(terms_, n, v);
+  return evaluate_terms(terms_, n, v);
 }
 
-void CostPlan::evaluate_batch(std::span<const std::int64_t> n,
-                              std::span<const std::int64_t> v,
-                              CostPoint* out) const {
-  if (n.size() != v.size()) {
-    throw std::invalid_argument("evaluate_batch: lane count mismatch");
-  }
-  trace::profile_count_n(trace::ProfilePoint::CostEvaluate, n.size());
-  const detail::PlanTerms& t = terms_;  // hoist: one load, no indirection
-  for (std::size_t i = 0; i < n.size(); ++i) {
-    out[i] = detail::evaluate_terms(t, n[i], v[i]);
+void CostPlan::evaluate_row(std::int64_t n, std::span<const std::int64_t> v,
+                            CostPoint* out) const {
+  trace::profile_count_n(trace::ProfilePoint::CostEvaluate, v.size());
+  const PlanTerms& t = terms_;  // hoist: one load, no indirection
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    out[i] = evaluate_terms(t, n, v[i]);
   }
 }
 

@@ -25,16 +25,6 @@ namespace detail {
 /// Variable -> v, exactly as cost/resolve binds multiplicities).
 enum class Bind : std::uint8_t { Zero, One, N, V };
 
-inline std::int64_t bind_count(Bind bind, std::int64_t n, std::int64_t v) {
-  switch (bind) {
-    case Bind::Zero: return 0;
-    case Bind::One:  return 1;
-    case Bind::N:    return n;
-    case Bind::V:    return v;
-  }
-  return 0;
-}
-
 /// One connectivity column, resolved to its switch kind and symbolic
 /// endpoint populations.  Fixed slot order: IP-IP, IP-IM, IP-DP, DP-DM,
 /// DP-DP (the Eq. 1 / Eq. 2 term order).
@@ -47,10 +37,10 @@ struct RoleTerm {
 /// Every design-point-independent invariant of Eq. 1 / Eq. 2 for one
 /// (class, library) pair, laid out flat: block coefficients as plain
 /// doubles/ints, connectivity columns as five fixed slots of
-/// (kind, left-bind, right-bind).  This is the unit the structure-of-
-/// arrays batch kernels iterate over — evaluating a design point reads
-/// only this struct plus (n, v), no pointer chasing into the class or
-/// the library.
+/// (kind, left-bind, right-bind).  A CostPlan is exactly one of these,
+/// so a vector of plans is one contiguous array of them — evaluating a
+/// design point reads only this struct plus (n, v), no pointer chasing
+/// into the class or the library.
 struct PlanTerms {
   bool lut_grain = false;
   Bind ips = Bind::Zero;
@@ -61,82 +51,10 @@ struct PlanTerms {
   int width = 32;  ///< datapath width the switches carry (1 for LUT grain)
   SwitchCostParams switch_params;
   std::array<RoleTerm, 5> roles{};  ///< IP-IP, IP-IM, IP-DP, DP-DM, DP-DP
-  /// Whether any bound count reads the n / v axis — lets batch callers
-  /// hoist evaluations that are constant along an axis of their grid.
-  bool depends_n = false;
+  /// Whether any bound count reads the v axis — lets the sweep kernel
+  /// price a plan once per grid row instead of once per LUT budget.
   bool depends_v = false;
 };
-
-PlanTerms build_plan_terms(const MachineClass& mc, const ComponentLibrary& lib,
-                           bool include_ip_dp_switch);
-
-/// The shared scalar kernel: one design point of one plan.
-///
-/// Bit-identity contract: performs the *same floating point operations
-/// in the same order* as the unmemoized pair
-/// (`estimate_area(mc, lib, o).total_kge()`,
-/// `estimate_config_bits(mc, lib, o).total()`).  Every caller —
-/// CostPlan::evaluate, the batch lanes, CostPlanSet — funnels through
-/// this one function, so scalar and batch results cannot diverge.
-inline CostPoint evaluate_terms(const PlanTerms& t, std::int64_t n,
-                                std::int64_t v) {
-  // Bind the symbolic structure exactly as detail::resolve(mc, options)
-  // does: memory bank counts mirror their processors; for a LUT fabric
-  // every connectivity column spans the v-block pool.
-  std::int64_t ips = 0, dps = 0, luts = 0;
-  if (t.lut_grain) {
-    luts = v;
-  } else {
-    ips = bind_count(t.ips, n, v);
-    dps = bind_count(t.dps, n, v);
-  }
-  const std::int64_t ims = ips, dms = dps;
-
-  // Block terms — same expressions as the estimate_from helpers.
-  double a_ip = 0, a_im = 0, a_dp = 0, a_dm = 0, a_lut = 0;
-  std::int64_t b_ip = 0, b_im = 0, b_dp = 0, b_dm = 0, b_lut = 0;
-  if (t.lut_grain) {
-    a_lut = static_cast<double>(luts) * t.lut_area;
-    b_lut = luts * t.lut_bits;
-  } else {
-    a_ip = static_cast<double>(ips) * t.ip_area;
-    a_dp = static_cast<double>(dps) * t.dp_area;
-    a_im = static_cast<double>(ims) * t.im_area;
-    a_dm = static_cast<double>(dms) * t.dm_area;
-    b_ip = ips * t.ip_bits;
-    b_dp = dps * t.dp_bits;
-    b_im = ims * t.im_bits;
-    b_dm = dms * t.dm_bits;
-  }
-
-  // Switch terms through the same (inline) cost function the estimates
-  // use; role slots carry the lut-grain override (both endpoints = V,
-  // width 1) resolved at build time.
-  const auto link = [&](const RoleTerm& role) {
-    return switch_cost(role.kind, bind_count(role.left, n, v),
-                       bind_count(role.right, n, v), t.width,
-                       t.switch_params);
-  };
-  const SwitchCost ip_ip = link(t.roles[0]);
-  const SwitchCost ip_im = link(t.roles[1]);
-  const SwitchCost dp_dm = link(t.roles[3]);
-  const SwitchCost dp_dp = link(t.roles[4]);
-  SwitchCost ip_dp;  // Eq. 1/2 as printed omit IP-DP; extended model adds it
-  if (t.roles[2].kind != SwitchKind::None) ip_dp = link(t.roles[2]);
-
-  // Totals in the exact member order of AreaEstimate::total_kge() and
-  // ConfigBitsEstimate::total() — addition order matters for the
-  // bit-identity contract.
-  CostPoint point;
-  point.area_kge = a_ip + a_im + a_dp + a_dm + a_lut + ip_ip.area_kge +
-                   ip_im.area_kge + ip_dp.area_kge + dp_dm.area_kge +
-                   dp_dp.area_kge;
-  point.config_bits = b_ip + b_im + b_dp + b_dm + b_lut +
-                      ip_ip.config_bits + ip_im.config_bits +
-                      ip_dp.config_bits + dp_dm.config_bits +
-                      dp_dp.config_bits;
-  return point;
-}
 
 }  // namespace detail
 
@@ -146,23 +64,30 @@ inline CostPoint evaluate_terms(const PlanTerms& t, std::int64_t n,
 /// structure and re-walk the component library on every call — fine for
 /// one query, wasteful for a design-space sweep that prices the same
 /// class at thousands of (n, lut_budget) points.  A CostPlan folds every
-/// design-point-independent invariant at construction into a flat
+/// design-point-independent invariant at construction into one flat
 /// detail::PlanTerms: the library parameters for each block type, the
 /// switch kind and symbolic endpoint multiplicities of each connectivity
 /// column, and the datapath width.  `evaluate(n, v)` is then a handful
-/// of multiplies and adds; `evaluate_batch` runs the same kernel over
-/// contiguous (n, v) lanes with the invariants hoisted out of the loop.
+/// of multiplies and adds; `evaluate_row` runs the same kernel across a
+/// grid row's LUT-budget lanes with the invariants hoisted out of the
+/// loop.  The sweep kernel keeps its candidates' plans in one
+/// std::vector<CostPlan>, so streaming a plan over a lane block reads
+/// one flat record that stays in L1.
 ///
-/// Bit-identity contract: evaluate() / evaluate_batch() perform the
-/// *same floating point operations in the same order* as the unmemoized
-/// pair (`estimate_area(mc, lib, o).total_kge()`,
+/// Bit-identity contract: evaluate() and evaluate_row() funnel through
+/// one scalar kernel (cost_plan.cpp) that performs the *same floating
+/// point operations in the same order* as the unmemoized pair
+/// (`estimate_area(mc, lib, o).total_kge()`,
 /// `estimate_config_bits(mc, lib, o).total()`), so their results are
 /// bit-identical, not merely close — the sweep engine's results must be
 /// indistinguishable from sequential `recommend()` calls
 /// (tests/test_sweep.cpp enforces this over the whole table).
 ///
+/// Profiling: each priced design point counts one
+/// trace::ProfilePoint::CostEvaluate (evaluate_row counts its lanes).
+///
 /// Thread safety: immutable after construction; evaluate() and
-/// evaluate_batch() are const and touch no shared state — safe to share
+/// evaluate_row() are const and touch no shared state — safe to share
 /// across sweep workers.
 class CostPlan {
  public:
@@ -178,20 +103,17 @@ class CostPlan {
     return evaluate(options.n, options.v);
   }
 
-  /// Batch lanes: out[i] = evaluate(n[i], v[i]) for i < n.size(), with
-  /// the plan invariants hoisted out of the loop (n.size() must equal
-  /// v.size()).  Bit-identical to the scalar calls.
-  void evaluate_batch(std::span<const std::int64_t> n,
-                      std::span<const std::int64_t> v, CostPoint* out) const;
+  /// One grid row: out[i] = evaluate(n, v[i]) for i < v.size().  This is
+  /// the sweep row kernel's shape — a row fixes n and walks the
+  /// LUT-budget lanes.  Bit-identical to the scalar calls.
+  void evaluate_row(std::int64_t n, std::span<const std::int64_t> v,
+                    CostPoint* out) const;
 
-  /// Whether the plan's cost reads the n (respectively v) axis at all —
-  /// a plan with depends_v() == false prices identically for every LUT
-  /// budget, which the sweep kernel exploits to evaluate it once per
-  /// grid row instead of once per cell.
-  bool depends_n() const { return terms_.depends_n; }
+  /// Whether the plan's cost reads the v axis at all — a plan with
+  /// depends_v() == false prices identically for every LUT budget, which
+  /// the sweep kernel exploits to evaluate it once per grid row instead
+  /// of once per cell.
   bool depends_v() const { return terms_.depends_v; }
-
-  const detail::PlanTerms& terms() const { return terms_; }
 
  private:
   detail::PlanTerms terms_;

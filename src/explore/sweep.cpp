@@ -323,8 +323,8 @@ SweepEvaluator::SweepEvaluator(const SweepGrid& grid,
   // The requirements filter is design-point independent, so the
   // candidate set is shared by every cell: filter the 47 rows once and
   // fold each survivor's Eq. 1 / Eq. 2 invariants into one contiguous
-  // CostPlanSet slot, with the name and flexibility the winner reduction
-  // needs cached index-aligned.
+  // CostPlan, with the name and flexibility the winner reduction needs
+  // cached index-aligned.
   const TaxonomyIndex& index = taxonomy_index();
   candidates_.reserve(index.rows().size());
   plans_.reserve(index.rows().size());
@@ -334,11 +334,11 @@ SweepEvaluator::SweepEvaluator(const SweepGrid& grid,
                                 row.flexibility)) {
       continue;
     }
-    const std::size_t p = plans_.add(row.machine, lib);
+    const auto c = static_cast<std::uint32_t>(plans_.size());
+    plans_.emplace_back(row.machine, lib);
     candidates_.push_back(Candidate{row.name, index.interned_name(row.name),
                                     row.flexibility});
-    (plans_.depends_v(p) ? v_dep_ : v_indep_)
-        .push_back(static_cast<std::uint32_t>(p));
+    (plans_.back().depends_v() ? v_dep_ : v_indep_).push_back(c);
   }
 }
 
@@ -355,14 +355,11 @@ SweepPoint SweepEvaluator::evaluate_cell(std::size_t index) const {
   point.lut_budget = grid_.lut_budgets[li];
   point.objective = grid_.objectives[oi];
 
-  trace::profile_count_n(trace::ProfilePoint::CostEvaluate,
-                         candidates_.size());
   int best = -1;
   cost::CostPoint best_cost;
   std::string_view best_name;
   for (std::size_t c = 0; c < candidates_.size(); ++c) {
-    const cost::CostPoint cost =
-        plans_.evaluate(c, point.n, point.lut_budget);
+    const cost::CostPoint cost = plans_[c].evaluate(point.n, point.lut_budget);
     const std::string_view name = candidates_[c].interned;
     if (best < 0 || cell_precedes(point.objective, cost.area_kge,
                                   cost.config_bits, name, best_cost.area_kge,
@@ -383,14 +380,43 @@ SweepPoint SweepEvaluator::evaluate_cell(std::size_t index) const {
   return point;
 }
 
-struct SweepEvaluator::Champion {
-  int cand = -1;
+/// The running winner of one cell under one objective.  Offer it each
+/// candidate's cost in any order: the cell_precedes minimum stays, so a
+/// row's LUT-budget-independent candidates are offered once and each
+/// cell extends a copy with the rest.
+struct SweepEvaluator::Winner {
+  explicit Winner(Requirements::Objective objective = {})
+      : objective(objective) {}
+
+  Requirements::Objective objective;
+  const Candidate* best = nullptr;
   cost::CostPoint cost;
+
+  void offer(const Candidate& candidate, const cost::CostPoint& offered) {
+    if (best == nullptr ||
+        cell_precedes(objective, offered.area_kge, offered.config_bits,
+                      candidate.interned, cost.area_kge, cost.config_bits,
+                      best->interned)) {
+      best = &candidate;
+      cost = offered;
+    }
+  }
+
+  /// Fill @p point's winner fields; a cell no candidate reached stays
+  /// infeasible.
+  void write(SweepPoint& point) const {
+    if (best == nullptr) return;
+    point.feasible = true;
+    point.best = best->name;
+    point.flexibility = best->flexibility;
+    point.area_kge = cost.area_kge;
+    point.config_bits = cost.config_bits;
+  }
 };
 
 void SweepEvaluator::evaluate_row_batch(std::size_t ni, SweepPoint* out,
                                         cost::CostPoint* scratch,
-                                        Champion* champ) const {
+                                        Winner* row_winners) const {
   const std::int64_t n = grid_.n_values[ni];
   const std::size_t l_count = grid_.lut_budgets.size();
   const std::size_t o_count = grid_.objectives.size();
@@ -398,24 +424,16 @@ void SweepEvaluator::evaluate_row_batch(std::size_t ni, SweepPoint* out,
 
   // Candidates whose cost never reads the LUT-budget axis price
   // identically across the whole row: evaluate each once (the v argument
-  // is immaterial — the kernel performs the same ops for any v) and fold
-  // them into one champion per objective.  The per-cell reduction then
-  // starts from the champion instead of re-folding them lane by lane.
-  trace::profile_count_n(trace::ProfilePoint::CostEvaluate, v_indep_.size());
-  std::fill(champ, champ + o_count, Champion{});
+  // is immaterial — the kernel performs the same ops for any v) and
+  // offer it to one winner per objective.  Each cell then starts from
+  // that winner instead of re-folding them lane by lane.
+  for (std::size_t oi = 0; oi < o_count; ++oi) {
+    row_winners[oi] = Winner(grid_.objectives[oi]);
+  }
   for (const std::uint32_t c : v_indep_) {
-    const cost::CostPoint cost = plans_.evaluate(c, n, v_all[0]);
+    const cost::CostPoint cost = plans_[c].evaluate(n, v_all[0]);
     for (std::size_t oi = 0; oi < o_count; ++oi) {
-      Champion& ch = champ[oi];
-      if (ch.cand < 0 ||
-          cell_precedes(grid_.objectives[oi], cost.area_kge,
-                        cost.config_bits, candidates_[c].interned,
-                        ch.cost.area_kge, ch.cost.config_bits,
-                        candidates_[static_cast<std::size_t>(ch.cand)]
-                            .interned)) {
-        ch.cand = static_cast<int>(c);
-        ch.cost = cost;
-      }
+      row_winners[oi].offer(candidates_[c], cost);
     }
   }
 
@@ -427,8 +445,8 @@ void SweepEvaluator::evaluate_row_batch(std::size_t ni, SweepPoint* out,
     const std::size_t lanes = std::min(kBlockLanes, l_count - lb);
     trace::ProfileTimer timer(trace::ProfilePoint::SweepBatch);
     for (std::size_t d = 0; d < v_dep_.size(); ++d) {
-      plans_.evaluate_row(v_dep_[d], n, v_all.subspan(lb, lanes),
-                          scratch + d * lanes);
+      plans_[v_dep_[d]].evaluate_row(n, v_all.subspan(lb, lanes),
+                                     scratch + d * lanes);
     }
     for (std::size_t li = lb; li < lb + lanes; ++li) {
       for (std::size_t oi = 0; oi < o_count; ++oi) {
@@ -436,33 +454,11 @@ void SweepEvaluator::evaluate_row_batch(std::size_t ni, SweepPoint* out,
         point.n = n;
         point.lut_budget = grid_.lut_budgets[li];
         point.objective = grid_.objectives[oi];
-
-        int best = champ[oi].cand;
-        cost::CostPoint best_cost = champ[oi].cost;
-        std::string_view best_name =
-            best >= 0 ? candidates_[static_cast<std::size_t>(best)].interned
-                      : std::string_view{};
+        Winner winner = row_winners[oi];
         for (std::size_t d = 0; d < v_dep_.size(); ++d) {
-          const cost::CostPoint cost = scratch[d * lanes + (li - lb)];
-          const std::uint32_t c = v_dep_[d];
-          if (best < 0 ||
-              cell_precedes(point.objective, cost.area_kge,
-                            cost.config_bits, candidates_[c].interned,
-                            best_cost.area_kge, best_cost.config_bits,
-                            best_name)) {
-            best = static_cast<int>(c);
-            best_cost = cost;
-            best_name = candidates_[c].interned;
-          }
+          winner.offer(candidates_[v_dep_[d]], scratch[d * lanes + (li - lb)]);
         }
-        if (best >= 0) {
-          point.feasible = true;
-          point.best = candidates_[static_cast<std::size_t>(best)].name;
-          point.flexibility =
-              candidates_[static_cast<std::size_t>(best)].flexibility;
-          point.area_kge = best_cost.area_kge;
-          point.config_bits = best_cost.config_bits;
-        }
+        winner.write(point);
         out[li * o_count + oi] = point;
       }
     }
@@ -478,13 +474,13 @@ void SweepEvaluator::evaluate_range(std::size_t begin, std::size_t end,
   // Per-call scratch keeps evaluate_range const and concurrency-safe.
   std::vector<cost::CostPoint> scratch(
       v_dep_.size() * std::min(kBlockLanes, l_count));
-  std::vector<Champion> champ(grid_.objectives.size());
+  std::vector<Winner> row_winners(grid_.objectives.size());
   std::size_t i = begin;
   while (i < end) {
     const std::size_t row_start = (i / row) * row;
     if (i == row_start && row_start + row <= end) {
       evaluate_row_batch(i / row, out + (i - begin), scratch.data(),
-                         champ.data());
+                         row_winners.data());
       i += row;
     } else {
       // Partial row at a range edge: scalar path (bit-identical — the

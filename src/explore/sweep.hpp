@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "core/taxonomy_index.hpp"
-#include "cost/cost_plan_set.hpp"
+#include "cost/cost_plan.hpp"
 #include "explore/recommend.hpp"
 
 namespace mpct::explore {
@@ -146,27 +146,28 @@ std::vector<SweepPoint> pareto_front_reference(
 
 /// Memoized sweep evaluator.  Construction filters the 47-row taxonomy
 /// once against `grid.base` and folds each survivor's Eq. 1 / Eq. 2
-/// invariants into one slot of a plan-major cost::CostPlanSet; each
+/// invariants into one cost::CostPlan of a contiguous vector; each
 /// candidate's interned name and flexibility are cached alongside, so
 /// cell evaluation touches no taxonomy or library state at all.
 ///
 /// evaluate_range() runs the batch kernel: cell indices are decoded once
 /// per grid row (no per-cell div/mod), candidates whose cost is
-/// independent of the LUT-budget axis are priced once per row and folded
-/// into a per-objective champion, and the remaining candidates are
+/// independent of the LUT-budget axis are priced once per row and
+/// offered to one winner per objective, and the remaining candidates are
 /// evaluated candidate-major over cache-sized blocks of LUT-budget lanes
-/// before a per-cell winner reduction.  evaluate_cell() is the scalar
-/// reference the parity tests compare against.
+/// (CostPlan::evaluate_row), then offered per cell to a copy of that
+/// winner.  evaluate_cell() is the scalar reference the parity tests
+/// compare against.
 ///
 /// Bit-identity contract: both paths pick the same winner with
 /// bit-identical costs as `recommend()` called at that cell's
 /// Requirements and taking the front row (tests/test_sweep.cpp).  This
 /// holds because each candidate's cost at a given (n, v) is computed by
-/// the one shared cost::detail::evaluate_terms kernel regardless of
-/// batching, and the winner ordering (`cell_precedes`, tie-broken by the
-/// unique interned class name) is a strict total order — the minimum is
-/// a property of the cell's cost set, independent of fold order or how
-/// cells are partitioned into ranges.
+/// the one CostPlan kernel regardless of batching, and the winner
+/// ordering (`cell_precedes`, tie-broken by the unique interned class
+/// name) is a strict total order — the minimum is a property of the
+/// cell's cost set, independent of fold order or how cells are
+/// partitioned into ranges.
 ///
 /// Thread safety: immutable after construction; evaluate_cell() and
 /// evaluate_range() are const and touch only the output range (batch
@@ -212,15 +213,16 @@ class SweepEvaluator {
     int flexibility = 0;
   };
 
-  /// Best v-independent candidate of a row under one objective.
-  struct Champion;
+  /// The running winner of one cell under one objective (sweep.cpp).
+  struct Winner;
 
   void evaluate_row_batch(std::size_t ni, SweepPoint* out,
-                          cost::CostPoint* scratch, Champion* champ) const;
+                          cost::CostPoint* scratch,
+                          Winner* row_winners) const;
 
   SweepGrid grid_;  ///< normalized
   std::size_t cells_ = 0;
-  cost::CostPlanSet plans_;            ///< plan-major, index-aligned with
+  std::vector<cost::CostPlan> plans_;  ///< contiguous, index-aligned with
   std::vector<Candidate> candidates_;  ///< ...this metadata array
   std::vector<std::uint32_t> v_dep_;   ///< candidates whose cost reads v
   std::vector<std::uint32_t> v_indep_;  ///< ...and those priced once/row

@@ -274,7 +274,7 @@ bool Server::consume_frames(std::uint64_t conn_id, Connection& conn) {
     }
     metrics_.net_frames_in.add();
     if (!dispatch_request(conn_id, conn, conn.read_buffer.data() + offset,
-                          scan.frame_size)) {
+                          scan)) {
       ok = false;
       break;
     }
@@ -288,8 +288,8 @@ bool Server::consume_frames(std::uint64_t conn_id, Connection& conn) {
 
 bool Server::dispatch_request(std::uint64_t conn_id, Connection& conn,
                               const std::uint8_t* frame,
-                              std::size_t frame_size) {
-  const wire::FrameScan scan = wire::scan_frame(frame, frame_size);
+                              const wire::FrameScan& scan) {
+  const std::size_t frame_size = scan.frame_size;
   // Request frames install their wire trace id as the thread's trace
   // context before the dispatch span opens, so this span — and every
   // span the handler records inline — is stamped with it.

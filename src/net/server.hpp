@@ -150,8 +150,11 @@ class Server {
   /// Split conn.read_buffer into frames and dispatch them.  Returns
   /// false when the stream is broken and the connection must close.
   bool consume_frames(std::uint64_t conn_id, Connection& conn);
+  /// Answer or hand off one complete frame at @p frame, whose header
+  /// consume_frames() already scanned into @p scan (state Ready).
   bool dispatch_request(std::uint64_t conn_id, Connection& conn,
-                        const std::uint8_t* frame, std::size_t frame_size);
+                        const std::uint8_t* frame,
+                        const wire::FrameScan& scan);
   /// Append encoded response bytes to a connection's write buffer,
   /// update the watermark, and opportunistically flush (loop thread
   /// only).

@@ -3,11 +3,14 @@
 #include <algorithm>
 
 namespace mpct::qos {
-/// Pressure at which Background requests are shed, then Batch too (the
-/// ladder in admission.hpp).
+/// Pressure at which every class starts to degrade, then Background
+/// requests are shed, then Batch too (the ladder in admission.hpp).
+constexpr double kDegradePressure = 0.70;
 constexpr double kShedBackgroundPressure = 0.85;
 constexpr double kShedBatchPressure = 0.95;
-
+/// Base retry-after hint; scaled up with overshoot past the shed
+/// thresholds so deeper overload spreads retries further out.
+constexpr std::uint32_t kRetryAfterBaseMs = 25;
 
 AdmissionController::AdmissionController(AdmissionOptions options)
     : options_(options) {}
@@ -15,55 +18,39 @@ AdmissionController::AdmissionController(AdmissionOptions options)
 double AdmissionController::quantile_of_window(const Buckets& now,
                                                const Buckets& prev,
                                                double q) {
-  q = std::clamp(q, 0.0, 1.0);
-  constexpr std::size_t kBucketCount = service::LatencyHistogram::kBucketCount;
-  std::array<std::uint64_t, kBucketCount> counts;
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < kBucketCount; ++i) {
+  service::LatencyHistogram::Counts window;
+  for (std::size_t i = 0; i < window.size(); ++i) {
     // Cumulative buckets only grow; a racing relaxed snapshot can still
     // read individual buckets out of order, so clamp at zero.
-    counts[i] = now.counts[i] >= prev.counts[i]
+    window[i] = now.counts[i] >= prev.counts[i]
                     ? now.counts[i] - prev.counts[i]
                     : 0;
-    total += counts[i];
   }
-  if (total == 0) return 0.0;
-  const double rank = q * static_cast<double>(total);
-  std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i < kBucketCount; ++i) {
-    cumulative += counts[i];
-    if (static_cast<double>(cumulative) >= rank) {
-      const double lower = i == 0 ? 0.0 : static_cast<double>(1ULL << i);
-      const double upper = static_cast<double>(1ULL << (i + 1));
-      const double before = static_cast<double>(cumulative - counts[i]);
-      const double fraction =
-          counts[i] == 0 ? 0.0
-                         : (rank - before) / static_cast<double>(counts[i]);
-      return (lower + fraction * (upper - lower)) / 1000.0;
-    }
-  }
-  return static_cast<double>(1ULL << kBucketCount) / 1000.0;
+  return service::LatencyHistogram::quantile_of(window, q).value_or(0.0);
 }
 
-void AdmissionController::observe(const Buckets& cumulative,
-                                  std::chrono::steady_clock::time_point now) {
+bool AdmissionController::claim_refresh(
+    std::chrono::steady_clock::time_point now) {
   const std::int64_t now_ns = now.time_since_epoch().count();
   const std::int64_t interval_ns =
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           options_.refresh_interval)
           .count();
   std::int64_t last = last_refresh_ns_.load(std::memory_order_relaxed);
-  if (last != 0 && now_ns - last < interval_ns) return;
-  if (!last_refresh_ns_.compare_exchange_strong(last, now_ns,
-                                                std::memory_order_relaxed)) {
-    return;  // another thread claimed this window
-  }
+  if (last != 0 && now_ns - last < interval_ns) return false;
+  // Losing the CAS means another thread claimed this window.
+  return last_refresh_ns_.compare_exchange_strong(last, now_ns,
+                                                  std::memory_order_relaxed);
+}
+
+void AdmissionController::refresh(const Buckets& cumulative) {
   std::lock_guard<std::mutex> lock(prev_mutex_);
-  if (last != 0) {
+  if (primed_) {
     windowed_p99_us_.store(quantile_of_window(cumulative, prev_, 0.99),
                            std::memory_order_relaxed);
   }
   prev_ = cumulative;
+  primed_ = true;
 }
 
 double AdmissionController::windowed_p99_us() const {
@@ -85,14 +72,14 @@ std::uint32_t AdmissionController::retry_after(double pressure) const {
   const double over = std::max(0.0, pressure - kShedBackgroundPressure);
   const std::uint32_t scale =
       1 + std::min<std::uint32_t>(7, static_cast<std::uint32_t>(over * 20.0));
-  return options_.retry_after_base_ms * scale;
+  return kRetryAfterBaseMs * scale;
 }
 
 Admission AdmissionController::decide(PriorityClass cls,
                                       double queue_fill) const {
   Admission result;
   result.pressure = pressure(queue_fill);
-  if (result.pressure < options_.degrade_pressure) return result;
+  if (result.pressure < kDegradePressure) return result;
   const bool shed =
       (cls == PriorityClass::Background &&
        result.pressure >= kShedBackgroundPressure) ||

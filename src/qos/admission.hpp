@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdint>
 #include <mutex>
+#include <type_traits>
 
 #include "qos/priority.hpp"
 #include "service/metrics.hpp"
@@ -14,13 +15,13 @@ namespace mpct::qos {
 /// dimensionless load estimate in [0, ~): the maximum of queue fill
 /// (fullest class subqueue / capacity) and the windowed Interactive p99
 /// divided by its budget, so either a deep backlog *or* a blown latency
-/// target pushes the service up the shed ladder:
+/// target pushes the service up the shed ladder (the thresholds are
+/// constants in admission.cpp):
 ///
-///   pressure < degrade_pressure            everything admitted verbatim
-///   >= degrade_pressure                    precision degrades first —
+///   pressure < 0.70                        everything admitted verbatim
+///   >= 0.70                                precision degrades first —
 ///                                          sweeps answer on a strided
-///                                          subgrid, caches may serve
-///                                          entries past soft-TTL
+///                                          subgrid
 ///   >= 0.85                                Background is rejected with
 ///                                          Overloaded + retry-after
 ///   >= 0.95                                Batch is rejected too
@@ -29,7 +30,6 @@ namespace mpct::qos {
 /// problem, everything cheaper has already been turned away and WFQ
 /// gives it almost the whole machine.
 struct AdmissionOptions {
-  double degrade_pressure = 0.70;
   /// Interactive p99 the service tries to hold; windowed p99 at budget
   /// contributes pressure 1.0.
   std::chrono::microseconds interactive_p99_budget{5000};
@@ -37,14 +37,11 @@ struct AdmissionOptions {
   /// histogram (cumulative buckets never decay, so the controller diffs
   /// consecutive snapshots to see only recent traffic).
   std::chrono::milliseconds refresh_interval{50};
-  /// Base retry-after hint; scaled up with overshoot past the shed
-  /// thresholds so deeper overload spreads retries further out.
-  std::uint32_t retry_after_base_ms = 25;
 };
 
 enum class AdmissionAction : std::uint8_t {
   Admit = 0,    ///< serve at full precision
-  Degrade = 1,  ///< serve, but precision may be shed (sampled / stale)
+  Degrade = 1,  ///< serve, but a grid may answer on a strided subgrid
   Shed = 2,     ///< reject with Overloaded + retry-after
 };
 
@@ -70,7 +67,19 @@ class AdmissionController {
   /// most one caller per refresh_interval pays for the diff; everyone
   /// else returns immediately.
   void observe(const Buckets& cumulative,
-               std::chrono::steady_clock::time_point now);
+               std::chrono::steady_clock::time_point now) {
+    if (claim_refresh(now)) refresh(cumulative);
+  }
+
+  /// The same, with the snapshot built by @p snapshot() only when this
+  /// caller claims the refresh — the engine's submit path, where a
+  /// snapshot costs one atomic load per bucket of every histogram.
+  template <typename Snapshot>
+    requires std::is_invocable_r_v<Buckets, Snapshot&>
+  void observe(Snapshot&& snapshot,
+               std::chrono::steady_clock::time_point now) {
+    if (claim_refresh(now)) refresh(snapshot());
+  }
 
   Admission decide(PriorityClass cls, double queue_fill) const;
 
@@ -85,6 +94,11 @@ class AdmissionController {
                                    double q);
 
  private:
+  /// True for the one caller that claims the refresh due at @p now.
+  bool claim_refresh(std::chrono::steady_clock::time_point now);
+  /// Re-derive the windowed p99 from @p cumulative and keep it as the
+  /// next window's start.
+  void refresh(const Buckets& cumulative);
   std::uint32_t retry_after(double pressure) const;
 
   const AdmissionOptions options_;
@@ -93,6 +107,7 @@ class AdmissionController {
   std::atomic<double> windowed_p99_us_{0.0};
   std::mutex prev_mutex_;
   Buckets prev_{};
+  bool primed_ = false;  ///< prev_ holds a snapshot (under prev_mutex_)
 };
 
 }  // namespace mpct::qos

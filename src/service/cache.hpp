@@ -1,6 +1,5 @@
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <list>
@@ -62,14 +61,6 @@ class ShardedLruCache {
         shards_(round_up_pow2(shard_count == 0 ? 1 : shard_count)) {}
 
   std::shared_ptr<const Value> get(Fingerprint key) {
-    return get(key, nullptr);
-  }
-
-  /// Lookup that also reports how long ago the entry was inserted (or
-  /// last refreshed by put()) — what the engine's soft-TTL ladder
-  /// compares against.  @p age_out may be null.
-  std::shared_ptr<const Value> get(Fingerprint key,
-                                   std::chrono::steady_clock::duration* age_out) {
     Shard& shard = shard_for(key);
     std::lock_guard<std::mutex> lock(shard.mutex);
     auto it = shard.index.find(key);
@@ -80,9 +71,6 @@ class ShardedLruCache {
     // Move to the front of the recency list.
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     ++shard.stats.hits;
-    if (age_out) {
-      *age_out = std::chrono::steady_clock::now() - it->second->inserted;
-    }
     return it->second->value;
   }
 
@@ -94,7 +82,6 @@ class ShardedLruCache {
     auto it = shard.index.find(key);
     if (it != shard.index.end()) {
       it->second->value = std::move(value);
-      it->second->inserted = std::chrono::steady_clock::now();
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
       return;
     }
@@ -104,8 +91,7 @@ class ShardedLruCache {
       shard.lru.pop_back();
       ++shard.stats.evictions;
     }
-    shard.lru.push_front(
-        Entry{key, std::move(value), std::chrono::steady_clock::now()});
+    shard.lru.push_front(Entry{key, std::move(value)});
     shard.index.emplace(key, shard.lru.begin());
     ++shard.stats.insertions;
   }
@@ -150,8 +136,6 @@ class ShardedLruCache {
   struct Entry {
     Fingerprint key = 0;
     std::shared_ptr<const Value> value;
-    /// Insert/refresh time — what get(key, &age) measures against.
-    std::chrono::steady_clock::time_point inserted{};
   };
 
   struct Shard {

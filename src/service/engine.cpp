@@ -349,10 +349,10 @@ void QueryEngine::submit_impl(Request request, Deadline deadline,
 
   const qos::PriorityClass cls =
       priority.value_or(qos::default_priority(request));
-  bool degraded = false;
   bool strided = false;
   if (options_.enable_qos) {
-    admission_.observe(interactive_buckets(), Clock::now());
+    admission_.observe([this] { return interactive_buckets(); },
+                       Clock::now());
     const qos::Admission admission =
         admission_.decide(cls, queue_->max_fill());
     if (admission.action == qos::AdmissionAction::Shed) {
@@ -371,7 +371,6 @@ void QueryEngine::submit_impl(Request request, Deadline deadline,
           admission.retry_after_ms)));
     }
     if (admission.action == qos::AdmissionAction::Degrade) {
-      degraded = true;
       strided = stride_for_degrade(request);
       if (strided) trace::emit_instant("qos.degrade", trace::Category::Qos);
     }
@@ -380,8 +379,7 @@ void QueryEngine::submit_impl(Request request, Deadline deadline,
   if (options_.worker_threads == 0) {
     // Single-threaded fallback: execute inline, deterministically.
     metrics_.batch_sizes.record(1);
-    QueryResponse response =
-        run_request(request, deadline, Clock::now(), degraded);
+    QueryResponse response = run_request(request, deadline, Clock::now());
     if (strided) mark_degraded(response);
     return callback(std::move(response));
   }
@@ -391,7 +389,6 @@ void QueryEngine::submit_impl(Request request, Deadline deadline,
   job->deadline = deadline;
   job->enqueued = Clock::now();
   job->trace_id = trace::current_trace_id();
-  job->allow_stale = degraded;
   job->sampled = strided;
   job->callback = std::move(callback);
   job->cancel_owner = cancel_owner;
@@ -447,7 +444,7 @@ void QueryEngine::submit_grid(std::shared_ptr<Job> job,
   // request hashes differently, so it can only hit other degraded runs.
   job->key = fingerprint(request);
   if (options_.enable_cache) {
-    std::optional<QueryResponse> hit = cached(job->key, job->allow_stale);
+    std::optional<QueryResponse> hit = cached(job->key);
     if (hit) {
       if (job->sampled) mark_degraded(*hit);
       return answer_now(std::move(*hit));
@@ -579,8 +576,7 @@ void QueryEngine::run_chunk(const Task& task) {
   Job& job = *task.job;
   if (!job.evaluate) {
     if (!cancelled_in_flight(job)) {
-      job.response = run_request(job.request, job.deadline, job.enqueued,
-                                 job.allow_stale);
+      job.response = run_request(job.request, job.deadline, job.enqueued);
     }
     return;
   }
@@ -681,8 +677,7 @@ QueryResponse QueryEngine::failure(const Job& job, StatusCode code) {
 
 QueryResponse QueryEngine::run_request(const Request& request,
                                        Deadline deadline,
-                                       Clock::time_point start,
-                                       bool allow_stale) {
+                                       Clock::time_point start) {
   QueryResponse response;
   if (deadline.expired()) {
     // The submit-time check already passed, so this request aged out
@@ -695,7 +690,7 @@ QueryResponse QueryEngine::run_request(const Request& request,
   } else {
     trace::ScopedSpan span(execute_span_name(request_type(request)),
                            trace::Category::Execute);
-    response = execute_cached(request, allow_stale);
+    response = execute_cached(request);
     if (const auto* sim = std::get_if<SimulateRequest>(&request)) {
       if (response.ok() && !response.cache_hit) {
         metrics_.sim_runs.add();
@@ -731,12 +726,11 @@ void QueryEngine::meter(QueryResponse& response, RequestType type,
   }
 }
 
-QueryResponse QueryEngine::execute_cached(const Request& request,
-                                          bool allow_stale) {
+QueryResponse QueryEngine::execute_cached(const Request& request) {
   if (!options_.enable_cache) return execute_uncached(request);
 
   const Fingerprint key = fingerprint(request);
-  if (std::optional<QueryResponse> hit = cached(key, allow_stale)) {
+  if (std::optional<QueryResponse> hit = cached(key)) {
     return std::move(*hit);
   }
   QueryResponse response = execute_uncached(request);
@@ -744,22 +738,11 @@ QueryResponse QueryEngine::execute_cached(const Request& request,
   return response;
 }
 
-/// Soft-TTL ladder: with the TTL disabled (the default) this is a plain
-/// cache lookup, byte-for-byte the pre-QoS behavior.  With a TTL, a
-/// fresh entry is a hit; a stale one is served only under admission
-/// Degrade (trading staleness for a worker's time), otherwise treated
-/// as a miss so the recompute refreshes it.
-std::optional<QueryResponse> QueryEngine::cached(Fingerprint key,
-                                                 bool allow_stale) {
-  const bool ttl = options_.cache_soft_ttl.count() > 0;
-  std::chrono::steady_clock::duration age{};
+std::optional<QueryResponse> QueryEngine::cached(Fingerprint key) {
   std::shared_ptr<const ResponsePayload> hit;
-  bool stale = false;
   {
     trace::ScopedSpan probe("cache.probe", trace::Category::Cache);
-    hit = cache_.get(key, ttl ? &age : nullptr);
-    stale = hit && ttl && age > options_.cache_soft_ttl;
-    if (stale && !allow_stale) hit = nullptr;  // a miss; the put() refreshes
+    hit = cache_.get(key);
     probe.annotate("hit", hit ? 1 : 0);
   }
   if (!hit) {
@@ -770,7 +753,6 @@ std::optional<QueryResponse> QueryEngine::cached(Fingerprint key,
   QueryResponse response;
   response.payload = std::move(hit);
   response.cache_hit = true;
-  if (stale) mark_degraded(response);
   return response;
 }
 

@@ -66,14 +66,6 @@ struct EngineOptions {
 
   /// Admission-control thresholds, used when enable_qos is on.
   qos::AdmissionOptions admission;
-
-  /// Soft TTL for cache entries.  0 (default) disables ageing: entries
-  /// live until evicted, exactly as before.  Non-zero, an entry older
-  /// than this is treated as a miss (recomputed and refreshed) — unless
-  /// the admission controller says Degrade, in which case the stale
-  /// entry is served as-is with QueryResponse::sampled set, trading
-  /// freshness for not spending a worker under pressure.
-  std::chrono::milliseconds cache_soft_ttl{0};
 };
 
 /// Concurrent front door to the taxonomy library.
@@ -205,9 +197,6 @@ class QueryEngine {
     /// Submitter's trace context, restored on every worker that runs a
     /// chunk so queue waits, execute, chunk and merge spans join it.
     std::uint64_t trace_id = 0;
-    /// Admission said Degrade at submit: the cache may answer with an
-    /// entry past its soft-TTL (marked sampled) instead of recomputing.
-    bool allow_stale = false;
     /// The grid was strided by admission Degrade: the merged response
     /// carries QueryResponse::sampled.
     bool sampled = false;
@@ -292,12 +281,10 @@ class QueryEngine {
 
   /// Deadline check + cache + execution + completion metrics; shared by
   /// workers, the inline single-threaded path, and execute().
-  /// @p allow_stale lets the cache serve past its soft-TTL (admission
-  /// Degrade), marking the response sampled.
   QueryResponse run_request(const Request& request, Deadline deadline,
-                            Clock::time_point start, bool allow_stale = false);
+                            Clock::time_point start);
   QueryResponse execute_uncached(const Request& request) const;
-  QueryResponse execute_cached(const Request& request, bool allow_stale);
+  QueryResponse execute_cached(const Request& request);
 
   /// Stamp @p response's latency since @p start, record it under
   /// @p type, and count a success as completed and a failure as failed
@@ -306,11 +293,8 @@ class QueryEngine {
   void meter(QueryResponse& response, RequestType type,
              Clock::time_point start);
 
-  /// Cache lookup honouring the soft-TTL ladder, traced and counted: a
-  /// fresh entry is a hit; a stale one is served (marked sampled) only
-  /// when @p allow_stale, otherwise treated as a miss so the recompute
-  /// refreshes it.
-  std::optional<QueryResponse> cached(Fingerprint key, bool allow_stale);
+  /// Cache lookup, traced and counted as a hit or a miss.
+  std::optional<QueryResponse> cached(Fingerprint key);
 
   /// Merged cumulative latency buckets of the Interactive request types
   /// — the admission controller's latency signal.
@@ -321,7 +305,7 @@ class QueryEngine {
   qos::PriorityClass enqueue_class(qos::PriorityClass cls) const;
 
   /// Count + flag one degraded response exactly once (no-op when the
-  /// response failed or was already marked by the stale-serve path).
+  /// response failed or was already marked).
   void mark_degraded(QueryResponse& response);
 
   EngineOptions options_;

@@ -80,25 +80,12 @@ LatencyHistogram::Buckets LatencyHistogram::buckets() const {
   return result;
 }
 
-double LatencyHistogram::quantile_us(double q) const {
+std::optional<double> LatencyHistogram::quantile_of(const Counts& counts,
+                                                    double q) {
   q = std::clamp(q, 0.0, 1.0);
-  std::array<std::uint64_t, kBucketCount> counts;
   std::uint64_t total = 0;
-  for (std::size_t i = 0; i < kBucketCount; ++i) {
-    counts[i] = buckets_[i].load(std::memory_order_relaxed);
-    total += counts[i];
-  }
-  if (total == 0) return 0;
-  // Clamp interpolated estimates into the truly observed range so a
-  // single-valued distribution reports that value for every quantile.
-  const std::uint64_t min_ns = min_ns_.load(std::memory_order_relaxed);
-  const double observed_min =
-      min_ns == UINT64_MAX ? 0.0 : static_cast<double>(min_ns) / 1000.0;
-  const double observed_max =
-      static_cast<double>(max_ns_.load(std::memory_order_relaxed)) / 1000.0;
-  const auto clamp_observed = [&](double us) {
-    return std::clamp(us, observed_min, observed_max);
-  };
+  for (const std::uint64_t count : counts) total += count;
+  if (total == 0) return std::nullopt;
   const double rank = q * static_cast<double>(total);
   std::uint64_t cumulative = 0;
   for (std::size_t i = 0; i < kBucketCount; ++i) {
@@ -114,10 +101,23 @@ double LatencyHistogram::quantile_us(double q) const {
           counts[i] == 0
               ? 0.0
               : (rank - before) / static_cast<double>(counts[i]);
-      return clamp_observed((lower + fraction * (upper - lower)) / 1000.0);
+      return (lower + fraction * (upper - lower)) / 1000.0;
     }
   }
-  return clamp_observed(static_cast<double>(1ULL << kBucketCount) / 1000.0);
+  return static_cast<double>(1ULL << kBucketCount) / 1000.0;
+}
+
+double LatencyHistogram::quantile_us(double q) const {
+  const std::optional<double> us = quantile_of(buckets().counts, q);
+  if (!us) return 0;
+  // Clamp interpolated estimates into the truly observed range so a
+  // single-valued distribution reports that value for every quantile.
+  const std::uint64_t min_ns = min_ns_.load(std::memory_order_relaxed);
+  const double observed_min =
+      min_ns == UINT64_MAX ? 0.0 : static_cast<double>(min_ns) / 1000.0;
+  const double observed_max =
+      static_cast<double>(max_ns_.load(std::memory_order_relaxed)) / 1000.0;
+  return std::clamp(*us, observed_min, observed_max);
 }
 
 LatencyHistogram::Snapshot LatencyHistogram::snapshot() const {

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -76,11 +77,14 @@ class LatencyHistogram {
   /// for the unbounded last bucket).
   static std::int64_t bucket_upper_ns(std::size_t i);
 
+  /// Samples per bucket.
+  using Counts = std::array<std::uint64_t, kBucketCount>;
+
   /// Raw wait-free view for exporters: per-bucket counts plus the
   /// `_sum` / `_count` pair.  Reads are relaxed and per-field, exactly
   /// like snapshot(): racing records may be missed, values never tear.
   struct Buckets {
-    std::array<std::uint64_t, kBucketCount> counts{};
+    Counts counts{};
     std::uint64_t count = 0;
     std::uint64_t sum_ns = 0;
   };
@@ -101,8 +105,15 @@ class LatencyHistogram {
   /// sample — never a torn value.
   Snapshot snapshot() const;
 
-  /// Quantile in microseconds via bucket interpolation; q in [0, 1].
+  /// Quantile in microseconds via bucket interpolation, clamped to the
+  /// observed min and max; q in [0, 1].
   double quantile_us(double q) const;
+
+  /// Quantile in microseconds of the samples @p counts holds, by linear
+  /// interpolation inside the bucket the rank falls in (q clamped to
+  /// [0, 1]); nullopt when @p counts holds none.  Shared by
+  /// quantile_us() and the admission controller's windowed p99.
+  static std::optional<double> quantile_of(const Counts& counts, double q);
 
   /// Total samples recorded so far — the cheap read the cluster client
   /// uses to decide whether quantile_us() has enough data to trust for

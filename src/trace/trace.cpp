@@ -325,20 +325,22 @@ void profile_add(ProfilePoint point, std::uint64_t calls, std::int64_t ns) {
 }  // namespace detail
 
 void ScopedSpan::begin(const char* name, Category category) {
-  name_ = name;
-  category_ = category;
-  id_ = detail::begin_span();
-  parent_ = detail::current_parent();
-  detail::set_current_parent(id_);
-  start_ns_ = detail::now_ns();
+  Open& open = open_.emplace();
+  open.name = name;
+  open.category = category;
+  open.id = detail::begin_span();
+  open.parent = detail::current_parent();
+  detail::set_current_parent(open.id);
+  open.start_ns = detail::now_ns();
 }
 
 void ScopedSpan::end() {
-  const std::int64_t dur = detail::now_ns() - start_ns_;
-  detail::set_current_parent(parent_);
-  detail::end_span(name_, arg_name_, arg_, id_, parent_, category_, start_ns_,
-                   dur < 0 ? 0 : dur);
-  id_ = 0;
+  const Open& open = *open_;
+  const std::int64_t dur = detail::now_ns() - open.start_ns;
+  detail::set_current_parent(open.parent);
+  detail::end_span(open.name, open.arg_name, open.arg, open.id, open.parent,
+                   open.category, open.start_ns, dur < 0 ? 0 : dur);
+  open_.reset();
 }
 
 void emit_span(const char* name, Category category,

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -60,7 +61,7 @@ struct Span {
 /// individually (a 4 ns classify) tick these instead.
 enum class ProfilePoint : std::uint8_t {
   ClassifyFast,   ///< core::TaxonomyIndex::classify
-  CostEvaluate,   ///< cost::CostPlan::evaluate
+  CostEvaluate,   ///< cost::CostPlan::evaluate / evaluate_row (per lane)
   SweepCell,      ///< explore::SweepEvaluator::evaluate_cell
   CurveTrial,     ///< fault::CurveEvaluator::evaluate_cell
   NocReroute,     ///< interconnect::MeshNoc::rebuild_routes (timed)
@@ -230,7 +231,7 @@ class Tracer {
 };
 
 /// RAII span.  Construction with the tracer disabled is the no-op fast
-/// path; destruction then touches nothing but a register test.
+/// path; destruction then touches nothing but one flag test.
 class ScopedSpan {
  public:
   ScopedSpan(const char* name, Category category) {
@@ -245,7 +246,7 @@ class ScopedSpan {
     annotate(arg_name, arg);
   }
   ~ScopedSpan() {
-    if (id_ != 0) [[unlikely]] {
+    if (open_) [[unlikely]] {
       end();
     }
   }
@@ -255,24 +256,33 @@ class ScopedSpan {
 
   /// Attach one (key, integer) annotation; no-op when not recording.
   void annotate(const char* arg_name, std::int64_t arg) {
-    if (id_ != 0) [[unlikely]] {
-      arg_name_ = arg_name;
-      arg_ = arg;
+    if (open_) [[unlikely]] {
+      open_->arg_name = arg_name;
+      open_->arg = arg;
     }
   }
-  bool active() const { return id_ != 0; }
+  bool active() const { return open_.has_value(); }
 
  private:
   void begin(const char* name, Category category);
   void end();
 
-  const char* name_ = nullptr;
-  const char* arg_name_ = nullptr;
-  std::int64_t arg_ = 0;
-  std::uint64_t id_ = 0;
-  std::uint64_t parent_ = 0;
-  std::int64_t start_ns_ = 0;
-  Category category_ = Category::Engine;
+  /// A recording span's fields, from begin() to end().
+  struct Open {
+    const char* name = nullptr;
+    const char* arg_name = nullptr;
+    std::int64_t arg = 0;
+    std::uint64_t id = 0;
+    std::uint64_t parent = 0;
+    std::int64_t start_ns = 0;
+    Category category = Category::Engine;
+  };
+  /// Disengaged while the tracer is off, so a disabled span stores and
+  /// reloads one flag byte wherever the caller's frame places it.
+  /// Zeroing the fields takes 16-byte stores; where one straddles a
+  /// cache line the destructor's reload cannot be forwarded from it,
+  /// and bench_trace reads 2.2 ns instead of ~1.
+  std::optional<Open> open_;
 };
 
 /// Record a span for an interval measured elsewhere (e.g. queue wait:

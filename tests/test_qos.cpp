@@ -273,7 +273,6 @@ TEST(Admission, InteractiveIsNeverShedEvenAtExtremePressure) {
 
 TEST(Admission, RetryAfterScalesWithOvershootAndCaps) {
   AdmissionOptions options;
-  options.retry_after_base_ms = 25;
   AdmissionController controller(options);
 
   // At the first shed threshold: one base unit.
@@ -405,7 +404,7 @@ TEST(QosEngine, ShedsBackgroundWithOverloadedAndDisjointCounters) {
                                    PriorityClass::Background)
                            .get();
   EXPECT_EQ(shed.status.code, StatusCode::Overloaded);
-  EXPECT_GE(shed.status.retry_after_ms, options.admission.retry_after_base_ms);
+  EXPECT_GE(shed.status.retry_after_ms, 25u);
   EXPECT_EQ(shed.payload, nullptr);
 
   // Batch still degrades at this pressure instead of shedding.
@@ -495,48 +494,6 @@ TEST(QosEngine, DegradeStridesSweepGridsAndMarksResponsesSampled) {
   EXPECT_EQ(payload->result, explore::sweep(strided));
   EXPECT_EQ(payload->result.points.size(), 12u);
 
-  EXPECT_GE(engine.metrics().qos_degraded_responses.value(), 1u);
-  for (auto& filler : fillers) EXPECT_TRUE(filler.get().ok());
-}
-
-TEST(QosEngine, DegradeServesCacheEntriesPastSoftTtlAsSampled) {
-  EngineOptions options;
-  options.enable_qos = true;
-  options.worker_threads = 2;
-  options.start_workers = false;
-  options.queue_capacity = 10;
-  options.enable_cache = true;
-  options.cache_soft_ttl = std::chrono::milliseconds(1);
-  QueryEngine engine(options);
-
-  service::CostRequest cost;
-  cost.target = MachineClass{};
-  cost.n_sweep = {2, 4, 8};
-  const Request request{cost};
-
-  // Prime the cache, then let the entry age past its soft TTL.
-  ASSERT_TRUE(engine.execute(request).ok());
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-
-  // Unpressured, a stale entry is a miss: recomputed, refreshed, and
-  // served at full precision.
-  const QueryResponse fresh = engine.execute(request);
-  ASSERT_TRUE(fresh.ok());
-  EXPECT_FALSE(fresh.sampled);
-  EXPECT_FALSE(fresh.cache_hit);
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-
-  // Under Degrade pressure the stale entry is served as-is, flagged
-  // sampled — freshness traded for not spending a worker.
-  std::vector<std::future<QueryResponse>> fillers;
-  for (int i = 0; i < 8; ++i) {  // fill 0.8: Degrade, no shedding
-    fillers.push_back(engine.submit(RecommendRequest{}));
-  }
-  std::future<QueryResponse> future = engine.submit(request);
-  engine.start();
-  const QueryResponse stale = future.get();
-  ASSERT_TRUE(stale.ok()) << stale.status.to_string();
-  EXPECT_TRUE(stale.sampled);
   EXPECT_GE(engine.metrics().qos_degraded_responses.value(), 1u);
   for (auto& filler : fillers) EXPECT_TRUE(filler.get().ok());
 }

@@ -191,27 +191,42 @@ StageBreakdown measure_stages() {
 
   // Evaluate: replay exactly the kernel's CostPlan calls — the scaling
   // grid's min_flexibility 0 admits every named taxonomy row, so this is
-  // the same candidate set the evaluator built; v-dependent plans price
-  // every (n, v) lane, v-independent ones once per row.
+  // the same candidate set the evaluator built: plans that read v only
+  // price every LUT budget once (the evaluator's construction-time
+  // table), plans that do not read v once per row, and plans that read
+  // both axes once per cell.
   const cost::ComponentLibrary lib = cost::ComponentLibrary::default_library();
-  std::vector<cost::CostPlan> v_dep, v_indep;
+  std::vector<cost::CostPlan> per_row, per_lut, per_cell;
   for (const TaxonomyIndex::ClassInfo& taxon : taxonomy_index().rows()) {
     if (!taxon.named) continue;
     cost::CostPlan plan(taxon.machine, lib);
-    (plan.depends_v() ? v_dep : v_indep).push_back(plan);
+    if (!plan.depends_v()) {
+      per_row.push_back(plan);
+    } else {
+      (plan.depends_n() ? per_cell : per_lut).push_back(plan);
+    }
   }
   std::vector<cost::CostPoint> lane(grid.lut_budgets.size());
   stages.evaluate_ns =
       measure_ns(
           [&] {
+            for (const cost::CostPlan& plan : per_lut) {
+              plan.evaluate_row(grid.n_values[0], grid.lut_budgets,
+                                lane.data());
+              benchmark::DoNotOptimize(lane.data());
+            }
             for (const std::int64_t n : grid.n_values) {
-              for (const cost::CostPlan& plan : v_indep) {
+              for (const cost::CostPlan& plan : per_row) {
                 cost::CostPoint point = plan.evaluate(n, grid.lut_budgets[0]);
                 benchmark::DoNotOptimize(point);
               }
-              for (const cost::CostPlan& plan : v_dep) {
-                plan.evaluate_row(n, grid.lut_budgets, lane.data());
-                benchmark::DoNotOptimize(lane.data());
+              for (const std::int64_t v : grid.lut_budgets) {
+                for (std::size_t o = 0; o < grid.objectives.size(); ++o) {
+                  for (const cost::CostPlan& plan : per_cell) {
+                    cost::CostPoint point = plan.evaluate(n, v);
+                    benchmark::DoNotOptimize(point);
+                  }
+                }
               }
             }
           },

@@ -1,5 +1,7 @@
 #include "cost/cost_plan.hpp"
 
+#include <algorithm>
+
 #include "trace/trace.hpp"
 
 namespace mpct::cost {
@@ -68,10 +70,18 @@ PlanTerms build_plan_terms(const MachineClass& mc, const ComponentLibrary& lib,
   t.roles[3] = {kind_of(ConnectivityRole::DpDm), dps, dps};  // dms = dps
   t.roles[4] = {kind_of(ConnectivityRole::DpDp), dps, dps};
 
-  // Axis dependence: every count the kernel reads derives from the
-  // processor binds (block terms and switch endpoints alike), or from v
-  // directly for a LUT fabric.
-  t.depends_v = t.lut_grain || t.ips == Bind::V || t.dps == Bind::V;
+  // Axis dependence: the counts the kernel reads are the block counts
+  // (the processor binds, or v for a LUT fabric) and the endpoints of
+  // every active switch role.
+  const auto reads = [&t](Bind axis) {
+    return (t.lut_grain ? axis == Bind::V : t.ips == axis || t.dps == axis) ||
+           std::ranges::any_of(t.roles, [axis](const RoleTerm& role) {
+             return role.kind != SwitchKind::None &&
+                    (role.left == axis || role.right == axis);
+           });
+  };
+  t.depends_n = reads(Bind::N);
+  t.depends_v = reads(Bind::V);
   return t;
 }
 

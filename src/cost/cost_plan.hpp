@@ -51,8 +51,8 @@ struct PlanTerms {
   int width = 32;  ///< datapath width the switches carry (1 for LUT grain)
   SwitchCostParams switch_params;
   std::array<RoleTerm, 5> roles{};  ///< IP-IP, IP-IM, IP-DP, DP-DM, DP-DP
-  /// Whether any bound count reads the v axis — lets the sweep kernel
-  /// price a plan once per grid row instead of once per LUT budget.
+  /// Whether any count the kernel reads binds to n / to v.
+  bool depends_n = false;
   bool depends_v = false;
 };
 
@@ -69,10 +69,9 @@ struct PlanTerms {
 /// switch kind and symbolic endpoint multiplicities of each connectivity
 /// column, and the datapath width.  `evaluate(n, v)` is then a handful
 /// of multiplies and adds; `evaluate_row` runs the same kernel across a
-/// grid row's LUT-budget lanes with the invariants hoisted out of the
-/// loop.  The sweep kernel keeps its candidates' plans in one
-/// std::vector<CostPlan>, so streaming a plan over a lane block reads
-/// one flat record that stays in L1.
+/// list of LUT budgets with the invariants hoisted out of the loop.
+/// depends_n() / depends_v() say which sweep axes the cost reads, so the
+/// sweep evaluator prices each plan once per value of those axes.
 ///
 /// Bit-identity contract: evaluate() and evaluate_row() funnel through
 /// one scalar kernel (cost_plan.cpp) that performs the *same floating
@@ -103,16 +102,15 @@ class CostPlan {
     return evaluate(options.n, options.v);
   }
 
-  /// One grid row: out[i] = evaluate(n, v[i]) for i < v.size().  This is
-  /// the sweep row kernel's shape — a row fixes n and walks the
-  /// LUT-budget lanes.  Bit-identical to the scalar calls.
+  /// out[i] = evaluate(n, v[i]) for i < v.size(), bit-identical to the
+  /// scalar calls (how the sweep evaluator fills its v-only cost table).
   void evaluate_row(std::int64_t n, std::span<const std::int64_t> v,
                     CostPoint* out) const;
 
-  /// Whether the plan's cost reads the v axis at all — a plan with
-  /// depends_v() == false prices identically for every LUT budget, which
-  /// the sweep kernel exploits to evaluate it once per grid row instead
-  /// of once per cell.
+  /// Whether the cost reads n (a non-LUT-grain processor or an active
+  /// switch endpoint bound to n) / reads v (LUT grain, or such a bind to
+  /// v).  Cleared: bit-identical at every value of that axis.
+  bool depends_n() const { return terms_.depends_n; }
   bool depends_v() const { return terms_.depends_v; }
 
  private:

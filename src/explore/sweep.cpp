@@ -29,11 +29,6 @@ std::size_t SweepGrid::cell_count() const {
 
 namespace {
 
-/// LUT-budget lanes evaluated per batch block: bounds the candidate-major
-/// scratch (up to 47 candidates x 128 lanes x 16 B = 96 KiB) so a block's
-/// costs stay cache-resident through the winner reduction.
-constexpr std::size_t kBlockLanes = 128;
-
 /// The exact ordering recommendation_precedes() applies, on raw fields —
 /// the sweep's winner must be the row recommend() would sort first.
 /// With distinct names (interned class names are unique) this is a
@@ -335,10 +330,18 @@ SweepEvaluator::SweepEvaluator(const SweepGrid& grid,
       continue;
     }
     const auto c = static_cast<std::uint32_t>(plans_.size());
-    plans_.emplace_back(row.machine, lib);
+    const cost::CostPlan& plan = plans_.emplace_back(row.machine, lib);
     candidates_.push_back(Candidate{row.name, index.interned_name(row.name),
                                     row.flexibility});
-    (plans_.back().depends_v() ? v_dep_ : v_indep_).push_back(c);
+    (!plan.depends_v() ? per_row_
+     : plan.depends_n() ? per_cell_ : per_lut_).push_back(c);
+  }
+  // A v-only cost is the same at every n, so price it at the first one.
+  const std::size_t l_count = grid_.lut_budgets.size();
+  lut_costs_.resize(per_lut_.size() * l_count);
+  for (std::size_t d = 0; d < per_lut_.size(); ++d) {
+    plans_[per_lut_[d]].evaluate_row(grid_.n_values[0], grid_.lut_budgets,
+                                     lut_costs_.data() + d * l_count);
   }
 }
 
@@ -415,52 +418,43 @@ struct SweepEvaluator::Winner {
 };
 
 void SweepEvaluator::evaluate_row_batch(std::size_t ni, SweepPoint* out,
-                                        cost::CostPoint* scratch,
                                         Winner* row_winners) const {
+  trace::ProfileTimer timer(trace::ProfilePoint::SweepBatch);
   const std::int64_t n = grid_.n_values[ni];
   const std::size_t l_count = grid_.lut_budgets.size();
   const std::size_t o_count = grid_.objectives.size();
-  const std::span<const std::int64_t> v_all(grid_.lut_budgets);
 
-  // Candidates whose cost never reads the LUT-budget axis price
-  // identically across the whole row: evaluate each once (the v argument
-  // is immaterial — the kernel performs the same ops for any v) and
-  // offer it to one winner per objective.  Each cell then starts from
-  // that winner instead of re-folding them lane by lane.
+  // Candidates whose cost does not read v price identically across the
+  // row: evaluate each once (at any v) and offer it to one winner per
+  // objective, which every cell of the row then starts from.
   for (std::size_t oi = 0; oi < o_count; ++oi) {
     row_winners[oi] = Winner(grid_.objectives[oi]);
   }
-  for (const std::uint32_t c : v_indep_) {
-    const cost::CostPoint cost = plans_[c].evaluate(n, v_all[0]);
+  for (const std::uint32_t c : per_row_) {
+    const cost::CostPoint cost = plans_[c].evaluate(n, grid_.lut_budgets[0]);
     for (std::size_t oi = 0; oi < o_count; ++oi) {
       row_winners[oi].offer(candidates_[c], cost);
     }
   }
 
-  // v-dependent candidates, candidate-major over cache-sized lane
-  // blocks: for each block, stream every candidate's plan across the
-  // lanes (pure multiply-add over one contiguous PlanTerms), then reduce
-  // winners per cell while the block's costs are still cache-hot.
-  for (std::size_t lb = 0; lb < l_count; lb += kBlockLanes) {
-    const std::size_t lanes = std::min(kBlockLanes, l_count - lb);
-    trace::ProfileTimer timer(trace::ProfilePoint::SweepBatch);
-    for (std::size_t d = 0; d < v_dep_.size(); ++d) {
-      plans_[v_dep_[d]].evaluate_row(n, v_all.subspan(lb, lanes),
-                                     scratch + d * lanes);
-    }
-    for (std::size_t li = lb; li < lb + lanes; ++li) {
-      for (std::size_t oi = 0; oi < o_count; ++oi) {
-        SweepPoint point;
-        point.n = n;
-        point.lut_budget = grid_.lut_budgets[li];
-        point.objective = grid_.objectives[oi];
-        Winner winner = row_winners[oi];
-        for (std::size_t d = 0; d < v_dep_.size(); ++d) {
-          winner.offer(candidates_[v_dep_[d]], scratch[d * lanes + (li - lb)]);
-        }
-        winner.write(point);
-        out[li * o_count + oi] = point;
+  // Each cell offers a copy of its row winner the v-only costs priced at
+  // construction and the costs that read both axes.
+  for (std::size_t li = 0; li < l_count; ++li) {
+    const std::int64_t v = grid_.lut_budgets[li];
+    for (std::size_t oi = 0; oi < o_count; ++oi) {
+      Winner winner = row_winners[oi];
+      for (std::size_t d = 0; d < per_lut_.size(); ++d) {
+        winner.offer(candidates_[per_lut_[d]], lut_costs_[d * l_count + li]);
       }
+      for (const std::uint32_t c : per_cell_) {
+        winner.offer(candidates_[c], plans_[c].evaluate(n, v));
+      }
+      SweepPoint point;
+      point.n = n;
+      point.lut_budget = v;
+      point.objective = grid_.objectives[oi];
+      winner.write(point);
+      out[li * o_count + oi] = point;
     }
   }
 }
@@ -470,17 +464,12 @@ void SweepEvaluator::evaluate_range(std::size_t begin, std::size_t end,
   trace::ScopedSpan span("sweep.cells", trace::Category::Sweep, "cells",
                          static_cast<std::int64_t>(end - begin));
   const std::size_t row = row_cells();
-  const std::size_t l_count = grid_.lut_budgets.size();
-  // Per-call scratch keeps evaluate_range const and concurrency-safe.
-  std::vector<cost::CostPoint> scratch(
-      v_dep_.size() * std::min(kBlockLanes, l_count));
   std::vector<Winner> row_winners(grid_.objectives.size());
   std::size_t i = begin;
   while (i < end) {
     const std::size_t row_start = (i / row) * row;
     if (i == row_start && row_start + row <= end) {
-      evaluate_row_batch(i / row, out + (i - begin), scratch.data(),
-                         row_winners.data());
+      evaluate_row_batch(i / row, out + (i - begin), row_winners.data());
       i += row;
     } else {
       // Partial row at a range edge: scalar path (bit-identical — the

@@ -150,28 +150,29 @@ std::vector<SweepPoint> pareto_front_reference(
 /// candidate's interned name and flexibility are cached alongside, so
 /// cell evaluation touches no taxonomy or library state at all.
 ///
-/// evaluate_range() runs the batch kernel: cell indices are decoded once
-/// per grid row (no per-cell div/mod), candidates whose cost is
-/// independent of the LUT-budget axis are priced once per row and
-/// offered to one winner per objective, and the remaining candidates are
-/// evaluated candidate-major over cache-sized blocks of LUT-budget lanes
-/// (CostPlan::evaluate_row), then offered per cell to a copy of that
-/// winner.  evaluate_cell() is the scalar reference the parity tests
-/// compare against.
+/// Candidates are split by the axes their cost reads (CostPlan::depends_n
+/// / depends_v), and construction prices those that read only v (the
+/// LUT-grain class) once per LUT budget.  evaluate_range() runs the batch
+/// kernel: cell indices are decoded once per grid row, candidates whose
+/// cost does not read v are priced once per row and offered to one
+/// winner per objective, and each cell offers a copy of that winner the
+/// v-only costs at its LUT budget and the costs of any candidate reading
+/// both axes.  evaluate_cell() is the scalar reference of the parity tests.
 ///
 /// Bit-identity contract: both paths pick the same winner with
 /// bit-identical costs as `recommend()` called at that cell's
 /// Requirements and taking the front row (tests/test_sweep.cpp).  This
 /// holds because each candidate's cost at a given (n, v) is computed by
-/// the one CostPlan kernel regardless of batching, and the winner
+/// the one CostPlan kernel regardless of batching (a cost that does not
+/// read an axis is bit-identical at every value of it), and the winner
 /// ordering (`cell_precedes`, tie-broken by the unique interned class
 /// name) is a strict total order — the minimum is a property of the
 /// cell's cost set, independent of fold order or how cells are
 /// partitioned into ranges.
 ///
 /// Thread safety: immutable after construction; evaluate_cell() and
-/// evaluate_range() are const and touch only the output range (batch
-/// scratch is per-call) — workers may share one evaluator and write
+/// evaluate_range() are const and touch only the output range (the row
+/// winners are per-call) — workers may share one evaluator and write
 /// disjoint ranges concurrently.
 class SweepEvaluator {
  public:
@@ -217,15 +218,17 @@ class SweepEvaluator {
   struct Winner;
 
   void evaluate_row_batch(std::size_t ni, SweepPoint* out,
-                          cost::CostPoint* scratch,
                           Winner* row_winners) const;
 
   SweepGrid grid_;  ///< normalized
   std::size_t cells_ = 0;
   std::vector<cost::CostPlan> plans_;  ///< contiguous, index-aligned with
   std::vector<Candidate> candidates_;  ///< ...this metadata array
-  std::vector<std::uint32_t> v_dep_;   ///< candidates whose cost reads v
-  std::vector<std::uint32_t> v_indep_;  ///< ...and those priced once/row
+  std::vector<std::uint32_t> per_row_;   ///< cost reads n only, or neither
+  std::vector<std::uint32_t> per_lut_;   ///< cost reads v only
+  std::vector<std::uint32_t> per_cell_;  ///< cost reads both axes
+  /// [d * lut_budgets.size() + li]: per_lut_[d] at lut_budgets[li].
+  std::vector<cost::CostPoint> lut_costs_;
 };
 
 /// Sweep the whole grid.  @p threads == 0 (or 1) evaluates sequentially

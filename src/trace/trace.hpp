@@ -67,7 +67,7 @@ enum class ProfilePoint : std::uint8_t {
   NocReroute,     ///< interconnect::MeshNoc::rebuild_routes (timed)
   RouteAround,    ///< fault::analyze_noc replay (timed)
   OmegaRoute,     ///< interconnect::OmegaNetwork::connect
-  SweepBatch,     ///< one batch-kernel block (timed; sweep/curve evaluate_range)
+  SweepBatch,     ///< one batch-kernel row / lane block (timed; evaluate_range)
 };
 inline constexpr std::size_t kProfilePointCount = 8;
 std::string_view to_string(ProfilePoint point);

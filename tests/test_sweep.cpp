@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <future>
 #include <iterator>
 #include <limits>
@@ -68,6 +69,53 @@ TEST(CostPlan, BitIdenticalWithIpDpSwitchAndOtherLibraries) {
       EXPECT_EQ(point.config_bits,
                 cost::estimate_config_bits(row.machine, lib, options).total());
     }
+  }
+}
+
+/// Equal down to the bits of the area, so -0.0 and 0.0 differ.
+bool same_bits(const cost::CostPoint& a, const cost::CostPoint& b) {
+  return std::bit_cast<std::uint64_t>(a.area_kge) ==
+             std::bit_cast<std::uint64_t>(b.area_kge) &&
+         a.config_bits == b.config_bits;
+}
+
+// The sweep prices each candidate once per value of the axes its plan
+// says it reads, so a cleared flag must mean the cost is bit-identical at
+// every value of that axis.  The census is what the three-way split of
+// the sweep kernel sees: no named class reads both axes.
+TEST(CostPlan, ClearedAxisFlagMeansTheCostIgnoresThatAxis) {
+  std::mt19937_64 rng(2929);
+  std::uniform_int_distribution<std::int64_t> count(1, std::int64_t{1} << 20);
+  for (const cost::ComponentLibrary& lib :
+       {cost::ComponentLibrary::default_library(),
+        cost::ComponentLibrary::embedded(), cost::ComponentLibrary::hpc()}) {
+    std::size_t n_only = 0, v_only = 0, neither = 0, both = 0;
+    for (const bool ip_dp : {false, true}) {
+      for (const TaxonomyIndex::ClassInfo& row : taxonomy_index().rows()) {
+        if (!row.named) continue;
+        const cost::CostPlan plan(row.machine, lib, ip_dp);
+        for (int draw = 0; draw < 16; ++draw) {
+          const std::int64_t n1 = count(rng), n2 = count(rng);
+          const std::int64_t v1 = count(rng), v2 = count(rng);
+          if (!plan.depends_n()) {
+            EXPECT_TRUE(same_bits(plan.evaluate(n1, v1), plan.evaluate(n2, v1)))
+                << "serial " << row.serial << " ip_dp=" << ip_dp << " n=" << n1
+                << "/" << n2 << " v=" << v1;
+          }
+          if (!plan.depends_v()) {
+            EXPECT_TRUE(same_bits(plan.evaluate(n1, v1), plan.evaluate(n1, v2)))
+                << "serial " << row.serial << " ip_dp=" << ip_dp << " n=" << n1
+                << " v=" << v1 << "/" << v2;
+          }
+        }
+        ++(plan.depends_n() ? (plan.depends_v() ? both : n_only)
+                            : (plan.depends_v() ? v_only : neither));
+      }
+    }
+    EXPECT_EQ(both, 0u);
+    EXPECT_EQ(n_only, 80u);
+    EXPECT_EQ(v_only, 2u);
+    EXPECT_EQ(neither, 4u);
   }
 }
 
@@ -257,13 +305,14 @@ TEST(SweepBatch, RowSplittingRangesAgreeWithFullRange) {
 // The kernel's profile counters read the same totals however the cost
 // evaluations are issued: every (candidate, cell) pricing counts one
 // CostEvaluate, except that a batch row prices each LUT-budget
-// independent candidate once for the whole row; SweepCell counts the
-// cells the scalar edge path evaluates.
+// independent candidate once for the whole row and reads each v-only
+// candidate's cost from the table the evaluator priced when it was built;
+// SweepCell counts the cells the scalar edge path evaluates.
 TEST(SweepProfile, TracedRangesCountCostEvaluationsAndScalarCellsExactly) {
   SweepGrid grid;
   grid.n_values = {2, 8, 64};
   for (std::int64_t v = 1; grid.lut_budgets.size() < 130; v += 97) {
-    grid.lut_budgets.push_back(v);  // two lane blocks per row
+    grid.lut_budgets.push_back(v);  // re-pricing v per row adds 130
   }
   grid.objectives = {Requirements::Objective::MinConfigBits,
                      Requirements::Objective::MinArea};
@@ -290,10 +339,11 @@ TEST(SweepProfile, TracedRangesCountCostEvaluationsAndScalarCellsExactly) {
   const auto calls = [&](trace::ProfilePoint point) {
     return snap.profile[static_cast<std::size_t>(point)].calls;
   };
-  // 43 candidates, one of them priced per LUT budget:
-  // 2 batch rows x (42 + 1 x 130) + 260 scalar cells x 43.
+  // 43 candidates; the one that reads only v was priced per LUT budget
+  // when the evaluator was built, before tracing started:
+  // 2 batch rows x 42 + 260 scalar cells x 43.
   EXPECT_EQ(evaluator.candidate_count(), 43u);
-  EXPECT_EQ(calls(trace::ProfilePoint::CostEvaluate), 11524u);
+  EXPECT_EQ(calls(trace::ProfilePoint::CostEvaluate), 11264u);
   EXPECT_EQ(calls(trace::ProfilePoint::SweepCell), 260u);
 }
 

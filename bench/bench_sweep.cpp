@@ -191,42 +191,29 @@ StageBreakdown measure_stages() {
 
   // Evaluate: replay exactly the kernel's CostPlan calls — the scaling
   // grid's min_flexibility 0 admits every named taxonomy row, so this is
-  // the same candidate set the evaluator built: plans that read v only
-  // price every LUT budget once (the evaluator's construction-time
-  // table), plans that do not read v once per row, and plans that read
-  // both axes once per cell.
+  // the same candidate set the evaluator built: plans that read v price
+  // every LUT budget once (the evaluator's construction-time LUT-budget
+  // winners), and the others once per row.
   const cost::ComponentLibrary lib = cost::ComponentLibrary::default_library();
-  std::vector<cost::CostPlan> per_row, per_lut, per_cell;
+  std::vector<cost::CostPlan> per_row, per_lut;
   for (const TaxonomyIndex::ClassInfo& taxon : taxonomy_index().rows()) {
     if (!taxon.named) continue;
     cost::CostPlan plan(taxon.machine, lib);
-    if (!plan.depends_v()) {
-      per_row.push_back(plan);
-    } else {
-      (plan.depends_n() ? per_cell : per_lut).push_back(plan);
-    }
+    (plan.depends_v() ? per_lut : per_row).push_back(plan);
   }
-  std::vector<cost::CostPoint> lane(grid.lut_budgets.size());
   stages.evaluate_ns =
       measure_ns(
           [&] {
             for (const cost::CostPlan& plan : per_lut) {
-              plan.evaluate_row(grid.n_values[0], grid.lut_budgets,
-                                lane.data());
-              benchmark::DoNotOptimize(lane.data());
+              for (const std::int64_t v : grid.lut_budgets) {
+                cost::CostPoint point = plan.evaluate(grid.n_values[0], v);
+                benchmark::DoNotOptimize(point);
+              }
             }
             for (const std::int64_t n : grid.n_values) {
               for (const cost::CostPlan& plan : per_row) {
                 cost::CostPoint point = plan.evaluate(n, grid.lut_budgets[0]);
                 benchmark::DoNotOptimize(point);
-              }
-              for (const std::int64_t v : grid.lut_budgets) {
-                for (std::size_t o = 0; o < grid.objectives.size(); ++o) {
-                  for (const cost::CostPlan& plan : per_cell) {
-                    cost::CostPoint point = plan.evaluate(n, v);
-                    benchmark::DoNotOptimize(point);
-                  }
-                }
               }
             }
           },

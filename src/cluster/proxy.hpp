@@ -64,9 +64,9 @@ struct ProxyOptions {
 /// type passes through ClusterClient::call — consistent-hash routed,
 /// health-checked, hedged.
 ///
-/// The merge reads no component-library state, but the cells come from
-/// the backends: point the fleet at one EngineOptions::library so every
-/// chunk prices against the same one.
+/// The merge reads no component-library state; the cells come from the
+/// backends, and every QueryEngine prices against the default component
+/// library, so every chunk prices against the same one.
 class CombiningProxy {
  public:
   explicit CombiningProxy(ProxyOptions options);

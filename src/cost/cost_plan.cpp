@@ -90,9 +90,7 @@ PlanTerms build_plan_terms(const MachineClass& mc, const ComponentLibrary& lib,
 /// Bit-identity contract: performs the *same floating point operations
 /// in the same order* as the unmemoized pair
 /// (`estimate_area(mc, lib, o).total_kge()`,
-/// `estimate_config_bits(mc, lib, o).total()`).  CostPlan::evaluate and
-/// CostPlan::evaluate_row both funnel through it, so scalar and row
-/// results cannot diverge.
+/// `estimate_config_bits(mc, lib, o).total()`).
 inline CostPoint evaluate_terms(const PlanTerms& t, std::int64_t n,
                                 std::int64_t v) {
   // Bind the symbolic structure exactly as detail::resolve(mc, options)
@@ -162,15 +160,6 @@ CostPlan::CostPlan(const MachineClass& mc, const ComponentLibrary& lib,
 CostPoint CostPlan::evaluate(std::int64_t n, std::int64_t v) const {
   trace::profile_count(trace::ProfilePoint::CostEvaluate);
   return evaluate_terms(terms_, n, v);
-}
-
-void CostPlan::evaluate_row(std::int64_t n, std::span<const std::int64_t> v,
-                            CostPoint* out) const {
-  trace::profile_count_n(trace::ProfilePoint::CostEvaluate, v.size());
-  const PlanTerms& t = terms_;  // hoist: one load, no indirection
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    out[i] = evaluate_terms(t, n, v[i]);
-  }
 }
 
 }  // namespace mpct::cost

@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cstdint>
-#include <span>
 
 #include "core/machine_class.hpp"
 #include "cost/area_model.hpp"
@@ -68,14 +67,13 @@ struct PlanTerms {
 /// detail::PlanTerms: the library parameters for each block type, the
 /// switch kind and symbolic endpoint multiplicities of each connectivity
 /// column, and the datapath width.  `evaluate(n, v)` is then a handful
-/// of multiplies and adds; `evaluate_row` runs the same kernel across a
-/// list of LUT budgets with the invariants hoisted out of the loop.
-/// depends_n() / depends_v() say which sweep axes the cost reads, so the
-/// sweep evaluator prices each plan once per value of those axes.
+/// of multiplies and adds.  depends_n() / depends_v() say which sweep
+/// axes the cost reads, so the sweep evaluator prices each plan once per
+/// value of those axes.
 ///
-/// Bit-identity contract: evaluate() and evaluate_row() funnel through
-/// one scalar kernel (cost_plan.cpp) that performs the *same floating
-/// point operations in the same order* as the unmemoized pair
+/// Bit-identity contract: evaluate() runs one scalar kernel
+/// (cost_plan.cpp) that performs the *same floating point operations in
+/// the same order* as the unmemoized pair
 /// (`estimate_area(mc, lib, o).total_kge()`,
 /// `estimate_config_bits(mc, lib, o).total()`), so their results are
 /// bit-identical, not merely close — the sweep engine's results must be
@@ -83,11 +81,10 @@ struct PlanTerms {
 /// (tests/test_sweep.cpp enforces this over the whole table).
 ///
 /// Profiling: each priced design point counts one
-/// trace::ProfilePoint::CostEvaluate (evaluate_row counts its lanes).
+/// trace::ProfilePoint::CostEvaluate.
 ///
-/// Thread safety: immutable after construction; evaluate() and
-/// evaluate_row() are const and touch no shared state — safe to share
-/// across sweep workers.
+/// Thread safety: immutable after construction; evaluate() is const and
+/// touches no shared state — safe to share across sweep workers.
 class CostPlan {
  public:
   CostPlan(const MachineClass& mc, const ComponentLibrary& lib,
@@ -101,11 +98,6 @@ class CostPlan {
   CostPoint evaluate(const EstimateOptions& options) const {
     return evaluate(options.n, options.v);
   }
-
-  /// out[i] = evaluate(n, v[i]) for i < v.size(), bit-identical to the
-  /// scalar calls (how the sweep evaluator fills its v-only cost table).
-  void evaluate_row(std::int64_t n, std::span<const std::int64_t> v,
-                    CostPoint* out) const;
 
   /// Whether the cost reads n (a non-LUT-grain processor or an active
   /// switch endpoint bound to n) / reads v (LUT grain, or such a bind to

@@ -34,7 +34,7 @@ namespace {
 /// With distinct names (interned class names are unique) this is a
 /// strict total order, so the minimum over any candidate set is unique
 /// and independent of the order the set is folded in — the property the
-/// batch kernel's champion + per-cell reduction relies on.
+/// kernel's row-winner + LUT-budget-winner reduction relies on.
 bool cell_precedes(Requirements::Objective objective, double a_area,
                    std::int64_t a_bits, std::string_view a_name,
                    double b_area, std::int64_t b_bits,
@@ -329,19 +329,28 @@ SweepEvaluator::SweepEvaluator(const SweepGrid& grid,
                                 row.flexibility)) {
       continue;
     }
-    const auto c = static_cast<std::uint32_t>(plans_.size());
-    const cost::CostPlan& plan = plans_.emplace_back(row.machine, lib);
+    plans_.emplace_back(row.machine, lib);
     candidates_.push_back(Candidate{row.name, index.interned_name(row.name),
                                     row.flexibility});
-    (!plan.depends_v() ? per_row_
-     : plan.depends_n() ? per_cell_ : per_lut_).push_back(c);
   }
-  // A v-only cost is the same at every n, so price it at the first one.
-  const std::size_t l_count = grid_.lut_budgets.size();
-  lut_costs_.resize(per_lut_.size() * l_count);
-  for (std::size_t d = 0; d < per_lut_.size(); ++d) {
-    plans_[per_lut_[d]].evaluate_row(grid_.n_values[0], grid_.lut_budgets,
-                                     lut_costs_.data() + d * l_count);
+  // A cost that reads v reads no n, so price it at the first n.
+  const std::size_t o_count = grid_.objectives.size();
+  lut_winners_.reserve(row_cells());
+  for (std::size_t i = 0; i < row_cells(); ++i) {
+    lut_winners_.emplace_back(grid_.objectives[i % o_count]);
+  }
+  for (std::uint32_t c = 0; c < plans_.size(); ++c) {
+    if (!plans_[c].depends_v()) {
+      per_row_.push_back(c);
+      continue;
+    }
+    for (std::size_t li = 0; li < grid_.lut_budgets.size(); ++li) {
+      const cost::CostPoint cost =
+          plans_[c].evaluate(grid_.n_values[0], grid_.lut_budgets[li]);
+      for (std::size_t oi = 0; oi < o_count; ++oi) {
+        lut_winners_[li * o_count + oi].offer(candidates_[c], cost);
+      }
+    }
   }
 }
 
@@ -383,50 +392,40 @@ SweepPoint SweepEvaluator::evaluate_cell(std::size_t index) const {
   return point;
 }
 
-/// The running winner of one cell under one objective.  Offer it each
-/// candidate's cost in any order: the cell_precedes minimum stays, so a
-/// row's LUT-budget-independent candidates are offered once and each
-/// cell extends a copy with the rest.
-struct SweepEvaluator::Winner {
-  explicit Winner(Requirements::Objective objective = {})
-      : objective(objective) {}
-
-  Requirements::Objective objective;
-  const Candidate* best = nullptr;
-  cost::CostPoint cost;
-
-  void offer(const Candidate& candidate, const cost::CostPoint& offered) {
-    if (best == nullptr ||
-        cell_precedes(objective, offered.area_kge, offered.config_bits,
-                      candidate.interned, cost.area_kge, cost.config_bits,
-                      best->interned)) {
-      best = &candidate;
-      cost = offered;
-    }
+void SweepEvaluator::Winner::offer(const Candidate& candidate,
+                                   const cost::CostPoint& offered) {
+  if (best == nullptr ||
+      cell_precedes(objective, offered.area_kge, offered.config_bits,
+                    candidate.interned, cost.area_kge, cost.config_bits,
+                    best->interned)) {
+    best = &candidate;
+    cost = offered;
   }
+}
 
-  /// Fill @p point's winner fields; a cell no candidate reached stays
-  /// infeasible.
-  void write(SweepPoint& point) const {
-    if (best == nullptr) return;
-    point.feasible = true;
-    point.best = best->name;
-    point.flexibility = best->flexibility;
-    point.area_kge = cost.area_kge;
-    point.config_bits = cost.config_bits;
-  }
-};
+void SweepEvaluator::Winner::offer(const Winner& other) {
+  if (other.best != nullptr) offer(*other.best, other.cost);
+}
 
-void SweepEvaluator::evaluate_row_batch(std::size_t ni, SweepPoint* out,
+void SweepEvaluator::Winner::write(SweepPoint& point) const {
+  if (best == nullptr) return;
+  point.feasible = true;
+  point.best = best->name;
+  point.flexibility = best->flexibility;
+  point.area_kge = cost.area_kge;
+  point.config_bits = cost.config_bits;
+}
+
+void SweepEvaluator::evaluate_row_batch(std::size_t ni, std::size_t lo,
+                                        std::size_t hi, SweepPoint* out,
                                         Winner* row_winners) const {
   trace::ProfileTimer timer(trace::ProfilePoint::SweepBatch);
   const std::int64_t n = grid_.n_values[ni];
-  const std::size_t l_count = grid_.lut_budgets.size();
   const std::size_t o_count = grid_.objectives.size();
 
   // Candidates whose cost does not read v price identically across the
   // row: evaluate each once (at any v) and offer it to one winner per
-  // objective, which every cell of the row then starts from.
+  // objective.
   for (std::size_t oi = 0; oi < o_count; ++oi) {
     row_winners[oi] = Winner(grid_.objectives[oi]);
   }
@@ -437,24 +436,21 @@ void SweepEvaluator::evaluate_row_batch(std::size_t ni, SweepPoint* out,
     }
   }
 
-  // Each cell offers a copy of its row winner the v-only costs priced at
-  // construction and the costs that read both axes.
-  for (std::size_t li = 0; li < l_count; ++li) {
-    const std::int64_t v = grid_.lut_budgets[li];
-    for (std::size_t oi = 0; oi < o_count; ++oi) {
-      Winner winner = row_winners[oi];
-      for (std::size_t d = 0; d < per_lut_.size(); ++d) {
-        winner.offer(candidates_[per_lut_[d]], lut_costs_[d * l_count + li]);
-      }
-      for (const std::uint32_t c : per_cell_) {
-        winner.offer(candidates_[c], plans_[c].evaluate(n, v));
-      }
-      SweepPoint point;
-      point.n = n;
-      point.lut_budget = v;
-      point.objective = grid_.objectives[oi];
-      winner.write(point);
-      out[li * o_count + oi] = point;
+  // Each cell is the better of its objective's row winner and its LUT
+  // budget's winner; lut_winners_ is laid out like the row's cells.
+  std::size_t li = lo / o_count, oi = lo % o_count;
+  for (std::size_t i = lo; i < hi; ++i) {
+    Winner winner = row_winners[oi];
+    winner.offer(lut_winners_[i]);
+    SweepPoint point;
+    point.n = n;
+    point.lut_budget = grid_.lut_budgets[li];
+    point.objective = grid_.objectives[oi];
+    winner.write(point);
+    out[i - lo] = point;
+    if (++oi == o_count) {
+      oi = 0;
+      ++li;
     }
   }
 }
@@ -465,18 +461,12 @@ void SweepEvaluator::evaluate_range(std::size_t begin, std::size_t end,
                          static_cast<std::int64_t>(end - begin));
   const std::size_t row = row_cells();
   std::vector<Winner> row_winners(grid_.objectives.size());
-  std::size_t i = begin;
-  while (i < end) {
-    const std::size_t row_start = (i / row) * row;
-    if (i == row_start && row_start + row <= end) {
-      evaluate_row_batch(i / row, out + (i - begin), row_winners.data());
-      i += row;
-    } else {
-      // Partial row at a range edge: scalar path (bit-identical — the
-      // per-cell winner is partition-independent).
-      const std::size_t stop = std::min(end, row_start + row);
-      for (; i < stop; ++i) out[i - begin] = evaluate_cell(i);
-    }
+  for (std::size_t i = begin; i < end;) {
+    const std::size_t row_start = i / row * row;
+    const std::size_t hi = std::min(row, end - row_start);
+    evaluate_row_batch(i / row, i - row_start, hi, out + (i - begin),
+                       row_winners.data());
+    i = row_start + hi;
   }
 }
 

@@ -150,14 +150,18 @@ std::vector<SweepPoint> pareto_front_reference(
 /// candidate's interned name and flexibility are cached alongside, so
 /// cell evaluation touches no taxonomy or library state at all.
 ///
-/// Candidates are split by the axes their cost reads (CostPlan::depends_n
-/// / depends_v), and construction prices those that read only v (the
-/// LUT-grain class) once per LUT budget.  evaluate_range() runs the batch
-/// kernel: cell indices are decoded once per grid row, candidates whose
-/// cost does not read v are priced once per row and offered to one
-/// winner per objective, and each cell offers a copy of that winner the
-/// v-only costs at its LUT budget and the costs of any candidate reading
-/// both axes.  evaluate_cell() is the scalar reference of the parity tests.
+/// The grid is separable: no named class's cost reads both n and the
+/// LUT budget v (CostPlan::depends_n / depends_v; the census in
+/// CostPlan.ClearedAxisFlagMeansTheCostIgnoresThatAxis pins it), so a
+/// cell's winner is the better of its row's winner and its LUT budget's.
+/// Construction prices the candidates whose cost reads v at the first n
+/// and folds them into one winner per (LUT budget, objective).
+/// evaluate_range() runs one kernel over each row piece of the range:
+/// it prices the candidates that do not read v once and offers them to
+/// one winner per objective, then each cell offers a copy of its
+/// objective's winner the cell's LUT-budget winner.  evaluate_cell()
+/// prices every candidate at the cell, the scalar reference of the
+/// parity tests.
 ///
 /// Bit-identity contract: both paths pick the same winner with
 /// bit-identical costs as `recommend()` called at that cell's
@@ -173,21 +177,24 @@ std::vector<SweepPoint> pareto_front_reference(
 /// Thread safety: immutable after construction; evaluate_cell() and
 /// evaluate_range() are const and touch only the output range (the row
 /// winners are per-call) — workers may share one evaluator and write
-/// disjoint ranges concurrently.
+/// disjoint ranges concurrently.  Not copyable: the LUT-budget winners
+/// point into the evaluator's own candidates.
 class SweepEvaluator {
  public:
   explicit SweepEvaluator(const SweepGrid& grid,
                           const cost::ComponentLibrary& lib =
                               cost::ComponentLibrary::default_library());
+  SweepEvaluator(const SweepEvaluator&) = delete;
+  SweepEvaluator& operator=(const SweepEvaluator&) = delete;
 
   std::size_t cell_count() const { return cells_; }
   std::size_t candidate_count() const { return candidates_.size(); }
 
   /// Cells per grid row (one n value x all LUT budgets x all
-  /// objectives) — the batch kernel's natural granularity.  Chunking
-  /// callers round their chunk sizes up to a multiple of this so no
-  /// range splits a row (a split row still evaluates correctly, just
-  /// through the scalar edge path).
+  /// objectives).  Chunking callers round their chunk sizes up to a
+  /// multiple of this so each range prices its rows' winners once per
+  /// row (a split row still evaluates correctly, pricing them once per
+  /// piece).
   std::size_t row_cells() const {
     return grid_.lut_budgets.size() * grid_.objectives.size();
   }
@@ -197,8 +204,7 @@ class SweepEvaluator {
   /// Scalar reference path.
   SweepPoint evaluate_cell(std::size_t index) const;
 
-  /// Evaluate cells [begin, end) into @p out (out[i] = cell begin + i)
-  /// through the batch kernel (scalar edge path for partial rows).
+  /// Evaluate cells [begin, end) into @p out (out[i] = cell begin + i).
   void evaluate_range(std::size_t begin, std::size_t end,
                       SweepPoint* out) const;
 
@@ -214,21 +220,38 @@ class SweepEvaluator {
     int flexibility = 0;
   };
 
-  /// The running winner of one cell under one objective (sweep.cpp).
-  struct Winner;
+  /// The running winner of one cell under one objective.  Offer it each
+  /// candidate's cost in any order: the cell_precedes minimum stays.
+  struct Winner {
+    explicit Winner(Requirements::Objective objective = {})
+        : objective(objective) {}
 
-  void evaluate_row_batch(std::size_t ni, SweepPoint* out,
-                          Winner* row_winners) const;
+    Requirements::Objective objective;
+    const Candidate* best = nullptr;
+    cost::CostPoint cost;
+
+    void offer(const Candidate& candidate, const cost::CostPoint& offered);
+    /// Offer @p other's winner, if it has one.
+    void offer(const Winner& other);
+    /// Fill @p point's winner fields; a cell no candidate reached stays
+    /// infeasible.
+    void write(SweepPoint& point) const;
+  };
+
+  /// The kernel: cells [lo, hi) of row @p ni (offsets within the row)
+  /// into @p out (out[0] = cell lo); @p row_winners holds one scratch
+  /// winner per objective.
+  void evaluate_row_batch(std::size_t ni, std::size_t lo, std::size_t hi,
+                          SweepPoint* out, Winner* row_winners) const;
 
   SweepGrid grid_;  ///< normalized
   std::size_t cells_ = 0;
   std::vector<cost::CostPlan> plans_;  ///< contiguous, index-aligned with
   std::vector<Candidate> candidates_;  ///< ...this metadata array
-  std::vector<std::uint32_t> per_row_;   ///< cost reads n only, or neither
-  std::vector<std::uint32_t> per_lut_;   ///< cost reads v only
-  std::vector<std::uint32_t> per_cell_;  ///< cost reads both axes
-  /// [d * lut_budgets.size() + li]: per_lut_[d] at lut_budgets[li].
-  std::vector<cost::CostPoint> lut_costs_;
+  std::vector<std::uint32_t> per_row_;  ///< candidates whose cost ignores v
+  /// [li * objectives.size() + oi]: the winner among the candidates whose
+  /// cost reads v, at lut_budgets[li] under objectives[oi].
+  std::vector<Winner> lut_winners_;
 };
 
 /// Sweep the whole grid.  @p threads == 0 (or 1) evaluates sequentially
@@ -238,10 +261,10 @@ class SweepEvaluator {
 /// the one filter pass (results are bit-identical either way).  The worker
 /// count is clamped to std::thread::hardware_concurrency() —
 /// oversubscribing cores only adds scheduling overhead to a CPU-bound
-/// kernel — and chunks align to whole grid rows so every worker runs the
-/// batch path.  The service layer instead chunks over its own worker
-/// pool (engine.cpp); this entry point is for library callers and for
-/// the sequential reference the tests compare against.
+/// kernel — and chunks align to whole grid rows.  The service layer
+/// instead chunks over its own worker pool (engine.cpp); this entry
+/// point is for library callers and for the sequential reference the
+/// tests compare against.
 SweepResult sweep(const SweepGrid& grid,
                   const cost::ComponentLibrary& lib =
                       cost::ComponentLibrary::default_library(),

@@ -35,6 +35,10 @@ constexpr std::size_t kWriteHighWatermark = 4u << 20;
 /// requests for this long is closed.
 constexpr std::chrono::milliseconds kIdleTimeout{30000};
 
+/// Open connections the loop holds at most; it stops accepting (new
+/// clients wait in the listen backlog) until one closes.
+constexpr std::size_t kMaxConnections = 256;
+
 /// How long stop() waits for in-flight requests to complete and
 /// response bytes to flush before closing connections anyway.
 constexpr std::chrono::milliseconds kDrainTimeout{5000};
@@ -153,7 +157,7 @@ void Server::loop() {
     pfds.push_back({wake_fds_[0], POLLIN, 0});
     pfd_conn.push_back(0);
     const bool accepting =
-        !stopping && connections_.size() < options_.max_connections;
+        !stopping && connections_.size() < kMaxConnections;
     if (accepting) {
       pfds.push_back({listener_.fd(), POLLIN, 0});
       pfd_conn.push_back(0);
@@ -217,7 +221,7 @@ void Server::loop() {
 
 void Server::accept_connections() {
   for (;;) {
-    if (connections_.size() >= options_.max_connections) break;
+    if (connections_.size() >= kMaxConnections) break;
     const int fd = ::accept(listener_.fd(), nullptr, nullptr);
     if (fd < 0) break;  // EAGAIN or transient error: try next poll round
     trace::emit_instant("net.accept", trace::Category::Net);

@@ -23,7 +23,6 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   /// 0 binds an ephemeral port; Server::port() reports the actual one.
   std::uint16_t port = 0;
-  std::size_t max_connections = 256;
 
   /// When non-empty, record every well-framed request frame (verbatim,
   /// with arrival gaps) to this capture file for later replay with

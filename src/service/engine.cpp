@@ -461,7 +461,7 @@ void QueryEngine::submit_grid(std::shared_ptr<Job> job,
     Slices(const typename Kind::Input& in, const cost::ComponentLibrary& lib)
         : evaluator(in, lib), cells(evaluator.cell_count()) {}
   };
-  auto slices = std::make_shared<Slices>(input, options_.library);
+  auto slices = std::make_shared<Slices>(input, library_);
 
   // Aim for ~2 chunks per worker (load balance without queue churn), but
   // never more chunks than the queue could ever hold.  Boundaries land
@@ -808,20 +808,18 @@ QueryResponse QueryEngine::execute_uncached(const Request& request) const {
           if constexpr (std::is_same_v<T, ClassifyRequest>) {
             return execute_classify(req);
           } else if constexpr (std::is_same_v<T, RecommendRequest>) {
-            return execute_recommend(req, options_.library);
+            return execute_recommend(req, library_);
           } else if constexpr (is_grid_request_v<T>) {
-            return execute_grid<GridKind<T>>(req, options_.library);
+            return execute_grid<GridKind<T>>(req, library_);
           } else if constexpr (std::is_same_v<T, SweepChunkRequest>) {
-            return execute_grid<GridKind<SweepRequest>>(req,
-                                                        options_.library);
+            return execute_grid<GridKind<SweepRequest>>(req, library_);
           } else if constexpr (std::is_same_v<T, FaultChunkRequest>) {
-            return execute_grid<GridKind<FaultSweepRequest>>(
-                req, options_.library);
+            return execute_grid<GridKind<FaultSweepRequest>>(req, library_);
           } else if constexpr (std::is_same_v<T, SimulateRequest>) {
             return execute_simulate(req);
           } else {
             static_assert(std::is_same_v<T, CostRequest>);
-            return execute_cost(req, options_.library);
+            return execute_cost(req, library_);
           }
         },
         request);

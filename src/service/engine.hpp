@@ -50,11 +50,6 @@ struct EngineOptions {
   /// before anything drains it.
   bool start_workers = true;
 
-  /// Cost/recommend queries price against this library.  It is part of
-  /// the engine, not the request, so cached responses can never mix
-  /// libraries.
-  cost::ComponentLibrary library = cost::ComponentLibrary::default_library();
-
   /// Master switch for the QoS serving path (src/qos).  Off (the
   /// default), the engine behaves exactly like the pre-QoS build: every
   /// request rides the Interactive subqueue in submit order (a single
@@ -309,6 +304,11 @@ class QueryEngine {
   void mark_degraded(QueryResponse& response);
 
   EngineOptions options_;
+  /// Cost, recommend and grid queries price against this library.  It
+  /// is part of the engine, not the request, so cached responses can
+  /// never mix libraries.
+  const cost::ComponentLibrary library_ =
+      cost::ComponentLibrary::default_library();
   MetricsRegistry metrics_;
   ShardedLruCache<ResponsePayload> cache_;
   std::unique_ptr<qos::WfqQueue<Task>> queue_;

@@ -54,8 +54,8 @@ SweepChunkResponse GridKind<SweepRequest>::chunk_response(
 }
 
 /// The candidate filter reads only the grid's requirements, never the
-/// component library, so the proxy's default-library evaluator reports
-/// the same candidate count as any backend's.
+/// component library, so the proxy's evaluator reports the same
+/// candidate count as any backend's.
 SweepResponse GridKind<SweepRequest>::merge(
     const Evaluator& evaluator, std::vector<Cell> cells,
     std::span<const Summary> summaries) {

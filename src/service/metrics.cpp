@@ -273,7 +273,7 @@ constexpr MetricRow kRows[] = {
      &R::qos_shed_batch},
     {"qos", "degraded responses", "mpct_qos_degraded_responses_total", "",
      "Responses served at reduced precision under pressure "
-     "(strided subgrid sweeps, cache entries past soft-TTL).",
+     "(grid requests answered on a strided subgrid).",
      &R::qos_degraded_responses},
     {"qos", "cancelled (queued)", "mpct_qos_cancelled_total",
      "stage=\"queued\"",

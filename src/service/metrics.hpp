@@ -233,7 +233,7 @@ class MetricsRegistry {
   // "Counting invariants").
   Counter qos_shed_background;     ///< Background sheds (Overloaded)
   Counter qos_shed_batch;          ///< Batch sheds (Overloaded)
-  Counter qos_degraded_responses;  ///< served sampled / stale under pressure
+  Counter qos_degraded_responses;  ///< served on a strided subgrid
   Counter qos_cancelled_queued;    ///< cancels that dequeued waiting work
   Counter qos_cancelled_inflight;  ///< cancels honoured at a chunk boundary
   Counter qos_cancels_received;    ///< CancelRequest frames dispatched

@@ -264,11 +264,11 @@ struct QueryResponse {
   /// Submit-to-completion time as observed by the engine (queueing
   /// included); zero for rejected-at-submit responses.
   std::chrono::nanoseconds latency{0};
-  /// Precision was shed under load (qos admission Degrade): a sweep
-  /// answered on a strided subgrid, or a cache entry served past its
-  /// soft-TTL.  The result is well-formed and self-consistent, just
-  /// computed from (or cached over) less than the full request asked
-  /// for.  Travels the wire as a v2 response extension.
+  /// Precision was shed under load (qos admission Degrade): a sweep or
+  /// fault curve answered on a strided subgrid.  The result is
+  /// well-formed and self-consistent, just computed from less than the
+  /// full request asked for.  Travels the wire as a v2 response
+  /// extension.
   bool sampled = false;
 
   bool ok() const { return status.ok(); }

@@ -82,6 +82,42 @@ struct Tracer::ThreadBuffer {
     head.store(h + 1, std::memory_order_release);
   }
 
+  /// Append the spans at indices [from, head1) to @p out (head1 an
+  /// acquire-read of head, from >= head1 - capacity) and return the
+  /// first index kept.  Writes that landed while we copied may have
+  /// reused slots we read: a copied index i is reliable only if its slot
+  /// was not reclaimed by any index in [head1, head2 + 1) (the +1 covers
+  /// a write in flight at head2), so only i >= head2 + 1 - capacity is
+  /// kept.
+  std::uint64_t copy_spans(std::uint64_t from, std::uint64_t head1,
+                           std::vector<Span>& out) const {
+    const std::uint64_t capacity = slots.size();
+    const std::size_t base = out.size();
+    for (std::uint64_t i = from; i < head1; ++i) {
+      const Slot& slot = slots[i & (capacity - 1)];
+      Span span;
+      span.name = slot.name.load(std::memory_order_relaxed);
+      span.arg_name = slot.arg_name.load(std::memory_order_relaxed);
+      span.arg = slot.arg.load(std::memory_order_relaxed);
+      span.id = slot.id.load(std::memory_order_relaxed);
+      span.parent = slot.parent.load(std::memory_order_relaxed);
+      span.trace_id = slot.trace_id.load(std::memory_order_relaxed);
+      span.start_ns = slot.start_ns.load(std::memory_order_relaxed);
+      span.dur_ns = slot.dur_ns.load(std::memory_order_relaxed);
+      span.category =
+          static_cast<Category>(slot.category.load(std::memory_order_relaxed));
+      span.thread = thread_index;
+      out.push_back(span);
+    }
+    const std::uint64_t head2 = head.load(std::memory_order_acquire);
+    const std::uint64_t safe_first =
+        head2 + 1 > capacity ? head2 + 1 - capacity : 0;
+    const std::uint64_t kept = std::clamp(safe_first, from, head1);
+    const auto begin = out.begin() + static_cast<std::ptrdiff_t>(base);
+    out.erase(begin, begin + static_cast<std::ptrdiff_t>(kept - from));
+    return kept;
+  }
+
   std::vector<Slot> slots;
   std::atomic<std::uint64_t> head{0};  ///< total spans ever pushed
   /// Next index Tracer::drain() will read; written only under the
@@ -177,43 +213,9 @@ TraceSnapshot Tracer::snapshot() const {
   for (const ThreadBuffer* buffer : buffers_) {
     const std::uint64_t capacity = buffer->slots.size();
     const std::uint64_t head1 = buffer->head.load(std::memory_order_acquire);
-    const std::uint64_t first =
-        head1 > capacity ? head1 - capacity : 0;
-    std::vector<Span> local;
-    local.reserve(static_cast<std::size_t>(head1 - first));
-    for (std::uint64_t i = first; i < head1; ++i) {
-      const ThreadBuffer::Slot& slot = buffer->slots[i & (capacity - 1)];
-      Span span;
-      span.name = slot.name.load(std::memory_order_relaxed);
-      span.arg_name = slot.arg_name.load(std::memory_order_relaxed);
-      span.arg = slot.arg.load(std::memory_order_relaxed);
-      span.id = slot.id.load(std::memory_order_relaxed);
-      span.parent = slot.parent.load(std::memory_order_relaxed);
-      span.trace_id = slot.trace_id.load(std::memory_order_relaxed);
-      span.start_ns = slot.start_ns.load(std::memory_order_relaxed);
-      span.dur_ns = slot.dur_ns.load(std::memory_order_relaxed);
-      span.category =
-          static_cast<Category>(slot.category.load(std::memory_order_relaxed));
-      span.thread = buffer->thread_index;
-      local.push_back(span);
-    }
-    // Writes that landed while we copied may have reused slots we read:
-    // a copied index i is reliable only if its slot was not reclaimed by
-    // any index in [head1, head2 + 1) (the +1 covers a write in flight
-    // at head2).  Keep i >= head2 + 1 - capacity; drop the rest.
-    const std::uint64_t head2 = buffer->head.load(std::memory_order_acquire);
-    const std::uint64_t safe_first =
-        head2 + 1 > capacity ? head2 + 1 - capacity : 0;
-    std::uint64_t kept_from = first;
-    if (safe_first > first) {
-      const std::uint64_t drop =
-          std::min<std::uint64_t>(safe_first - first, local.size());
-      local.erase(local.begin(),
-                  local.begin() + static_cast<std::ptrdiff_t>(drop));
-      kept_from = first + drop;
-    }
-    snap.dropped += kept_from;  // indices [0, kept_from) are gone
-    snap.spans.insert(snap.spans.end(), local.begin(), local.end());
+    const std::uint64_t first = head1 > capacity ? head1 - capacity : 0;
+    // Indices [0, kept) are gone: overwritten before or during the copy.
+    snap.dropped += buffer->copy_spans(first, head1, snap.spans);
 
     for (std::size_t p = 0; p < kProfilePointCount; ++p) {
       snap.profile[p].calls +=
@@ -239,42 +241,11 @@ Tracer::DrainResult Tracer::drain() {
         buffer->export_cursor.load(std::memory_order_relaxed);
     const std::uint64_t head1 = buffer->head.load(std::memory_order_acquire);
     // Indices the ring no longer holds were overwritten since the last
-    // drain — count them lost and start at the oldest surviving slot.
+    // drain, and copied ones a recorder could have reclaimed while we
+    // read are discarded: count both lost, as the cursor moves past them.
     const std::uint64_t oldest = head1 > capacity ? head1 - capacity : 0;
     const std::uint64_t first = std::max(cursor, oldest);
-    result.dropped += first - cursor;
-    std::vector<Span> local;
-    local.reserve(static_cast<std::size_t>(head1 - first));
-    for (std::uint64_t i = first; i < head1; ++i) {
-      const ThreadBuffer::Slot& slot = buffer->slots[i & (capacity - 1)];
-      Span span;
-      span.name = slot.name.load(std::memory_order_relaxed);
-      span.arg_name = slot.arg_name.load(std::memory_order_relaxed);
-      span.arg = slot.arg.load(std::memory_order_relaxed);
-      span.id = slot.id.load(std::memory_order_relaxed);
-      span.parent = slot.parent.load(std::memory_order_relaxed);
-      span.trace_id = slot.trace_id.load(std::memory_order_relaxed);
-      span.start_ns = slot.start_ns.load(std::memory_order_relaxed);
-      span.dur_ns = slot.dur_ns.load(std::memory_order_relaxed);
-      span.category =
-          static_cast<Category>(slot.category.load(std::memory_order_relaxed));
-      span.thread = buffer->thread_index;
-      local.push_back(span);
-    }
-    // Same torn-copy guard as snapshot(): any copied index a recorder
-    // could have reclaimed while we read (i < head2 + 1 - capacity) is
-    // discarded — and counted dropped, because the cursor moves past it.
-    const std::uint64_t head2 = buffer->head.load(std::memory_order_acquire);
-    const std::uint64_t safe_first =
-        head2 + 1 > capacity ? head2 + 1 - capacity : 0;
-    if (safe_first > first) {
-      const std::uint64_t drop =
-          std::min<std::uint64_t>(safe_first - first, local.size());
-      local.erase(local.begin(),
-                  local.begin() + static_cast<std::ptrdiff_t>(drop));
-      result.dropped += drop;
-    }
-    result.spans.insert(result.spans.end(), local.begin(), local.end());
+    result.dropped += buffer->copy_spans(first, head1, result.spans) - cursor;
     buffer->export_cursor.store(head1, std::memory_order_relaxed);
   }
   return result;

@@ -61,13 +61,13 @@ struct Span {
 /// individually (a 4 ns classify) tick these instead.
 enum class ProfilePoint : std::uint8_t {
   ClassifyFast,   ///< core::TaxonomyIndex::classify
-  CostEvaluate,   ///< cost::CostPlan::evaluate / evaluate_row (per lane)
-  SweepCell,      ///< explore::SweepEvaluator::evaluate_cell
+  CostEvaluate,   ///< cost::CostPlan::evaluate, one per priced point
+  SweepCell,      ///< direct explore::SweepEvaluator::evaluate_cell calls
   CurveTrial,     ///< fault::CurveEvaluator::evaluate_cell
   NocReroute,     ///< interconnect::MeshNoc::rebuild_routes (timed)
   RouteAround,    ///< fault::analyze_noc replay (timed)
   OmegaRoute,     ///< interconnect::OmegaNetwork::connect
-  SweepBatch,     ///< one batch-kernel row / lane block (timed; evaluate_range)
+  SweepBatch,     ///< one sweep row piece / curve lane block (timed)
 };
 inline constexpr std::size_t kProfilePointCount = 8;
 std::string_view to_string(ProfilePoint point);
@@ -306,9 +306,9 @@ inline void profile_count(ProfilePoint point) {
 }
 
 /// Bulk count hook: one tick covering @p calls logical operations.  The
-/// batch kernels use this so per-point accounting (cost evaluations,
-/// sweep cells, curve trials) stays accurate without a hook inside the
-/// lane loop — profile totals read the same as the scalar path's.
+/// fault curve's batch kernel uses this so its trial count stays
+/// accurate without a hook inside the lane loop — profile totals read
+/// the same as the scalar path's.
 inline void profile_count_n(ProfilePoint point, std::uint64_t calls) {
   if (!enabled()) [[likely]] {
     return;

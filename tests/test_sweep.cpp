@@ -227,27 +227,10 @@ TEST(Sweep, FilterMatchesRecommendCandidateSet) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch-kernel parity: evaluate_range() (batch path) must be
-// bit-identical to evaluate_cell() (scalar path), cell for cell, over
-// every canonical class and randomized (n, lut_budget, objective)
-// grids — including ranges that split grid rows (the scalar edge path).
-
-TEST(CostPlanBatch, EvaluateRowMatchesScalarEvaluate) {
-  const cost::ComponentLibrary lib = cost::ComponentLibrary::default_library();
-  const std::vector<std::int64_t> ns = {1, 2, 16, 64, 999};
-  const std::vector<std::int64_t> vs = {1, 64, 4096, 100000, 7};
-  std::vector<cost::CostPoint> lanes(vs.size());
-  for (const TaxonomyIndex::ClassInfo& row : taxonomy_index().rows()) {
-    const cost::CostPlan plan(row.machine, lib);
-    for (const std::int64_t n : ns) {
-      plan.evaluate_row(n, vs, lanes.data());
-      for (std::size_t i = 0; i < vs.size(); ++i) {
-        EXPECT_EQ(lanes[i], plan.evaluate(n, vs[i]))
-            << "serial " << row.serial << " n=" << n << " lane " << i;
-      }
-    }
-  }
-}
+// Kernel parity: evaluate_range() must be bit-identical to evaluate_cell()
+// (the scalar reference), cell for cell, over every canonical class and
+// randomized (n, lut_budget, objective) grids, for ranges that split grid
+// rows as well as whole ones.
 
 SweepGrid random_grid(std::mt19937_64& rng) {
   std::uniform_int_distribution<std::int64_t> n_dist(1, 512);
@@ -281,33 +264,87 @@ TEST(SweepBatch, RangeBitIdenticalToScalarCellsOnRandomGrids) {
   }
 }
 
-TEST(SweepBatch, RowSplittingRangesAgreeWithFullRange) {
-  std::mt19937_64 rng(11);
-  const SweepGrid grid = random_grid(rng);
-  const SweepEvaluator evaluator(grid);
-  const std::size_t cells = evaluator.cell_count();
-  std::vector<SweepPoint> whole(cells);
-  evaluator.evaluate_range(0, cells, whole.data());
-  // Deliberately misaligned range boundaries: every split must land on
-  // the same bits through the scalar edge path.
-  std::uniform_int_distribution<std::size_t> cut(0, cells);
-  for (int round = 0; round < 16; ++round) {
-    std::size_t a = cut(rng), b = cut(rng);
-    if (a > b) std::swap(a, b);
-    std::vector<SweepPoint> part(b - a);
-    evaluator.evaluate_range(a, b, part.data());
-    for (std::size_t i = a; i < b; ++i) {
-      EXPECT_EQ(part[i - a], whole[i]) << "range [" << a << "," << b << ")";
-    }
-  }
+/// Whether the class named @p name prices differently across LUT budgets.
+bool reads_lut_budget(const TaxonomicName& name) {
+  return cost::CostPlan(taxonomy_index().by_name(name)->machine,
+                        cost::ComponentLibrary::default_library())
+      .depends_v();
 }
 
-// The kernel's profile counters read the same totals however the cost
-// evaluations are issued: every (candidate, cell) pricing counts one
-// CostEvaluate, except that a batch row prices each LUT-budget
-// independent candidate once for the whole row and reads each v-only
-// candidate's cost from the table the evaluator priced when it was built;
-// SweepCell counts the cells the scalar edge path evaluates.
+// A range runs the same kernel whether or not it splits rows: each cell
+// is the better of its row's winner and its LUT budget's winner.  Every
+// one-cell range, random cuts and the full range must land on the scalar
+// reference's bits, on seeded random grids and on grids that stress each
+// winner: small LUT budgets where USP (the one class whose cost reads v)
+// wins some cells and loses others, under two objectives and one; a floor
+// only USP clears (no row winner); and a floor nothing clears (no winner
+// of either kind).  No filter leaves every other class but drops USP:
+// universal flow satisfies every paradigm and need.
+TEST(SweepBatch, RowSplittingRangesAgreeWithFullRange) {
+  std::mt19937_64 rng(11);
+  std::vector<SweepGrid> grids;
+  for (int i = 0; i < 3; ++i) grids.push_back(random_grid(rng));
+  SweepGrid mixed;
+  mixed.n_values = {1, 3, 16, 200};
+  mixed.lut_budgets = {1, 2, 5, 40, 3000, 1 << 18};
+  mixed.objectives = {Requirements::Objective::MinConfigBits,
+                      Requirements::Objective::MinArea};
+  grids.push_back(mixed);
+  mixed.objectives = {Requirements::Objective::MinArea};
+  grids.push_back(mixed);
+  mixed.base.min_flexibility = 8;
+  grids.push_back(mixed);
+  mixed.base.min_flexibility = 9;
+  grids.push_back(mixed);
+
+  struct Wins {
+    std::size_t lut = 0, row = 0;
+  };
+  std::vector<Wins> wins;
+  for (std::size_t g = 0; g < grids.size(); ++g) {
+    const SweepEvaluator evaluator(grids[g]);
+    const std::size_t cells = evaluator.cell_count();
+    std::vector<SweepPoint> scalar(cells);
+    Wins& won = wins.emplace_back();
+    for (std::size_t i = 0; i < cells; ++i) {
+      scalar[i] = evaluator.evaluate_cell(i);
+      if (scalar[i].feasible) {
+        ++(reads_lut_budget(scalar[i].best) ? won.lut : won.row);
+      }
+    }
+    std::vector<CellRange> ranges = {{0, cells}};
+    for (std::size_t i = 0; i < cells; ++i) ranges.push_back({i, i + 1});
+    std::uniform_int_distribution<std::size_t> cut(0, cells);
+    for (int round = 0; round < 16; ++round) {
+      std::size_t a = cut(rng), b = cut(rng);
+      if (a > b) std::swap(a, b);
+      ranges.push_back({a, b});
+    }
+    for (const CellRange& range : ranges) {
+      std::vector<SweepPoint> part(range.end - range.begin);
+      evaluator.evaluate_range(range.begin, range.end, part.data());
+      for (std::size_t i = range.begin; i < range.end; ++i) {
+        EXPECT_EQ(part[i - range.begin], scalar[i])
+            << "grid " << g << " range [" << range.begin << ","
+            << range.end << ") cell " << i;
+      }
+    }
+  }
+  // Both winners decide cells of the small-budget grids.
+  for (const std::size_t g : {3u, 4u}) {
+    EXPECT_GT(wins[g].lut, 0u) << "grid " << g;
+    EXPECT_GT(wins[g].row, 0u) << "grid " << g;
+  }
+  EXPECT_EQ(wins[5].lut, grids[5].cell_count());
+  EXPECT_EQ(wins[5].row, 0u);
+  EXPECT_EQ(wins[6].lut + wins[6].row, 0u);
+}
+
+// The kernel's profile counters read exact totals: a range prices the
+// candidates whose cost does not read v once per row piece it touches,
+// and takes each LUT budget's winner from the table the evaluator built
+// when it was constructed; SweepCell counts only direct evaluate_cell()
+// calls, which the kernel never makes.
 TEST(SweepProfile, TracedRangesCountCostEvaluationsAndScalarCellsExactly) {
   SweepGrid grid;
   grid.n_values = {2, 8, 64};
@@ -325,8 +362,8 @@ TEST(SweepProfile, TracedRangesCountCostEvaluationsAndScalarCellsExactly) {
   tracer.clear();
   tracer.enable();
   std::vector<SweepPoint> out(evaluator.cell_count());
-  // Rows 0 and 1 run the batch path; the rest of the grid, a range that
-  // ends inside row 2 and one that starts inside it, the scalar path.
+  // Four row pieces: row 0 whole; row 1 whole and the head of row 2 (a
+  // range that ends inside it); the rest of row 2 (one that starts inside).
   for (const CellRange& range :
        {CellRange{0, 260}, CellRange{260, 600}, CellRange{600, 780}}) {
     evaluator.evaluate_range(range.begin, range.end,
@@ -339,12 +376,11 @@ TEST(SweepProfile, TracedRangesCountCostEvaluationsAndScalarCellsExactly) {
   const auto calls = [&](trace::ProfilePoint point) {
     return snap.profile[static_cast<std::size_t>(point)].calls;
   };
-  // 43 candidates; the one that reads only v was priced per LUT budget
-  // when the evaluator was built, before tracing started:
-  // 2 batch rows x 42 + 260 scalar cells x 43.
+  // 43 candidates; the one that reads v was priced per LUT budget when
+  // the evaluator was built, before tracing started: 4 row pieces x 42.
   EXPECT_EQ(evaluator.candidate_count(), 43u);
-  EXPECT_EQ(calls(trace::ProfilePoint::CostEvaluate), 11264u);
-  EXPECT_EQ(calls(trace::ProfilePoint::SweepCell), 260u);
+  EXPECT_EQ(calls(trace::ProfilePoint::CostEvaluate), 168u);
+  EXPECT_EQ(calls(trace::ProfilePoint::SweepCell), 0u);
 }
 
 // ---------------------------------------------------------------------------

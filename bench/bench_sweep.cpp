@@ -7,6 +7,7 @@
 /// format committed at the repo root (see docs/PERF.md for how the
 /// baseline block was measured and how to regenerate).
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <chrono>
@@ -29,6 +30,7 @@
 #include "explore/recommend.hpp"
 #include "explore/sweep.hpp"
 #include "report/csv.hpp"
+#include "trace/trace.hpp"
 
 namespace {
 
@@ -152,25 +154,46 @@ std::vector<ScalingRow> measure_scaling() {
 }
 
 /// Per-cell time split of a single-thread sweep(), each stage timed on
-/// its own.  `total` is the batch kernel (evaluate_range); `evaluate`
-/// replays just the kernel's CostPlan calls.  `front` is
-/// pareto_front over the grid's points (summarise the one range, then
-/// filter); `merge` is the serial step a served sweep runs after its
-/// chunks, which folded their own summaries: combine the kMergeChunks
-/// summaries, then filter.  `sweep` is the whole sweep() call, so
-/// sweep - total - front is roughly what sweep() adds around the two:
-/// building the evaluator and allocating its result vectors.
+/// its own.  `total` is the kernel over the whole grid into a kept
+/// buffer (evaluate_range: factors, then one expansion); `evaluate`
+/// replays just the kernel's CostPlan calls.  `factor` and `expand` are
+/// the kernel's own timers (trace::ProfilePoint::SweepFactor and
+/// SweepExpand) inside traced sweep() calls: pricing the row winners,
+/// cutting them into the LUT-budget winners and marking the front, then
+/// writing the points and the front.  `front` is pareto_front over the
+/// grid's points (summarise the one range, then filter); `merge` is the
+/// serial step the cluster proxy runs over its gathered chunks, each
+/// folded into its own summary: combine the kMergeChunks summaries, then
+/// filter.  `sweep` is the whole sweep() call.  The part of a traced
+/// sweep() outside factor and expand (building the evaluator,
+/// allocating the result vectors) is printed as a residual, never
+/// recorded as a stage; `faults` counts the minor page faults of one
+/// sweep() call (getrusage).
 struct StageBreakdown {
   double evaluate_ns = 0;
   double total_ns = 0;
+  double factor_ns = 0;
+  double expand_ns = 0;
+  double traced_sweep_ns = 0;
   double front_ns = 0;
   double merge_ns = 0;
   double sweep_ns = 0;
+  double faults = 0;
 };
 
-/// Chunks a served sweep of the scaling grid is split into: the
-/// engine's two per worker at perfbench's two workers.
+/// Chunks the cluster proxy splits a sweep of the scaling grid into:
+/// two backends at two chunks each.
 constexpr std::size_t kMergeChunks = 4;
+
+/// sweep() calls the factor and expand timers and the fault count
+/// average over.
+constexpr int kStageSweeps = 32;
+
+long minor_faults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_minflt;
+}
 
 StageBreakdown measure_stages() {
   const explore::SweepGrid grid = scaling_grid().normalized();
@@ -220,8 +243,36 @@ StageBreakdown measure_stages() {
           4) /
       cells_d;
 
+  // Factor and expand: the kernel's own timers over traced sweep()
+  // calls, next to those calls' wall time.
+  trace::Tracer& tracer = trace::Tracer::instance();
+  tracer.clear();
+  tracer.enable();
+  const auto traced_start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kStageSweeps; ++i) {
+    explore::SweepResult result = explore::sweep(grid);
+    benchmark::DoNotOptimize(result);
+  }
+  const double traced_ns =
+      std::chrono::duration<double, std::nano>(
+          std::chrono::steady_clock::now() - traced_start)
+          .count();
+  tracer.disable();
+  const trace::TraceSnapshot snapshot = tracer.snapshot();
+  tracer.clear();
+  const double traced_cells = cells_d * kStageSweeps;
+  const auto timed_ns = [&](trace::ProfilePoint point) {
+    return static_cast<double>(
+               snapshot.profile[static_cast<std::size_t>(point)].total_ns) /
+           traced_cells;
+  };
+  stages.factor_ns = timed_ns(trace::ProfilePoint::SweepFactor);
+  stages.expand_ns = timed_ns(trace::ProfilePoint::SweepExpand);
+  stages.traced_sweep_ns = traced_ns / traced_cells;
+
   // Front: the whole front of the points computed above, built from
   // scratch on one thread.
+
   stages.front_ns = measure_ns(
                         [&] {
                           std::vector<explore::SweepPoint> front =
@@ -230,8 +281,8 @@ StageBreakdown measure_stages() {
                         },
                         4) /
                     cells_d;
-  // Merge: what the engine's last chunk (and the proxy's gather) runs
-  // once every chunk has folded its slice into its own summary.
+  // Merge: what the proxy's gather runs once every chunk answer has been
+  // folded into its own summary.
   std::vector<explore::FrontSummary> summaries;
   for (const CellRange& chunk :
        split_range(cells, kMergeChunks, evaluator.row_cells())) {
@@ -253,6 +304,13 @@ StageBreakdown measure_stages() {
                         },
                         4) /
                     cells_d;
+  const long faults_before = minor_faults();
+  for (int i = 0; i < kStageSweeps; ++i) {
+    explore::SweepResult result = explore::sweep(grid);
+    benchmark::DoNotOptimize(result);
+  }
+  stages.faults =
+      static_cast<double>(minor_faults() - faults_before) / kStageSweeps;
   return stages;
 }
 
@@ -299,15 +357,24 @@ void print_artifact(const std::string& json_path) {
   stage_csv.add_row({"stage", "ns_per_cell"});
   stage_csv.add_row({"evaluate", fmt(stages.evaluate_ns)});
   stage_csv.add_row({"total", fmt(stages.total_ns)});
+  stage_csv.add_row({"factor", fmt(stages.factor_ns)});
+  stage_csv.add_row({"expand", fmt(stages.expand_ns)});
   stage_csv.add_row({"front", fmt(stages.front_ns)});
   stage_csv.add_row({"merge", fmt(stages.merge_ns)});
   stage_csv.add_row({"sweep", fmt(stages.sweep_ns)});
   std::cout << "# sweep() per-cell stage breakdown (single thread; "
-               "evaluate = the kernel's cost-plan calls within total; sweep "
-               "= total + front + evaluator build and result allocation; "
-               "merge = combine "
-               << kMergeChunks << " chunk summaries + filter)\n"
-            << stage_csv.str() << "\n";
+               "evaluate = the kernel's cost-plan calls within total; "
+               "factor and expand = the kernel's timers inside sweep(); "
+               "front = pareto_front over the points; merge = combine "
+            << kMergeChunks << " chunk summaries + filter)\n"
+            << stage_csv.str() << "# traced sweep() "
+            << fmt(stages.traced_sweep_ns)
+            << " ns/cell = factor + expand + residual "
+            << fmt(stages.traced_sweep_ns - stages.factor_ns -
+                   stages.expand_ns)
+            << " (evaluator build, result allocation); minor faults per "
+               "sweep() call: "
+            << fmt(stages.faults) << "\n\n";
 
   // Monotone-scaling gate: with the worker pool clamped to
   // hardware_concurrency, asking for the most threads must never run
@@ -359,9 +426,12 @@ void print_artifact(const std::string& json_path) {
   }
   out << "},\n    \"sweep_stage_ns_per_cell\": {\"evaluate\": "
       << fmt(stages.evaluate_ns) << ", \"total\": " << fmt(stages.total_ns)
+      << ", \"factor\": " << fmt(stages.factor_ns)
+      << ", \"expand\": " << fmt(stages.expand_ns)
       << ", \"front\": " << fmt(stages.front_ns)
       << ", \"merge\": " << fmt(stages.merge_ns)
       << ", \"sweep\": " << fmt(stages.sweep_ns) << "}"
+      << ",\n    \"sweep_minor_faults_per_call\": " << fmt(stages.faults)
       << "\n  },\n"
       << "  \"floors\": {\n"
       << "    \"sweep_cells_per_s.threads_0\": " << fmt(kSweepCellsPerSFloor)

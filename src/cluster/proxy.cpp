@@ -1,5 +1,6 @@
 #include "cluster/proxy.hpp"
 
+#include <exception>
 #include <string>
 #include <utility>
 #include <variant>
@@ -90,8 +91,18 @@ void CombiningProxy::worker_loop() {
       trace::emit_instant("deadline.expired", trace::Category::Mark);
       response.status = service::Status::deadline_exceeded();
     } else {
-      response = handle(cluster, task.request, task.deadline, task.trace_id,
-                        task.priority);
+      // One request must not end the proxy: anything it throws is its
+      // answer.
+      try {
+        response = handle(cluster, task.request, task.deadline, task.trace_id,
+                          task.priority);
+      } catch (const std::exception& e) {
+        response = {};
+        response.status = service::Status::internal_error(e.what());
+      } catch (...) {
+        response = {};
+        response.status = service::Status::internal_error("unknown exception");
+      }
     }
     task.callback(std::move(response));
     task = ProxyTask{};  // drop the callback before blocking in pop()
@@ -125,16 +136,17 @@ service::QueryResponse CombiningProxy::scatter(ClusterClient& cluster,
   response.status = Kind::validate(Kind::input(request));
   if (!response.ok()) return response;
 
-  // The proxy's own evaluator (default component library) sizes the
-  // split and runs the merge, which reads no library state.  Chunks
-  // carry the *original* input: backends normalize it identically, and
-  // identical outer requests then fingerprint to identical chunks —
-  // deterministic placement and cache affinity on repeats.
-  const typename Kind::Evaluator evaluator(Kind::input(request));
+  // The kind's Gather (a sweep's shape, a curve's evaluator, built with
+  // the default component library) sizes the split and runs the merge,
+  // which reads no library state.  Chunks carry the *original* input:
+  // backends normalize it identically, and identical outer requests then
+  // fingerprint to identical chunks — deterministic placement and cache
+  // affinity on repeats.
+  const typename Kind::Gather gather(Kind::input(request));
   const std::vector<CellRange> ranges = split_range(
-      evaluator.cell_count(),
+      gather.cell_count(),
       options_.cluster.endpoints.size() * options_.chunks_per_endpoint,
-      evaluator.row_cells());
+      gather.row_cells());
   span.annotate("chunks", static_cast<std::int64_t>(ranges.size()));
   std::vector<service::Request> chunks;
   chunks.reserve(ranges.size());
@@ -144,13 +156,13 @@ service::QueryResponse CombiningProxy::scatter(ClusterClient& cluster,
   }
   const auto parts = cluster.call_many(chunks, deadline, trace_id, priority);
 
-  // Gather: the same merge as the engine's complete_job(), over the
-  // chunk cells concatenated in index order and each chunk's summary,
-  // folded as its cells are appended.  A chunk must answer with exactly
-  // its range's cell count — a short or long answer (a bug or version
-  // skew behind the socket) would misplace every later cell.
+  // Gather: the kind's merge, over the chunk cells concatenated in
+  // index order and each chunk's summary, folded as its cells are
+  // appended.  A chunk must answer with exactly its range's cell count —
+  // a short or long answer (a bug or version skew behind the socket)
+  // would misplace every later cell.
   std::vector<typename Kind::Cell> cells;
-  cells.reserve(evaluator.cell_count());
+  cells.reserve(gather.cell_count());
   std::vector<typename Kind::Summary> summaries(parts.size());
   for (std::size_t i = 0; i < parts.size(); ++i) {
     if (!parts[i].ok()) {
@@ -177,7 +189,7 @@ service::QueryResponse CombiningProxy::scatter(ClusterClient& cluster,
     summaries[i].add(Kind::cells(*chunk));
   }
   response.payload = std::make_shared<const service::ResponsePayload>(
-      Kind::merge(evaluator, std::move(cells), summaries));
+      Kind::merge(gather, std::move(cells), summaries));
   return response;
 }
 

@@ -49,15 +49,18 @@ struct ProxyOptions {
 /// (SweepChunkRequest / FaultChunkRequest, wire v2) by the engine's own
 /// chunk rule (mpct::split_range), scattered across the fleet via
 /// ClusterClient::call_many, checked to hold exactly their range's cell
-/// count, and merged by *the same* GridKind::merge the engine's
-/// completion runs: chunk cells concatenate in index order, then
+/// count, and merged by GridKind::merge: chunk cells concatenate in
+/// index order, then
 ///
 ///  * sweep — each chunk's explore::FrontSummary, folded as its cells
 ///    are appended, combines into one, and a single filter pass over
-///    all cells copies the front out in bulk;
-///  * fault sweep — CurveEvaluator::finalize reduces the outcomes (each
-///    trial's RNG stream derives from its flat cell index, so placement
-///    cannot change it).
+///    all cells copies the front out in bulk; the split and the
+///    candidate count come from the grid's explore::SweepShape, which
+///    prices nothing;
+///  * fault sweep — CurveEvaluator::finalize, the reduction the
+///    engine's completion runs, reduces the outcomes (each trial's RNG
+///    stream derives from its flat cell index, so placement cannot
+///    change it).
 ///
 /// Merged responses are therefore bit-identical to a single server
 /// evaluating the whole request (test-enforced).  Every other request

@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <future>
 #include <limits>
 #include <optional>
 #include <span>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <type_traits>
 
-#include "core/range_split.hpp"
 #include "trace/trace.hpp"
 
 namespace mpct::explore {
@@ -34,7 +37,10 @@ namespace {
 /// With distinct names (interned class names are unique) this is a
 /// strict total order, so the minimum over any candidate set is unique
 /// and independent of the order the set is folded in — the property the
-/// kernel's row-winner + LUT-budget-winner reduction relies on.
+/// kernel's row-winner + LUT-budget-winner reduction relies on.  A NaN
+/// area (only a custom component library can produce one) sorts after
+/// every number and ties with NaN, so the order stays total and the
+/// kernel's sort stays well defined.
 bool cell_precedes(Requirements::Objective objective, double a_area,
                    std::int64_t a_bits, std::string_view a_name,
                    double b_area, std::int64_t b_bits,
@@ -43,9 +49,23 @@ bool cell_precedes(Requirements::Objective objective, double a_area,
       a_bits != b_bits) {
     return a_bits < b_bits;
   }
-  if (a_area != b_area) return a_area < b_area;
+  const bool a_nan = std::isnan(a_area), b_nan = std::isnan(b_area);
+  if (a_nan != b_nan) return b_nan;
+  if (!a_nan && a_area != b_area) return a_area < b_area;
   if (a_bits != b_bits) return a_bits < b_bits;
   return a_name < b_name;
+}
+
+/// Call @p fn with each named taxonomy row that passes @p base: a
+/// sweep's candidates, in table order.
+template <typename Fn>
+void for_each_candidate(const Requirements& base, Fn&& fn) {
+  for (const TaxonomyIndex::ClassInfo& row : taxonomy_index().rows()) {
+    if (row.named && satisfies_requirements(row.machine, row.name, base,
+                                            row.flexibility)) {
+      fn(row);
+    }
+  }
 }
 
 std::int64_t objective_cost_bits(const SweepPoint& p) {
@@ -268,6 +288,15 @@ void FrontSummary::add(std::span<const SweepPoint> points) {
   }
 }
 
+void FrontSummary::add(const SweepPoint& point, std::size_t count) {
+  if (!point.feasible || count == 0) return;
+  if (point.objective == Requirements::Objective::MinConfigBits) {
+    bits_.add(point.flexibility, point.config_bits, count);
+  } else {
+    area_.add(point.flexibility, point.area_kge, count);
+  }
+}
+
 void FrontSummary::combine(const FrontSummary& other) {
   bits_.combine(other.bits_);
   area_.combine(other.area_);
@@ -300,6 +329,21 @@ std::vector<SweepPoint> FrontSummary::filter(
   return front;
 }
 
+std::size_t FrontSummary::mark(std::span<const SweepPoint> points,
+                               std::span<std::uint8_t> on_front) const {
+  const FrontLookup<std::int64_t> by_bits(bits_);
+  const FrontLookup<double> by_area(area_);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const SweepPoint& p = points[i];
+    on_front[i] =
+        p.feasible &&
+        (p.objective == Requirements::Objective::MinConfigBits
+             ? !by_bits.dominated(p.flexibility, p.config_bits)
+             : !by_area.dominated(p.flexibility, p.area_kge));
+  }
+  return by_bits.survivors() + by_area.survivors();
+}
+
 std::vector<SweepPoint> pareto_front(const std::vector<SweepPoint>& points) {
   return FrontSummary(points).filter(points);
 }
@@ -309,6 +353,27 @@ std::vector<SweepPoint> pareto_front(std::span<const SweepPoint> points,
   FrontSummary whole;
   for (const FrontSummary& chunk : chunks) whole.combine(chunk);
   return whole.filter(points);
+}
+
+namespace detail {
+
+void require_separable(const cost::CostPlan& plan, const TaxonomicName& name) {
+  if (plan.depends_n() && plan.depends_v()) {
+    throw std::logic_error("sweep: the cost of " + to_string(name) +
+                           " reads both n and the LUT budget, which the "
+                           "factored sweep cannot price");
+  }
+}
+
+}  // namespace detail
+
+SweepShape::SweepShape(const SweepGrid& grid)
+    : cells_(grid.cell_count()),
+      row_((grid.lut_budgets.empty() ? 1 : grid.lut_budgets.size()) *
+           (grid.objectives.empty() ? 1 : grid.objectives.size())) {
+  for_each_candidate(grid.base, [this](const TaxonomyIndex::ClassInfo&) {
+    ++candidates_;
+  });
 }
 
 SweepEvaluator::SweepEvaluator(const SweepGrid& grid,
@@ -323,18 +388,15 @@ SweepEvaluator::SweepEvaluator(const SweepGrid& grid,
   const TaxonomyIndex& index = taxonomy_index();
   candidates_.reserve(index.rows().size());
   plans_.reserve(index.rows().size());
-  for (const TaxonomyIndex::ClassInfo& row : index.rows()) {
-    if (!row.named) continue;
-    if (!satisfies_requirements(row.machine, row.name, grid_.base,
-                                row.flexibility)) {
-      continue;
-    }
+  for_each_candidate(grid_.base, [&](const TaxonomyIndex::ClassInfo& row) {
     plans_.emplace_back(row.machine, lib);
+    detail::require_separable(plans_.back(), row.name);
     candidates_.push_back(Candidate{row.name, index.interned_name(row.name),
                                     row.flexibility});
-  }
+  });
   // A cost that reads v reads no n, so price it at the first n.
   const std::size_t o_count = grid_.objectives.size();
+  const std::size_t l_count = grid_.lut_budgets.size();
   lut_winners_.reserve(row_cells());
   for (std::size_t i = 0; i < row_cells(); ++i) {
     lut_winners_.emplace_back(grid_.objectives[i % o_count]);
@@ -344,12 +406,35 @@ SweepEvaluator::SweepEvaluator(const SweepGrid& grid,
       per_row_.push_back(c);
       continue;
     }
-    for (std::size_t li = 0; li < grid_.lut_budgets.size(); ++li) {
+    for (std::size_t li = 0; li < l_count; ++li) {
       const cost::CostPoint cost =
           plans_[c].evaluate(grid_.n_values[0], grid_.lut_budgets[li]);
       for (std::size_t oi = 0; oi < o_count; ++oi) {
         lut_winners_[li * o_count + oi].offer(candidates_[c], cost);
       }
+    }
+  }
+  // Each LUT-budget winner as a cell's record, and each objective's
+  // sorted once, so a row winner's cut is one binary search.
+  lut_best_.resize(row_cells());
+  lut_rank_.resize(row_cells());
+  lut_sorted_.resize(row_cells());
+  for (std::size_t i = 0; i < row_cells(); ++i) {
+    lut_best_[i].objective = lut_winners_[i].objective;
+    lut_winners_[i].write(lut_best_[i]);
+  }
+  for (std::size_t oi = 0; oi < o_count; ++oi) {
+    const auto sorted = lut_sorted_.begin() +
+                        static_cast<std::ptrdiff_t>(oi * l_count);
+    for (std::size_t li = 0; li < l_count; ++li) {
+      sorted[static_cast<std::ptrdiff_t>(li)] = li * o_count + oi;
+    }
+    std::sort(sorted, sorted + static_cast<std::ptrdiff_t>(l_count),
+              [this](std::size_t a, std::size_t b) {
+                return lut_winners_[a].precedes(lut_winners_[b]);
+              });
+    for (std::size_t k = 0; k < l_count; ++k) {
+      lut_rank_[sorted[static_cast<std::ptrdiff_t>(k)]] = k;
     }
   }
 }
@@ -403,8 +488,12 @@ void SweepEvaluator::Winner::offer(const Candidate& candidate,
   }
 }
 
-void SweepEvaluator::Winner::offer(const Winner& other) {
-  if (other.best != nullptr) offer(*other.best, other.cost);
+bool SweepEvaluator::Winner::precedes(const Winner& other) const {
+  if (best == nullptr) return false;
+  if (other.best == nullptr) return true;
+  return cell_precedes(objective, cost.area_kge, cost.config_bits,
+                       best->interned, other.cost.area_kge,
+                       other.cost.config_bits, other.best->interned);
 }
 
 void SweepEvaluator::Winner::write(SweepPoint& point) const {
@@ -416,86 +505,174 @@ void SweepEvaluator::Winner::write(SweepPoint& point) const {
   point.config_bits = cost.config_bits;
 }
 
-void SweepEvaluator::evaluate_row_batch(std::size_t ni, std::size_t lo,
-                                        std::size_t hi, SweepPoint* out,
-                                        Winner* row_winners) const {
-  trace::ProfileTimer timer(trace::ProfilePoint::SweepBatch);
-  const std::int64_t n = grid_.n_values[ni];
+SweepFactors SweepEvaluator::factors(std::size_t row_begin,
+                                     std::size_t row_end) const {
+  trace::ProfileTimer timer(trace::ProfilePoint::SweepFactor);
   const std::size_t o_count = grid_.objectives.size();
-
-  // Candidates whose cost does not read v price identically across the
-  // row: evaluate each once (at any v) and offer it to one winner per
-  // objective.
-  for (std::size_t oi = 0; oi < o_count; ++oi) {
-    row_winners[oi] = Winner(grid_.objectives[oi]);
-  }
-  for (const std::uint32_t c : per_row_) {
-    const cost::CostPoint cost = plans_[c].evaluate(n, grid_.lut_budgets[0]);
+  const std::size_t l_count = grid_.lut_budgets.size();
+  SweepFactors factors;
+  factors.first_row = row_begin;
+  factors.rows = row_end - row_begin;
+  factors.row_best.resize(factors.rows * o_count);
+  factors.row_cut.resize(factors.rows * o_count);
+  std::vector<Winner> winners(o_count);
+  for (std::size_t r = 0; r < factors.rows; ++r) {
+    // Candidates whose cost does not read v price identically across the
+    // row: evaluate each once (at any v) and offer it to one winner per
+    // objective.
+    const std::int64_t n = grid_.n_values[row_begin + r];
     for (std::size_t oi = 0; oi < o_count; ++oi) {
-      row_winners[oi].offer(candidates_[c], cost);
+      winners[oi] = Winner(grid_.objectives[oi]);
+    }
+    for (const std::uint32_t c : per_row_) {
+      const cost::CostPoint cost = plans_[c].evaluate(n, grid_.lut_budgets[0]);
+      for (std::size_t oi = 0; oi < o_count; ++oi) {
+        winners[oi].offer(candidates_[c], cost);
+      }
+    }
+    // The LUT-budget winners that beat a row winner are a prefix of
+    // their sorted order.
+    for (std::size_t oi = 0; oi < o_count; ++oi) {
+      const std::size_t slot = r * o_count + oi;
+      factors.row_best[slot].objective = grid_.objectives[oi];
+      winners[oi].write(factors.row_best[slot]);
+      const auto sorted = lut_sorted_.begin() +
+                          static_cast<std::ptrdiff_t>(oi * l_count);
+      factors.row_cut[slot] = static_cast<std::size_t>(
+          std::partition_point(sorted,
+                               sorted + static_cast<std::ptrdiff_t>(l_count),
+                               [&](std::size_t l) {
+                                 return lut_winners_[l].precedes(winners[oi]);
+                               }) -
+          sorted);
     }
   }
+  return factors;
+}
 
-  // Each cell is the better of its objective's row winner and its LUT
-  // budget's winner; lut_winners_ is laid out like the row's cells.
-  std::size_t li = lo / o_count, oi = lo % o_count;
-  for (std::size_t i = lo; i < hi; ++i) {
-    Winner winner = row_winners[oi];
-    winner.offer(lut_winners_[i]);
-    SweepPoint point;
-    point.n = n;
-    point.lut_budget = grid_.lut_budgets[li];
-    point.objective = grid_.objectives[oi];
-    winner.write(point);
-    out[i - lo] = point;
-    if (++oi == o_count) {
-      oi = 0;
-      ++li;
+void SweepEvaluator::mark_front(SweepFactors& factors) const {
+  trace::ProfileTimer timer(trace::ProfilePoint::SweepFactor);
+  const std::size_t o_count = grid_.objectives.size();
+  const std::size_t l_count = grid_.lut_budgets.size();
+  // Each winner's cell count, from the cuts alone: a row winner takes
+  // the cells whose LUT-budget winner ranks at or past its cut, and a
+  // LUT-budget winner of rank q the rows whose cut is past q.
+  FrontSummary summary;
+  std::vector<std::size_t> cuts(factors.rows);
+  for (std::size_t oi = 0; oi < o_count; ++oi) {
+    for (std::size_t r = 0; r < factors.rows; ++r) {
+      const std::size_t slot = r * o_count + oi;
+      cuts[r] = factors.row_cut[slot];
+      summary.add(factors.row_best[slot], l_count - cuts[r]);
+    }
+    std::sort(cuts.begin(), cuts.end());
+    for (std::size_t li = 0; li < l_count; ++li) {
+      const std::size_t slot = li * o_count + oi;
+      summary.add(lut_best_[slot],
+                  static_cast<std::size_t>(
+                      cuts.end() -
+                      std::upper_bound(cuts.begin(), cuts.end(),
+                                       lut_rank_[slot])));
     }
   }
+  factors.row_front.resize(factors.row_best.size());
+  factors.lut_front.resize(lut_best_.size());
+  factors.front_size = summary.mark(factors.row_best, factors.row_front);
+  summary.mark(lut_best_, factors.lut_front);
+}
+
+template <typename Emit>
+void SweepEvaluator::expand_cells(const SweepFactors& factors,
+                                  std::size_t begin, std::size_t end,
+                                  bool front_only, Emit&& emit) const {
+  trace::ProfileTimer timer(trace::ProfilePoint::SweepExpand);
+  const std::size_t o_count = grid_.objectives.size();
+  const std::size_t row = row_cells();
+  // Within a row, cell i's LUT-budget winner is lut slot i.
+  for (std::size_t ni = begin / row; ni * row < end; ++ni) {
+    const std::size_t lo = std::max(begin, ni * row) - ni * row;
+    const std::size_t hi = std::min(end - ni * row, row);
+    const std::size_t first = (ni - factors.first_row) * o_count;
+    const SweepPoint* row_best = factors.row_best.data() + first;
+    const std::size_t* cut = factors.row_cut.data() + first;
+    const std::uint8_t* row_front =
+        front_only ? factors.row_front.data() + first : nullptr;
+    const std::int64_t n = grid_.n_values[ni];
+    std::size_t li = lo / o_count, oi = lo % o_count;
+    for (std::size_t i = lo; i < hi; ++i) {
+      const bool lut = lut_rank_[i] < cut[oi];
+      if (!front_only || (lut ? factors.lut_front[i] : row_front[oi])) {
+        SweepPoint point = lut ? lut_best_[i] : row_best[oi];
+        point.n = n;
+        point.lut_budget = grid_.lut_budgets[li];
+        emit(point);
+      }
+      if (++oi == o_count) {
+        oi = 0;
+        ++li;
+      }
+    }
+  }
+}
+
+void SweepEvaluator::expand(const SweepFactors& factors, std::size_t begin,
+                            std::size_t end, SweepPoint* out) const {
+  expand_cells(factors, begin, end, false,
+               [&out](const SweepPoint& point) { *out++ = point; });
+}
+
+void SweepEvaluator::expand(const SweepFactors& factors, std::size_t begin,
+                            std::size_t end, std::vector<SweepPoint>& out,
+                            bool front_only) const {
+  expand_cells(factors, begin, end, front_only,
+               [&out](const SweepPoint& point) { out.push_back(point); });
 }
 
 void SweepEvaluator::evaluate_range(std::size_t begin, std::size_t end,
                                     SweepPoint* out) const {
   trace::ScopedSpan span("sweep.cells", trace::Category::Sweep, "cells",
                          static_cast<std::int64_t>(end - begin));
+  if (begin >= end) return;
   const std::size_t row = row_cells();
-  std::vector<Winner> row_winners(grid_.objectives.size());
-  for (std::size_t i = begin; i < end;) {
-    const std::size_t row_start = i / row * row;
-    const std::size_t hi = std::min(row, end - row_start);
-    evaluate_row_batch(i / row, i - row_start, hi, out + (i - begin),
-                       row_winners.data());
-    i = row_start + hi;
-  }
+  expand(factors(begin / row, (end - 1) / row + 1), begin, end, out);
+}
+
+SweepFactors SweepEvaluator::evaluate_all(
+    std::vector<SweepPoint>& points) const {
+  SweepFactors whole = factors(0, grid_.n_values.size());
+  mark_front(whole);
+  expand(whole, 0, cells_, points);
+  return whole;
+}
+
+std::vector<SweepPoint> SweepEvaluator::front(
+    const SweepFactors& factors) const {
+  std::vector<SweepPoint> front;
+  front.reserve(factors.front_size);
+  expand(factors, 0, cells_, front, /*front_only=*/true);
+  return front;
 }
 
 SweepResult sweep(const SweepGrid& grid, const cost::ComponentLibrary& lib,
                   unsigned threads) {
   const SweepEvaluator evaluator(grid, lib);
-  const std::size_t cells = evaluator.cell_count();
-
   SweepResult result;
   result.candidate_classes = evaluator.candidate_count();
-  result.points.resize(cells);
-
-  // One summary slot per worker range, each folded while its slice is
-  // cache-hot; the filter then runs once over their combination.  A
-  // sequential sweep keeps its one slot on the stack: a heap block
-  // between the points and the front made the allocator keep more
-  // memory resident across concurrent sweeps.
-  FrontSummary sequential;
-  std::vector<FrontSummary> parts(threads > 1 ? threads : 0);
-  const std::span<FrontSummary> summaries =
-      parts.empty() ? std::span(&sequential, 1) : std::span(parts);
-  parallel_ranges(cells, threads, evaluator.row_cells(),
-                  [&](std::size_t part, std::size_t begin, std::size_t end) {
-                    SweepPoint* out = result.points.data() + begin;
-                    evaluator.evaluate_range(begin, end, out);
-                    summaries[part].add({out, end - begin});
-                  });
-
-  result.pareto_front = pareto_front(result.points, summaries);
+  result.points.reserve(evaluator.cell_count());
+  if (threads <= 1 || std::thread::hardware_concurrency() <= 1) {
+    result.pareto_front =
+        evaluator.front(evaluator.evaluate_all(result.points));
+    return result;
+  }
+  // Once the front is marked, the points and the front are independent
+  // expansions: a second thread allocates and writes the front while
+  // this one writes the points.
+  SweepFactors factors = evaluator.factors(0, evaluator.grid().n_values.size());
+  evaluator.mark_front(factors);
+  std::future<std::vector<SweepPoint>> front = std::async(
+      std::launch::async, [&] { return evaluator.front(factors); });
+  evaluator.expand(factors, 0, evaluator.cell_count(), result.points);
+  result.pareto_front = front.get();
   return result;
 }
 

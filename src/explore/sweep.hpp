@@ -88,6 +88,9 @@ class FrontSummary {
 
   /// Fold @p points into the summary.
   void add(std::span<const SweepPoint> points);
+  /// Fold @p count points with @p point's objective, flexibility and
+  /// cost (nothing when it is infeasible or @p count is 0).
+  void add(const SweepPoint& point, std::size_t count);
   /// Fold another summary in.  add() and combine() commute.
   void combine(const FrontSummary& other);
 
@@ -99,6 +102,14 @@ class FrontSummary {
   /// every point survives, as on most taxonomy grids, the scan is
   /// skipped and the points are copied whole.
   std::vector<SweepPoint> filter(std::span<const SweepPoint> points) const;
+
+  /// Set on_front[i] to whether no summarised point dominates points[i]
+  /// (0 for an infeasible one) and return how many summarised points are
+  /// on the front.  What filter() decides per point, for callers that
+  /// summarised weighted points (add(point, count)) and expand the
+  /// front themselves.
+  std::size_t mark(std::span<const SweepPoint> points,
+                   std::span<std::uint8_t> on_front) const;
 
  private:
   /// One objective's minimum cost at each flexibility, with how many
@@ -129,7 +140,7 @@ std::vector<SweepPoint> pareto_front(const std::vector<SweepPoint>& points);
 /// holds each chunk's summary (in any order): combine, then filter once.
 /// Exact, because a union's minimum cost at each flexibility is the
 /// minimum of its chunks' minima, and a NaN cost never enters one.
-/// The one merge of sweep(), the engine's grid jobs and the proxy.
+/// The cluster proxy's merge of the chunk answers it gathers.
 std::vector<SweepPoint> pareto_front(std::span<const SweepPoint> points,
                                      std::span<const FrontSummary> chunks);
 
@@ -144,6 +155,54 @@ std::vector<SweepPoint> pareto_front_reference(
 
 }  // namespace detail
 
+/// The shape of a sweep, read without pricing anything: what the
+/// cluster proxy needs to split a grid into chunks and to label the
+/// merged answer.  The candidate filter reads only the grid's
+/// requirements, never a component library, so every backend reports
+/// the same count.
+class SweepShape {
+ public:
+  explicit SweepShape(const SweepGrid& grid);
+
+  std::size_t cell_count() const { return cells_; }
+  /// LUT budgets x objectives of the normalized grid.
+  std::size_t row_cells() const { return row_; }
+  std::size_t candidate_count() const { return candidates_; }
+
+ private:
+  std::size_t cells_ = 0;
+  std::size_t row_ = 0;
+  std::size_t candidates_ = 0;
+};
+
+/// A sweep in factored form, for the grid rows [first_row, first_row +
+/// rows): per (row, objective), the winner among the candidates whose
+/// cost ignores the LUT budget, and where it cuts into its objective's
+/// sorted LUT-budget winners (SweepEvaluator).  Cell (n, v, o) is the
+/// better of its row's winner and its LUT budget's winner, so these
+/// (rows + LUT budgets) x objectives winners fix every cell.  Once
+/// SweepEvaluator::mark_front() has run over factors of every row, each
+/// winner also carries whether its cells are on the Pareto front, and
+/// `front_size` counts those cells.
+struct SweepFactors {
+  std::size_t first_row = 0;
+  std::size_t rows = 0;
+  /// [r * objectives + oi]: the winner of row first_row + r under
+  /// objectives[oi], as a cell's winner fields (n and lut_budget unset;
+  /// infeasible when no such candidate passed the filter).
+  std::vector<SweepPoint> row_best;
+  /// [r * objectives + oi]: how many of objectives[oi]'s LUT-budget
+  /// winners precede that row winner (all feasible ones, when it is
+  /// empty); a cell takes its LUT-budget winner exactly when that
+  /// winner's rank is below the cut.
+  std::vector<std::size_t> row_cut;
+  /// Set by mark_front(): [r * objectives + oi] / [li * objectives + oi]
+  /// is 1 when that row / LUT-budget winner's cells are on the front.
+  std::vector<std::uint8_t> row_front;
+  std::vector<std::uint8_t> lut_front;
+  std::size_t front_size = 0;
+};
+
 /// Memoized sweep evaluator.  Construction filters the 47-row taxonomy
 /// once against `grid.base` and folds each survivor's Eq. 1 / Eq. 2
 /// invariants into one cost::CostPlan of a contiguous vector; each
@@ -152,33 +211,44 @@ std::vector<SweepPoint> pareto_front_reference(
 ///
 /// The grid is separable: no named class's cost reads both n and the
 /// LUT budget v (CostPlan::depends_n / depends_v; the census in
-/// CostPlan.ClearedAxisFlagMeansTheCostIgnoresThatAxis pins it), so a
-/// cell's winner is the better of its row's winner and its LUT budget's.
-/// Construction prices the candidates whose cost reads v at the first n
-/// and folds them into one winner per (LUT budget, objective).
-/// evaluate_range() runs one kernel over each row piece of the range:
-/// it prices the candidates that do not read v once and offers them to
-/// one winner per objective, then each cell offers a copy of its
-/// objective's winner the cell's LUT-budget winner.  evaluate_cell()
+/// CostPlan.ClearedAxisFlagMeansTheCostIgnoresThatAxis pins it, and
+/// construction checks it, throwing std::logic_error if a candidate
+/// reads both), so a cell's winner is the better of its row's winner and
+/// its LUT budget's.  Construction prices the candidates whose cost
+/// reads v at the first n, folds them into one winner per (LUT budget,
+/// objective) and sorts each objective's LUT-budget winners once.
+///
+/// Every evaluation is factors, then one expansion:
+///  * factors() prices the candidates that ignore v once per row and
+///    finds, by one binary search, where each row winner cuts into the
+///    sorted LUT-budget winners;
+///  * mark_front() counts each winner's cells from the cuts alone,
+///    folds the counts into a FrontSummary and flags the winners on the
+///    front, O((N + V) log(N + V)) for N rows and V LUT budgets;
+///  * expand() writes cells: per cell, one integer compare of the
+///    LUT-budget winner's rank against the row winner's cut picks the
+///    record to copy.
+/// evaluate_range() is factors for the rows it touches plus expand();
+/// evaluate_all() and front() are the whole answer.  evaluate_cell()
 /// prices every candidate at the cell, the scalar reference of the
 /// parity tests.
 ///
-/// Bit-identity contract: both paths pick the same winner with
+/// Bit-identity contract: every path picks the same winner with
 /// bit-identical costs as `recommend()` called at that cell's
 /// Requirements and taking the front row (tests/test_sweep.cpp).  This
 /// holds because each candidate's cost at a given (n, v) is computed by
 /// the one CostPlan kernel regardless of batching (a cost that does not
 /// read an axis is bit-identical at every value of it), and the winner
 /// ordering (`cell_precedes`, tie-broken by the unique interned class
-/// name) is a strict total order — the minimum is a property of the
-/// cell's cost set, independent of fold order or how cells are
-/// partitioned into ranges.
+/// name, NaN areas after every number) is a strict total order — the
+/// minimum is a property of the cell's cost set, independent of fold
+/// order, and the LUT-budget winners that beat a row winner are a
+/// prefix of their sorted order.
 ///
-/// Thread safety: immutable after construction; evaluate_cell() and
-/// evaluate_range() are const and touch only the output range (the row
-/// winners are per-call) — workers may share one evaluator and write
-/// disjoint ranges concurrently.  Not copyable: the LUT-budget winners
-/// point into the evaluator's own candidates.
+/// Thread safety: immutable after construction; every method is const
+/// and writes only its output — workers may share one evaluator and
+/// write disjoint ranges concurrently.  Not copyable: the LUT-budget
+/// winners point into the evaluator's own candidates.
 class SweepEvaluator {
  public:
   explicit SweepEvaluator(const SweepGrid& grid,
@@ -208,6 +278,30 @@ class SweepEvaluator {
   void evaluate_range(std::size_t begin, std::size_t end,
                       SweepPoint* out) const;
 
+  /// The whole grid: every cell appended to @p points (reserve it first
+  /// to choose where that allocation happens), returning the factors of
+  /// every row with the front marked, for front().
+  SweepFactors evaluate_all(std::vector<SweepPoint>& points) const;
+  /// The Pareto front of the whole grid, allocated at its exact size,
+  /// from factors that mark_front() has run over.
+  std::vector<SweepPoint> front(const SweepFactors& factors) const;
+
+  /// Factors of rows [row_begin, row_end).
+  SweepFactors factors(std::size_t row_begin, std::size_t row_end) const;
+  /// Count the cells each winner takes, flag the winners on the Pareto
+  /// front and size it.  @p factors must cover every row.
+  void mark_front(SweepFactors& factors) const;
+
+  /// Cells [begin, end), which must lie in @p factors' rows, into @p out
+  /// (out[i] = cell begin + i).
+  void expand(const SweepFactors& factors, std::size_t begin,
+              std::size_t end, SweepPoint* out) const;
+  /// Append cells [begin, end) to @p out; with @p front_only, only the
+  /// cells on the front, in index order (mark_front() must have run).
+  void expand(const SweepFactors& factors, std::size_t begin,
+              std::size_t end, std::vector<SweepPoint>& out,
+              bool front_only = false) const;
+
   const SweepGrid& grid() const { return grid_; }
 
  private:
@@ -231,18 +325,19 @@ class SweepEvaluator {
     cost::CostPoint cost;
 
     void offer(const Candidate& candidate, const cost::CostPoint& offered);
-    /// Offer @p other's winner, if it has one.
-    void offer(const Winner& other);
+    /// Whether this winner precedes @p other under cell_precedes; a
+    /// winner precedes every empty one, and an empty one nothing.
+    bool precedes(const Winner& other) const;
     /// Fill @p point's winner fields; a cell no candidate reached stays
     /// infeasible.
     void write(SweepPoint& point) const;
   };
 
-  /// The kernel: cells [lo, hi) of row @p ni (offsets within the row)
-  /// into @p out (out[0] = cell lo); @p row_winners holds one scratch
-  /// winner per objective.
-  void evaluate_row_batch(std::size_t ni, std::size_t lo, std::size_t hi,
-                          SweepPoint* out, Winner* row_winners) const;
+  /// The one expansion loop: each cell of [begin, end) (on the front
+  /// only, with @p front_only) is handed to @p emit in index order.
+  template <typename Emit>
+  void expand_cells(const SweepFactors& factors, std::size_t begin,
+                    std::size_t end, bool front_only, Emit&& emit) const;
 
   SweepGrid grid_;  ///< normalized
   std::size_t cells_ = 0;
@@ -250,21 +345,38 @@ class SweepEvaluator {
   std::vector<Candidate> candidates_;  ///< ...this metadata array
   std::vector<std::uint32_t> per_row_;  ///< candidates whose cost ignores v
   /// [li * objectives.size() + oi]: the winner among the candidates whose
-  /// cost reads v, at lut_budgets[li] under objectives[oi].
+  /// cost reads v, at lut_budgets[li] under objectives[oi] ...
   std::vector<Winner> lut_winners_;
+  /// ...as a cell's winner fields (n and lut_budget unset)...
+  std::vector<SweepPoint> lut_best_;
+  /// ...and its position among objectives[oi]'s LUT-budget winners
+  /// sorted by Winner::precedes (empty ones last, past every cut).
+  std::vector<std::size_t> lut_rank_;
+  /// [oi * lut_budgets.size() + k]: the index into lut_winners_ of
+  /// objectives[oi]'s k-th LUT-budget winner in that order.
+  std::vector<std::size_t> lut_sorted_;
 };
 
+namespace detail {
+
+/// Throws std::logic_error when @p plan, the plan of class @p name, reads
+/// both n and the LUT budget: the factored sweep cannot price it.
+void require_separable(const cost::CostPlan& plan, const TaxonomicName& name);
+
+}  // namespace detail
+
 /// Sweep the whole grid.  @p threads == 0 (or 1) evaluates sequentially
-/// on the caller's thread; otherwise the cell range is split
-/// (mpct::parallel_ranges) across scoped workers writing disjoint slices
-/// of the result, each folding its slice into its own FrontSummary for
-/// the one filter pass (results are bit-identical either way).  The worker
-/// count is clamped to std::thread::hardware_concurrency() —
-/// oversubscribing cores only adds scheduling overhead to a CPU-bound
-/// kernel — and chunks align to whole grid rows.  The service layer
-/// instead chunks over its own worker pool (engine.cpp); this entry
-/// point is for library callers and for the sequential reference the
-/// tests compare against.
+/// on the caller's thread (SweepEvaluator::evaluate_all, then front());
+/// otherwise, once the factors are priced and the front marked, a second
+/// thread allocates and expands the front while the caller expands the
+/// points (results are bit-identical either way).  More threads add
+/// nothing: pricing is a few percent of a sweep, and the rest is writing
+/// the two result vectors.  Splitting them over two threads also gives
+/// each its own allocator arena, so freeing both does not hand the
+/// memory back to the kernel the way one arena does (docs/PERF.md).
+/// The service layer runs a sweep as one task (service/grid_kind.hpp);
+/// this entry point is for library callers and for the sequential
+/// reference the tests compare against.
 SweepResult sweep(const SweepGrid& grid,
                   const cost::ComponentLibrary& lib =
                       cost::ComponentLibrary::default_library(),

@@ -370,14 +370,14 @@ int Client::receive(std::string& error) {
   // Read until a short read or EAGAIN.  A close or error after bytes
   // were read is left to the next call, once their frames are taken.
   bool heard = false;
+  if (!recv_buffer_) {
+    recv_buffer_ = std::make_unique_for_overwrite<std::uint8_t[]>(kReadChunk);
+  }
   for (;;) {
-    const std::size_t old_size = in_.size();
-    in_.resize(old_size + kReadChunk);
-    const ssize_t n =
-        ::recv(socket_.fd(), in_.data() + old_size, kReadChunk, 0);
+    const ssize_t n = ::recv(socket_.fd(), recv_buffer_.get(), kReadChunk, 0);
     const int recv_errno = errno;
-    in_.resize(old_size + static_cast<std::size_t>(std::max<ssize_t>(n, 0)));
     if (n > 0) {
+      in_.insert(in_.end(), recv_buffer_.get(), recv_buffer_.get() + n);
       heard = true;
       if (options_.metrics) {
         options_.metrics->net_bytes_in.add(static_cast<std::uint64_t>(n));

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -202,6 +203,9 @@ class Client {
   // Stream state of both styles (reset by disconnect()).
   std::vector<std::uint8_t> in_;
   std::size_t in_offset_ = 0;
+  /// Scratch every recv() lands in before its bytes are appended to in_
+  /// (allocated on first read, never zeroed).
+  std::unique_ptr<std::uint8_t[]> recv_buffer_;
   /// Last sign of life while answers are owed (see stall_at()).
   service::Clock::time_point heard_at_{};
   std::unordered_set<std::uint64_t> pending_;

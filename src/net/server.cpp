@@ -238,14 +238,16 @@ void Server::accept_connections() {
 }
 
 bool Server::handle_readable(std::uint64_t conn_id, Connection& conn) {
+  // One uninitialised chunk, reused by every read of every connection
+  // (loop thread only): only the bytes received are appended.
+  if (!recv_buffer_) {
+    recv_buffer_ = std::make_unique_for_overwrite<std::uint8_t[]>(kReadChunk);
+  }
   for (;;) {
-    const std::size_t old_size = conn.read_buffer.size();
-    conn.read_buffer.resize(old_size + kReadChunk);
-    const ssize_t n =
-        ::recv(conn.socket.fd(), conn.read_buffer.data() + old_size,
-               kReadChunk, 0);
+    const ssize_t n = ::recv(conn.socket.fd(), recv_buffer_.get(), kReadChunk, 0);
     if (n > 0) {
-      conn.read_buffer.resize(old_size + static_cast<std::size_t>(n));
+      conn.read_buffer.insert(conn.read_buffer.end(), recv_buffer_.get(),
+                              recv_buffer_.get() + n);
       conn.last_activity = Clock::now();
       metrics_.net_bytes_in.add(static_cast<std::uint64_t>(n));
       if (!consume_frames(conn_id, conn)) return false;
@@ -255,7 +257,6 @@ bool Server::handle_readable(std::uint64_t conn_id, Connection& conn) {
       if (static_cast<std::size_t>(n) < kReadChunk) return true;
       continue;
     }
-    conn.read_buffer.resize(old_size);
     if (n == 0) return false;  // orderly EOF
     if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return true;
     return false;
@@ -413,22 +414,33 @@ bool Server::dispatch_request(std::uint64_t conn_id, Connection& conn,
   in_flight_total_.fetch_add(1, std::memory_order_acq_rel);
   const RequestContext request_context{trace_id, decoded.value->priority,
                                        conn_id, request_id};
-  handler_(
-      std::move(decoded.value->request), deadline, request_context,
-      [this, conn_id, request_id, version,
-       trace_id](service::QueryResponse response) {
-        // Worker thread (or this thread, for rejections): encode here so
-        // serialisation cost never lands on the event loop.  The
-        // response goes out at the version (and with the trace id) the
-        // request arrived with, which is what keeps v1 clients working.
-        trace::TraceContextScope encode_context(trace_id);
-        trace::ScopedSpan encode_span("net.encode", trace::Category::Net,
-                                      "trace_id",
-                                      static_cast<std::int64_t>(trace_id));
-        enqueue_completion(conn_id,
-                           wire::encode_response_frame(request_id, response,
-                                                       version, trace_id));
-      });
+  const auto complete = [this, conn_id, request_id, version,
+                         trace_id](service::QueryResponse response) {
+    // Worker thread (or this thread, for rejections): encode here so
+    // serialisation cost never lands on the event loop.  The response
+    // goes out at the version (and with the trace id) the request
+    // arrived with, which is what keeps v1 clients working.
+    trace::TraceContextScope encode_context(trace_id);
+    trace::ScopedSpan encode_span("net.encode", trace::Category::Net,
+                                  "trace_id",
+                                  static_cast<std::int64_t>(trace_id));
+    enqueue_completion(conn_id, wire::encode_response_frame(
+                                    request_id, response, version, trace_id));
+  };
+  // A handler answers every request it accepts, so one that throws has
+  // not answered this one: the exception becomes its answer, and one
+  // request can never end the server.
+  service::QueryResponse failed;
+  try {
+    handler_(std::move(decoded.value->request), deadline, request_context,
+             complete);
+    return true;
+  } catch (const std::exception& e) {
+    failed.status = service::Status::internal_error(e.what());
+  } catch (...) {
+    failed.status = service::Status::internal_error("unknown exception");
+  }
+  complete(std::move(failed));
   return true;
 }
 

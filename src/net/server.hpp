@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -191,6 +192,9 @@ class Server {
 
   /// Owned and touched by the loop thread only.
   std::unordered_map<std::uint64_t, Connection> connections_;
+  /// Scratch every recv() lands in before its bytes are appended to the
+  /// connection's read buffer (allocated on first read, never zeroed).
+  std::unique_ptr<std::uint8_t[]> recv_buffer_;
   std::uint64_t next_conn_id_ = 1;
   std::atomic<std::size_t> connection_count_{0};
 

@@ -115,43 +115,36 @@ Status validate_chunk_range(std::string_view what, std::uint64_t begin,
 /// A whole grid request, or one disjoint cell range of it when
 /// @p GridOrChunk is Kind::ChunkRequest, evaluated on the calling
 /// thread.  A whole grid is the inline (worker_threads == 0) and
-/// execute() path; the worker pool goes through submit_grid()
-/// instead, with the same evaluator and the same merge.  A chunk is
-/// how the cluster proxy scatters a grid across backends: it goes
-/// through the normal cached single-task path, so a repeated chunk
-/// (same input, same range) is a cache hit on the server that owns it
-/// on the consistent-hash ring.  Chunks carry the whole input because
-/// cell indices (and each curve trial's RNG stream) are over the
-/// whole grid, so chunk cells are bit-identical to the same cells of
-/// a single-server evaluation.
+/// execute() path: the kind's Run, every chunk in turn, as the worker
+/// pool runs it through submit_grid().  A chunk is how the cluster proxy
+/// scatters a grid across backends: it goes through the normal cached
+/// single-task path, so a repeated chunk (same input, same range) is a
+/// cache hit on the server that owns it on the consistent-hash ring.
+/// Chunks carry the whole input because cell indices (and each curve
+/// trial's RNG stream) are over the whole grid, so chunk cells are
+/// bit-identical to the same cells of a single-server evaluation.
 template <typename Kind, typename GridOrChunk>
 QueryResponse execute_grid(const GridOrChunk& request,
                            const cost::ComponentLibrary& library) {
-  constexpr bool chunk =
-      std::is_same_v<GridOrChunk, typename Kind::ChunkRequest>;
   QueryResponse response;
   response.status = Kind::validate(Kind::input(request));
   if (!response.ok()) return response;
-  const typename Kind::Evaluator evaluator(Kind::input(request), library);
-  std::uint64_t begin = 0;
-  std::uint64_t end = evaluator.cell_count();
-  if constexpr (chunk) {
-    response.status = validate_chunk_range(to_string(Kind::chunk_type),
-                                           request.begin, request.end, end);
+  if constexpr (std::is_same_v<GridOrChunk, typename Kind::ChunkRequest>) {
+    const typename Kind::Evaluator evaluator(Kind::input(request), library);
+    response.status =
+        validate_chunk_range(to_string(Kind::chunk_type), request.begin,
+                             request.end, evaluator.cell_count());
     if (!response.ok()) return response;
-    begin = request.begin;
-    end = request.end;
-  }
-  std::vector<typename Kind::Cell> cells(end - begin);
-  evaluator.evaluate_range(begin, end, cells.data());
-  if constexpr (chunk) {
+    std::vector<typename Kind::Cell> cells(request.end - request.begin);
+    evaluator.evaluate_range(request.begin, request.end, cells.data());
     response.payload = std::make_shared<const ResponsePayload>(
         Kind::chunk_response(evaluator, std::move(cells)));
   } else {
-    typename Kind::Summary summary;
-    summary.add(cells);
-    response.payload = std::make_shared<const ResponsePayload>(
-        Kind::merge(evaluator, std::move(cells), {&summary, 1}));
+    typename Kind::Run run(Kind::input(request), library);
+    for (const CellRange& chunk : run.chunks(1)) {
+      run.evaluate(chunk.begin, chunk.end);
+    }
+    response.payload = std::make_shared<const ResponsePayload>(run.finish());
   }
   return response;
 }
@@ -451,40 +444,26 @@ void QueryEngine::submit_grid(std::shared_ptr<Job> job,
     }
   }
 
-  // The kind's evaluator, the pre-sized result vector each chunk writes a
-  // disjoint slice of, and one summary slot per chunk, shared by the
-  // job's two hooks.
-  struct Slices {
-    typename Kind::Evaluator evaluator;
-    std::vector<typename Kind::Cell> cells;
-    std::vector<typename Kind::Summary> summaries;
-    Slices(const typename Kind::Input& in, const cost::ComponentLibrary& lib)
-        : evaluator(in, lib), cells(evaluator.cell_count()) {}
-  };
-  auto slices = std::make_shared<Slices>(input, library_);
+  // The kind's whole-request state, built here so the task only
+  // computes (see GridKind<SweepRequest>::Run on where the points are
+  // allocated).  Validation bounds its size; anything it still throws
+  // is answered, never left to unwind through the submitter.
+  std::shared_ptr<typename Kind::Run> run;
+  try {
+    run = std::make_shared<typename Kind::Run>(input, library_);
+  } catch (const std::exception& e) {
+    return answer_now(rejected(Status::internal_error(e.what())));
+  }
 
-  // Aim for ~2 chunks per worker (load balance without queue churn), but
-  // never more chunks than the queue could ever hold.  Boundaries land
-  // on whole evaluator rows, so every chunk runs the batch kernel end to
-  // end.
-  const std::vector<CellRange> chunks = split_range(
-      slices->evaluator.cell_count(),
-      std::min<std::size_t>(std::size_t{options_.worker_threads} * 2,
-                            queue_->capacity()),
-      slices->evaluator.row_cells());
-  slices->summaries.resize(chunks.size());
-
-  job->evaluate = [slices](std::size_t chunk, std::size_t begin,
-                           std::size_t end) {
-    typename Kind::Cell* out = slices->cells.data() + begin;
-    slices->evaluator.evaluate_range(begin, end, out);
-    // Folded right after the slice is written, while it is in cache.
-    slices->summaries[chunk].add({out, end - begin});
+  // A sweep is one task.  A curve aims for ~2 chunks per worker (load
+  // balance without queue churn), but never more chunks than the queue
+  // could ever hold, with boundaries on whole lane blocks.
+  const std::vector<CellRange> chunks = run->chunks(std::min<std::size_t>(
+      std::size_t{options_.worker_threads} * 2, queue_->capacity()));
+  job->evaluate = [run](std::size_t begin, std::size_t end) {
+    run->evaluate(begin, end);
   };
-  job->merge = [slices] {
-    return ResponsePayload(Kind::merge(
-        slices->evaluator, std::move(slices->cells), slices->summaries));
-  };
+  job->merge = [run] { return ResponsePayload(run->finish()); };
   job->chunk_span = Kind::chunk_span;
   job->merge_span = Kind::merge_span;
   enqueue(std::move(job), priority, chunks);
@@ -508,7 +487,7 @@ void QueryEngine::enqueue(std::shared_ptr<Job> job,
     } else if (!queue_->try_push_all(
                    enqueue_class(priority), chunks.size(),
                    [&](std::size_t c) {
-                     return Task{job, c, chunks[c], priority};
+                     return Task{job, chunks[c], priority};
                    })) {
       // All or nothing: a job never leaves some of its chunks behind.
       metrics_.rejected_queue_full.add();
@@ -595,7 +574,7 @@ void QueryEngine::run_chunk(const Task& task) {
   }
   if (job.fail_code.load(std::memory_order_relaxed) != 0) return;
   try {
-    job.evaluate(task.chunk, task.range.begin, task.range.end);
+    job.evaluate(task.range.begin, task.range.end);
   } catch (const std::exception& e) {
     job.fail(StatusCode::InternalError, e.what());
   } catch (...) {

@@ -75,10 +75,10 @@ struct EngineOptions {
 /// of exceptions.
 ///
 /// Every queued request is one job of one or more chunk tasks: a point
-/// request is a one-chunk job run whole, a grid request (GridKind) is
-/// split into cell-range chunks merged by the last one to finish.  A
-/// job resolves exactly once, through one ResponseCallback; submit()'s
-/// future is a promise that callback fulfils.
+/// request or a sweep is a one-chunk job run whole, a fault curve
+/// (GridKind) is split into cell-range chunks merged by the last one to
+/// finish.  A job resolves exactly once, through one ResponseCallback;
+/// submit()'s future is a promise that callback fulfils.
 ///
 /// Guarantees:
 ///  * submit() never blocks on a full queue — it returns a ready future
@@ -181,9 +181,9 @@ class QueryEngine {
   /// One accepted request, shared by its chunk tasks.  A point request
   /// is a one-chunk job whose run step is run_request(); a grid request
   /// (SweepRequest / FaultSweepRequest) has GridKind hooks instead.  A
-  /// grid's evaluator is immutable and its result vector and per-chunk
-  /// summary slots pre-sized, with each chunk writing only its own
-  /// disjoint slice and slot, so chunks need no locking, only the final
+  /// sweep is one chunk; a curve's evaluator is immutable and its
+  /// outcome vector pre-sized, with each chunk writing only its own
+  /// disjoint slice, so chunks need no locking, only the final
   /// fetch_sub on `remaining` to elect the finisher (complete_job()).
   struct Job {
     Request request;
@@ -212,12 +212,11 @@ class QueryEngine {
     /// A point job's answer, metered by run_request().
     QueryResponse response;
 
-    /// Grid hooks, bound by submit_grid() to the kind's evaluator,
-    /// result vector and summary slots (service/grid_kind.hpp): evaluate
-    /// chunk k's cells [begin, end) into their slice and fold them into
-    /// slot k; merge every cell and summary into the payload (called
-    /// once, by the finisher).  Empty for a point job.
-    std::function<void(std::size_t, std::size_t, std::size_t)> evaluate;
+    /// Grid hooks, bound by submit_grid() to the kind's Run
+    /// (service/grid_kind.hpp): evaluate one chunk's cells [begin, end);
+    /// build the payload once every chunk has run (called once, by the
+    /// finisher).  Empty for a point job.
+    std::function<void(std::size_t, std::size_t)> evaluate;
     std::function<ResponsePayload()> merge;
     const char* chunk_span = nullptr;  ///< static span names
     const char* merge_span = nullptr;
@@ -231,8 +230,7 @@ class QueryEngine {
   /// One queue entry: a chunk of a job.
   struct Task {
     std::shared_ptr<Job> job;
-    std::size_t chunk = 0;  ///< index among the job's chunks
-    CellRange range;        ///< a grid chunk's cells; unused for a point job
+    CellRange range;  ///< a grid chunk's cells; unused for a point job
     /// QoS class the job was admitted under — the WFQ subqueue it waits in.
     qos::PriorityClass priority = qos::PriorityClass::Interactive;
   };
@@ -249,8 +247,9 @@ class QueryEngine {
                    std::uint64_t cancel_id = 0);
 
   /// Grid half of submit_impl() (GridKind): validate, probe the cache,
-  /// bind the job's hooks and enqueue one task per chunk.  An invalid
-  /// request or a cache hit is answered on the caller's thread.
+  /// build the kind's Run, bind the job's hooks to it and enqueue one
+  /// task per chunk (one for a sweep).  An invalid request, a cache hit
+  /// or a Run that failed to build is answered on the caller's thread.
   template <typename GridRequest>
   void submit_grid(std::shared_ptr<Job> job, qos::PriorityClass priority);
 

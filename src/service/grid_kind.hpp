@@ -4,6 +4,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "core/range_split.hpp"
 #include "explore/sweep.hpp"
 #include "fault/degradation_curve.hpp"
 #include "service/request.hpp"
@@ -11,25 +12,29 @@
 
 namespace mpct::service {
 
-/// Kernel policy of one grid-job kind, keyed by its request type.  A
-/// grid job splits a flat cell range into chunks, evaluates each chunk
-/// into its own slice of a result vector and merges the slices once.
-/// The engine's chunked jobs and its inline and chunk execution, and
-/// the cluster proxy's scatter/gather, are each written once over this
-/// policy; everything that differs between a design-space sweep and a
-/// fault curve lives here:
+/// Kernel policy of one grid-job kind, keyed by its request type.  The
+/// engine's grid jobs, its inline and chunk execution, and the cluster
+/// proxy's scatter/gather are each written once over this policy;
+/// everything that differs between a design-space sweep and a fault
+/// curve lives here:
 ///
 ///  * `type` / `chunk_type`: request-type tags (cache key prefix,
 ///    latency metrics, error text);
 ///  * `chunk_span` / `merge_span` / `scatter_span`: static span names;
-///  * `Evaluator`: built from the request's input and a component
-///    library; exposes cell_count(), row_cells() (the chunk grain) and
-///    evaluate_range(begin, end, Cell*);
-///  * `Summary`: what each chunk folds from its own cells while they
-///    are cache-hot (add(std::span<const Cell>)), one per chunk;
-///  * validate(), stride() (admission Degrade), chunk_response() and
-///    merge() (the one merge the engine's completion, its inline path
-///    and the proxy's gather all call, with every chunk's summary).
+///  * `Run`: one whole request, built on the submitting thread from its
+///    input and a component library.  chunks(parts) lists the cell
+///    ranges the engine queues as tasks (a sweep is one, a curve up to
+///    @p parts), evaluate(begin, end) runs one of them, and finish()
+///    builds the response once all have run.  The engine's queued jobs
+///    and its inline path both run it;
+///  * `Evaluator` / chunk_response(): a chunk request's cells
+///    (evaluate_range(begin, end, Cell*)) and its answer;
+///  * `Gather`, `Summary` and merge(): the proxy's gather.  `Gather` is
+///    built from the input and exposes cell_count() and row_cells() (the
+///    chunk grain); each chunk answer's cells fold into a `Summary`
+///    (add(std::span<const Cell>)) as they arrive, and merge() builds
+///    the response from every chunk's cells and summary;
+///  * validate() and stride() (admission Degrade).
 template <typename GridRequest>
 struct GridKind;
 
@@ -42,6 +47,7 @@ struct GridKind<SweepRequest> {
   using Input = explore::SweepGrid;
   using Evaluator = explore::SweepEvaluator;
   using Cell = explore::SweepPoint;
+  using Gather = explore::SweepShape;
   using Summary = explore::FrontSummary;
   using ChunkRequest = SweepChunkRequest;
   using ChunkResponse = SweepChunkResponse;
@@ -57,7 +63,26 @@ struct GridKind<SweepRequest> {
     return r.points;
   }
 
-  /// Every n and LUT budget must be positive.
+  /// A whole sweep as one task: evaluate() computes the grid's factors
+  /// and expands every cell into the points, finish() expands the Pareto
+  /// front at its exact size (explore::SweepEvaluator).
+  class Run {
+   public:
+    Run(const Input& grid, const cost::ComponentLibrary& library);
+    std::vector<CellRange> chunks(std::size_t) const {
+      return {{0, evaluator_.cell_count()}};
+    }
+    void evaluate(std::size_t begin, std::size_t end);
+    SweepResponse finish();
+
+   private:
+    explore::SweepEvaluator evaluator_;
+    explore::SweepFactors factors_;
+    SweepResponse response_;
+  };
+
+  /// Every n and LUT budget must be positive, and the answer's cells
+  /// must fit one frame (kMaxPayloadBytes).
   static Status validate(const Input& grid);
   /// Admission Degrade: keep every second n and LUT value.  True when
   /// the grid shrank.
@@ -67,8 +92,7 @@ struct GridKind<SweepRequest> {
   /// Moves the points in, combines the chunks' front summaries (exact
   /// in any order: see explore::FrontSummary), filters the points once
   /// into the Pareto front and reports the candidate count.
-  static SweepResponse merge(const Evaluator& evaluator,
-                             std::vector<Cell> cells,
+  static SweepResponse merge(const Gather& shape, std::vector<Cell> cells,
                              std::span<const Summary> summaries);
 };
 
@@ -77,6 +101,8 @@ struct GridKind<FaultSweepRequest> {
   using Input = fault::CurveSpec;
   using Evaluator = fault::CurveEvaluator;
   using Cell = fault::TrialOutcome;
+  /// The merge reduces with the evaluator (CurveEvaluator::finalize).
+  using Gather = fault::CurveEvaluator;
   /// Outcomes reduce in index order at the merge, so a chunk folds
   /// nothing.
   struct Summary {
@@ -96,7 +122,34 @@ struct GridKind<FaultSweepRequest> {
     return r.outcomes;
   }
 
-  /// Rates in [0, 1], positive trials, and both NoC dimensions or none.
+  /// A curve as chunks of whole lane blocks, each writing its own slice
+  /// of the pre-sized outcomes; finish() reduces them in index order.
+  class Run {
+   public:
+    Run(const Input& spec, const cost::ComponentLibrary& library);
+    std::vector<CellRange> chunks(std::size_t parts) const {
+      return split_range(evaluator_.cell_count(), parts,
+                         evaluator_.row_cells());
+    }
+    void evaluate(std::size_t begin, std::size_t end) {
+      evaluator_.evaluate_range(begin, end, outcomes_.data() + begin);
+    }
+    FaultSweepResponse finish() {
+      return merge(evaluator_, std::move(outcomes_), {});
+    }
+
+   private:
+    fault::CurveEvaluator evaluator_;
+    std::vector<Cell> outcomes_;
+  };
+
+  /// Most trials (fault rates x trials per rate) one curve may ask for:
+  /// 2^20 trials hold 32 MiB of per-trial outcomes, 390x the 2,688-trial
+  /// curves the batch benchmark runs.
+  static constexpr std::size_t kMaxTrials = std::size_t{1} << 20;
+
+  /// Rates in [0, 1], positive trials, at most kMaxTrials in all, and
+  /// both NoC dimensions or none.
   static Status validate(const Input& spec);
   /// Admission Degrade: keep every second rate at half the trials.
   /// True when the curve shrank.
@@ -106,7 +159,7 @@ struct GridKind<FaultSweepRequest> {
   /// The sequential index-order reduction (CurveEvaluator::finalize).
   /// It reads no component-library state, so any evaluator of the same
   /// spec merges any backend's outcomes identically.
-  static FaultSweepResponse merge(const Evaluator& evaluator,
+  static FaultSweepResponse merge(const Gather& evaluator,
                                   std::vector<Cell> cells,
                                   std::span<const Summary> summaries);
 };

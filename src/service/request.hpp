@@ -1,6 +1,7 @@
 #pragma once
 
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -24,6 +25,11 @@
 namespace mpct::service {
 
 using Clock = std::chrono::steady_clock;
+
+/// The largest payload one wire frame carries (wire::kMaxPayloadBytes).
+/// A frame announcing more is rejected before any allocation, and a grid
+/// request whose answer could not fit is refused (GridKind::validate).
+inline constexpr std::size_t kMaxPayloadBytes = 16u << 20;  // 16 MiB
 
 /// Absolute per-request deadline.  A request whose deadline has passed
 /// when a worker dequeues it is answered with DeadlineExceeded instead of
@@ -114,12 +120,10 @@ struct CostResponse {
 };
 
 /// Evaluate a whole (n x lut_budget x objective) design-space grid
-/// (explore::sweep).  Unlike the other request kinds, a SweepRequest is
-/// not executed by a single worker: submit() splits the grid into cell
-/// chunks that the worker pool drains concurrently, and the last chunk
-/// to finish merges the Pareto front and resolves the future.  Results
-/// are bit-identical to the sequential explore::sweep() regardless of
-/// how the chunks interleave.
+/// (explore::sweep).  The engine runs it as one task: the grid's factors
+/// (its row and LUT-budget winners), then one expansion of the points
+/// and one of the Pareto front.  Results are bit-identical to the
+/// sequential explore::sweep().
 struct SweepRequest {
   explore::SweepGrid grid;
 
@@ -133,8 +137,8 @@ struct SweepResponse {
 };
 
 /// Evaluate a Monte-Carlo degradation curve (fault::evaluate_curve) for
-/// one machine class over a fault-rate axis.  Like SweepRequest, this is
-/// chunk-parallelised: submit() splits the (rate x trial) cell range
+/// one machine class over a fault-rate axis.  Unlike a SweepRequest, it
+/// is chunk-parallelised: submit() splits the (rate x trial) cell range
 /// across the worker pool and the last chunk reduces the curve, with
 /// results bit-identical to the sequential fault::evaluate_curve() —
 /// each trial's RNG stream derives from its flat cell index alone.

@@ -37,6 +37,8 @@ std::string_view to_string(ProfilePoint point) {
     case ProfilePoint::RouteAround:  return "route_around";
     case ProfilePoint::OmegaRoute:   return "omega_route";
     case ProfilePoint::SweepBatch:   return "sweep_batch";
+    case ProfilePoint::SweepFactor:  return "sweep_factor";
+    case ProfilePoint::SweepExpand:  return "sweep_expand";
   }
   return "unknown";
 }

@@ -67,9 +67,11 @@ enum class ProfilePoint : std::uint8_t {
   NocReroute,     ///< interconnect::MeshNoc::rebuild_routes (timed)
   RouteAround,    ///< fault::analyze_noc replay (timed)
   OmegaRoute,     ///< interconnect::OmegaNetwork::connect
-  SweepBatch,     ///< one sweep row piece / curve lane block (timed)
+  SweepBatch,     ///< one fault-curve lane block (timed)
+  SweepFactor,    ///< one sweep factors() or mark_front() call (timed)
+  SweepExpand,    ///< one sweep expand() call (timed)
 };
-inline constexpr std::size_t kProfilePointCount = 8;
+inline constexpr std::size_t kProfilePointCount = 10;
 std::string_view to_string(ProfilePoint point);
 
 struct ProfileTotals {

@@ -61,7 +61,7 @@ constexpr std::size_t header_size(std::uint16_t version) {
 
 /// Hard payload ceiling.  A frame announcing more than this is rejected
 /// before any allocation — the stream is treated as garbage.
-inline constexpr std::size_t kMaxPayloadBytes = 16u << 20;  // 16 MiB
+inline constexpr std::size_t kMaxPayloadBytes = service::kMaxPayloadBytes;
 
 enum class FrameKind : std::uint8_t {
   Request = 1,

@@ -15,6 +15,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <string_view>
 #include <thread>
 #include <utility>
@@ -948,6 +949,93 @@ TEST(CombiningProxyTest, ShutdownAnswersInsteadOfHanging) {
   const QueryResponse after = client.call(classify_request(1));
   EXPECT_FALSE(after.ok());
   proxy.reset();
+}
+
+
+// A grid too big to answer must not end the process.  Each hostile shape
+// (axes whose answer outgrows a frame, a trial count far past the curve
+// cap, rates x trials past it, and axes whose answer size overflows 64
+// bits) is refused as InvalidRequest, before anything is allocated for
+// it, inline, through the worker pool, over TCP and through a proxy
+// fleet; the same server then still answers a classify.
+TEST(CombiningProxyTest, HostileGridShapesGetTypedErrorsOnEveryPath) {
+  std::vector<std::pair<std::string, Request>> shapes;
+  {
+    service::SweepRequest huge_axes;  // 2^38 cells, an 8 MiB frame
+    huge_axes.grid.n_values.assign(std::size_t{1} << 19, 8);
+    huge_axes.grid.lut_budgets.assign(std::size_t{1} << 19, 64);
+    shapes.emplace_back("huge axes", std::move(huge_axes));
+  }
+  {
+    service::FaultSweepRequest huge_trials =
+        std::get<service::FaultSweepRequest>(fault_sweep_request());
+    huge_trials.spec.fault_rates = {0.1};
+    huge_trials.spec.trials_per_rate = 2'000'000'000;
+    shapes.emplace_back("huge trials", std::move(huge_trials));
+  }
+  {
+    service::FaultSweepRequest many_rates =
+        std::get<service::FaultSweepRequest>(fault_sweep_request());
+    many_rates.spec.fault_rates.assign(std::size_t{1} << 11, 0.25);
+    many_rates.spec.trials_per_rate = 1 << 10;
+    shapes.emplace_back("rates x trials", std::move(many_rates));
+  }
+  {
+    // 2^59 cells of at least 44 bytes each: past 2^64 bytes.
+    service::SweepRequest overflow;
+    overflow.grid.n_values.assign(std::size_t{1} << 18, 8);
+    overflow.grid.lut_budgets.assign(std::size_t{1} << 18, 64);
+    overflow.grid.objectives.assign(
+        std::size_t{1} << 23, explore::Requirements::Objective::MinArea);
+    shapes.emplace_back("64-bit overflow", std::move(overflow));
+  }
+
+  const auto expect_refused = [&](const std::string& path,
+                                  const std::function<QueryResponse(
+                                      const Request&)>& call) {
+    for (const auto& [name, request] : shapes) {
+      const QueryResponse response = call(request);
+      EXPECT_EQ(response.status.code, StatusCode::InvalidRequest)
+          << path << ", " << name << ": " << response.status.to_string();
+    }
+    const QueryResponse classify = call(classify_request(0));
+    EXPECT_TRUE(classify.ok()) << path << ": " << classify.status.to_string();
+  };
+
+  service::EngineOptions inline_options;
+  inline_options.worker_threads = 0;
+  service::QueryEngine inline_engine(inline_options);
+  expect_refused("inline", [&](const Request& request) {
+    return inline_engine.execute(request);
+  });
+  service::EngineOptions pool_options;
+  pool_options.worker_threads = 2;
+  service::QueryEngine pool_engine(pool_options);
+  expect_refused("worker pool", [&](const Request& request) {
+    return pool_engine.submit(request).get();
+  });
+
+  Fleet fleet(2);
+  net::ClientOptions direct;
+  direct.port = fleet.endpoints()[0].port;
+  direct.io_timeout = std::chrono::milliseconds(20000);
+  net::Client server_client(direct);
+  expect_refused("TCP", [&](const Request& request) {
+    return server_client.call(request);
+  });
+
+  cluster::ProxyOptions poptions;
+  poptions.cluster = cluster_options(fleet.endpoints());
+  poptions.worker_threads = 2;
+  poptions.enable_pinger = false;
+  CombiningProxy proxy(poptions);
+  ASSERT_TRUE(proxy.start()) << proxy.error();
+  net::ClientOptions via_proxy = direct;
+  via_proxy.port = proxy.port();
+  net::Client proxy_client(via_proxy);
+  expect_refused("proxy", [&](const Request& request) {
+    return proxy_client.call(request);
+  });
 }
 
 }  // namespace

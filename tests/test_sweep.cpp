@@ -4,11 +4,13 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <future>
 #include <iterator>
 #include <limits>
 #include <random>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -384,6 +386,188 @@ TEST(SweepProfile, TracedRangesCountCostEvaluationsAndScalarCellsExactly) {
 }
 
 // ---------------------------------------------------------------------------
+// Factored kernel: a sweep is its row and LUT-budget winners, expanded
+// once.  Every cell must land on the scalar oracle's bits and the front
+// on the quadratic reference's points, sized exactly, on the grids a
+// served sweep sees (requirements that leave a front of a few percent of
+// the cells) and on the edge shapes of the factors.
+
+/// A seeded grid under a random requirement set: min_flexibility 0..9
+/// and each needs_* flag one time in four.
+SweepGrid requirement_grid(std::mt19937_64& rng) {
+  std::uniform_int_distribution<std::int64_t> n_dist(1, 512);
+  std::uniform_int_distribution<std::int64_t> v_dist(1, 1 << 14);
+  std::uniform_int_distribution<int> axis(1, 24);
+  SweepGrid grid;
+  grid.base.min_flexibility = static_cast<int>(rng() % 10);
+  grid.base.needs_independent_programs = rng() % 4 == 0;
+  grid.base.needs_pe_exchange = rng() % 4 == 0;
+  grid.base.needs_shared_memory = rng() % 4 == 0;
+  for (int i = axis(rng); i > 0; --i) grid.n_values.push_back(n_dist(rng));
+  for (int i = axis(rng); i > 0; --i) grid.lut_budgets.push_back(v_dist(rng));
+  grid.objectives = {Requirements::Objective::MinConfigBits,
+                     Requirements::Objective::MinArea};
+  if (rng() % 4 == 0) grid.objectives.erase(grid.objectives.begin() + rng() % 2);
+  return grid;
+}
+
+/// Equal down to the bits of the area, so NaN equals NaN.
+bool same_point(const SweepPoint& a, const SweepPoint& b) {
+  return a.n == b.n && a.lut_budget == b.lut_budget &&
+         a.objective == b.objective && a.feasible == b.feasible &&
+         a.best == b.best && a.flexibility == b.flexibility &&
+         std::bit_cast<std::uint64_t>(a.area_kge) ==
+             std::bit_cast<std::uint64_t>(b.area_kge) &&
+         a.config_bits == b.config_bits;
+}
+
+void expect_same_points(const std::vector<SweepPoint>& got,
+                        const std::vector<SweepPoint>& want,
+                        const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(same_point(got[i], want[i])) << what << " point " << i;
+  }
+}
+
+/// What every path must answer for @p grid: the scalar oracle's cells
+/// and the reference front over them.
+SweepResult oracle_sweep(const SweepGrid& grid,
+                         const cost::ComponentLibrary& lib =
+                             cost::ComponentLibrary::default_library()) {
+  const SweepEvaluator evaluator(grid, lib);
+  SweepResult result;
+  result.candidate_classes = evaluator.candidate_count();
+  for (std::size_t i = 0; i < evaluator.cell_count(); ++i) {
+    result.points.push_back(evaluator.evaluate_cell(i));
+  }
+  result.pareto_front = detail::pareto_front_reference(result.points);
+  return result;
+}
+
+TEST(SweepFactors, RequirementGridsMatchTheScalarOracleAndReferenceFront) {
+  std::mt19937_64 rng(3131);
+  std::size_t small_fronts = 0;
+  for (int round = 0; round < 400; ++round) {
+    const SweepGrid grid = requirement_grid(rng);
+    const SweepResult want = oracle_sweep(grid);
+    const SweepResult got = sweep(grid);
+    EXPECT_EQ(got, want) << "round " << round;
+    // The factors counted the front exactly: it was allocated once.
+    EXPECT_EQ(got.pareto_front.capacity(), want.pareto_front.size())
+        << "round " << round;
+    if (want.pareto_front.size() * 10 < want.points.size()) ++small_fronts;
+  }
+  // The mix really exercises fronts that are a small part of the grid.
+  EXPECT_GT(small_fronts, 200u);
+}
+
+// Edge shapes: rows with no winner of their own (min_flexibility 8
+// leaves only USP, whose cost reads v), a floor nothing clears,
+// single-axis and one-cell grids, repeated axis values and objectives,
+// and costs a custom library pushes to infinity or NaN, where ties and
+// unordered areas must keep the winners' sort a strict weak order.
+TEST(SweepFactors, EdgeShapesMatchTheScalarOracle) {
+  using Objective = Requirements::Objective;
+  struct Case {
+    std::string name;
+    SweepGrid grid;
+    cost::ComponentLibrary lib = cost::ComponentLibrary::default_library();
+  };
+  std::vector<Case> cases;
+  SweepGrid base;
+  base.n_values = {1, 4, 64, 300};
+  base.lut_budgets = {1, 3, 40, 900, 1 << 16};
+  base.objectives = {Objective::MinConfigBits, Objective::MinArea};
+
+  Case only_usp{"only USP", base};
+  only_usp.grid.base.min_flexibility = 8;
+  cases.push_back(only_usp);
+  Case none{"nothing clears", base};
+  none.grid.base.min_flexibility = 9;
+  cases.push_back(none);
+  Case one_n{"one n", base};
+  one_n.grid.n_values = {16};
+  cases.push_back(one_n);
+  Case one_v{"one LUT budget", base};
+  one_v.grid.lut_budgets = {7};
+  cases.push_back(one_v);
+  Case one_objective{"one objective", base};
+  one_objective.grid.objectives = {Objective::MinArea};
+  cases.push_back(one_objective);
+  cases.push_back({"one cell", SweepGrid{}});
+  Case repeats{"repeated values", base};
+  repeats.grid.n_values = {8, 8, 2, 8};
+  repeats.grid.lut_budgets = {5, 5, 1};
+  repeats.grid.objectives = {Objective::MinArea, Objective::MinConfigBits,
+                             Objective::MinArea};
+  cases.push_back(repeats);
+  Case infinite{"infinite areas", base};
+  infinite.grid.n_values = {1, 1000, std::int64_t{1} << 40};
+  for (cost::ComponentParams* block :
+       {&infinite.lib.ip, &infinite.lib.dp, &infinite.lib.im,
+        &infinite.lib.dm, &infinite.lib.lut}) {
+    block->area_kge = 1e308;  // any two blocks sum to infinity
+  }
+  cases.push_back(infinite);
+  // Every class but USP gets a NaN area; budgets large enough that they
+  // still win cells on configuration bits.
+  Case unordered{"NaN areas", base};
+  unordered.grid.lut_budgets = {900, 1 << 16};
+  unordered.lib.dp.area_kge = std::numeric_limits<double>::quiet_NaN();
+  cases.push_back(unordered);
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const SweepResult want = oracle_sweep(c.grid, c.lib);
+    for (const unsigned threads : {0u, 4u}) {
+      const SweepResult got = sweep(c.grid, c.lib, threads);
+      const std::string what = "threads " + std::to_string(threads);
+      expect_same_points(got.points, want.points, what + " points");
+      expect_same_points(got.pareto_front, want.pareto_front, what + " front");
+      EXPECT_EQ(got.candidate_classes, want.candidate_classes);
+    }
+  }
+  // The infinite case really ties at infinity, and the NaN case really
+  // carries NaN areas onto its front, while a NaN area never wins a
+  // cell by area: it sorts after every number.
+  const auto any = [](const std::vector<SweepPoint>& points, auto pred) {
+    return std::any_of(points.begin(), points.end(), pred);
+  };
+  EXPECT_TRUE(any(sweep(infinite.grid, infinite.lib).points,
+                  [](const SweepPoint& p) { return std::isinf(p.area_kge); }));
+  const SweepResult nan_areas = sweep(unordered.grid, unordered.lib);
+  EXPECT_TRUE(any(nan_areas.pareto_front,
+                  [](const SweepPoint& p) { return std::isnan(p.area_kge); }));
+  EXPECT_FALSE(any(nan_areas.points, [](const SweepPoint& p) {
+    return p.objective == Objective::MinArea && std::isnan(p.area_kge);
+  }));
+}
+
+// The factors need every candidate's cost to ignore n or the LUT budget.
+// A plan forced to read both (a machine whose processors scale with n
+// and whose data processors with v) is refused when an evaluator would
+// be built; every named class passes.
+TEST(SweepFactors, APlanReadingBothAxesIsRefused) {
+  const cost::ComponentLibrary lib = cost::ComponentLibrary::default_library();
+  MachineClass both;
+  both.granularity = Granularity::IpDp;
+  both.ips = Multiplicity::Many;
+  both.dps = Multiplicity::Variable;
+  const cost::CostPlan plan(both, lib);
+  ASSERT_TRUE(plan.depends_n());
+  ASSERT_TRUE(plan.depends_v());
+  EXPECT_THROW(detail::require_separable(plan, TaxonomicName{}),
+               std::logic_error);
+  for (const TaxonomyIndex::ClassInfo& row : taxonomy_index().rows()) {
+    if (!row.named) continue;
+    EXPECT_NO_THROW(
+        detail::require_separable(cost::CostPlan(row.machine, lib), row.name))
+        << "serial " << row.serial;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Pareto front: the linear-time front must return exactly the points the
 // quadratic reference computes, in the same order, on randomized inputs
 // dense with ties and on the hostile values a wire-decoded merge can
@@ -747,13 +931,18 @@ TEST(SweepService, QueueTooSmallForChunksRejectsWholeSweep) {
     options.queue_capacity = 3;
     options.start_workers = false;
     QueryEngine engine(options);
-    // Fill two of the three slots so the job's chunks cannot all fit.
+    // Fill the queue so the job's tasks cannot all fit: two of the three
+    // slots against a curve's three chunks, all three against a sweep's
+    // one task.
+    const std::size_t fill =
+        std::holds_alternative<SweepRequest>(job) ? 3 : 2;
     std::vector<std::future<QueryResponse>> fillers;
-    fillers.push_back(engine.submit(RecommendRequest{}));
-    fillers.push_back(engine.submit(RecommendRequest{}));
+    for (std::size_t i = 0; i < fill; ++i) {
+      fillers.push_back(engine.submit(RecommendRequest{}));
+    }
     QueryResponse rejected = engine.submit(job).get();
     EXPECT_EQ(rejected.status.code, StatusCode::QueueFull);
-    EXPECT_EQ(engine.queue_depth(), 2u);  // no chunk was left behind
+    EXPECT_EQ(engine.queue_depth(), fill);  // no chunk was left behind
     EXPECT_EQ(engine.metrics().rejected_queue_full.value(), 1u);
     engine.start();
     for (auto& filler : fillers) {
@@ -770,7 +959,11 @@ TEST(SweepService, ShutdownResolvesQueuedSweepChunks) {
     options.start_workers = false;
     QueryEngine engine(options);
     std::future<QueryResponse> future = engine.submit(job);
-    EXPECT_GT(engine.queue_depth(), 1u);  // really split into chunks
+    if (std::holds_alternative<SweepRequest>(job)) {
+      EXPECT_EQ(engine.queue_depth(), 1u);  // a sweep is one task
+    } else {
+      EXPECT_GT(engine.queue_depth(), 1u);  // really split into chunks
+    }
     engine.shutdown();
     EXPECT_EQ(future.get().status.code, StatusCode::ShuttingDown);
     // The whole job is one shutdown rejection, however many chunks.
@@ -809,6 +1002,59 @@ TEST(SweepService, ConcurrentSweepsAndPointQueriesAgree) {
     EXPECT_EQ(sweep_response.sweep()->result, explore::sweep(grids[i]));
     QueryResponse rec_response = recommends[i].get();
     ASSERT_TRUE(rec_response.ok());
+  }
+}
+
+
+// Every serving path runs the factored kernel and lands on the scalar
+// oracle: inline execute(), the worker pool, sweep() at 0, 1 and 4
+// threads, and chunk requests over one-cell and partial-row ranges.
+TEST(SweepService, EveryPathMatchesTheScalarOracleOnRequirementGrids) {
+  EngineOptions inline_options;
+  inline_options.worker_threads = 0;
+  inline_options.enable_cache = false;
+  QueryEngine inline_engine(inline_options);
+  EngineOptions pool_options;
+  pool_options.worker_threads = 2;
+  pool_options.enable_cache = false;
+  QueryEngine pool_engine(pool_options);
+
+  std::mt19937_64 rng(3232);
+  for (int round = 0; round < 12; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const explore::SweepGrid grid = explore::requirement_grid(rng);
+    const explore::SweepResult want = explore::oracle_sweep(grid);
+
+    for (QueryEngine* engine : {&inline_engine, &pool_engine}) {
+      const QueryResponse response = engine->submit(SweepRequest{grid}).get();
+      ASSERT_TRUE(response.ok()) << response.status.to_string();
+      ASSERT_NE(response.sweep(), nullptr);
+      EXPECT_EQ(response.sweep()->result, want);
+    }
+    const QueryResponse executed = inline_engine.execute(SweepRequest{grid});
+    ASSERT_NE(executed.sweep(), nullptr);
+    EXPECT_EQ(executed.sweep()->result, want);
+    for (const unsigned threads : {0u, 1u, 4u}) {
+      EXPECT_EQ(explore::sweep(grid, cost::ComponentLibrary::default_library(),
+                               threads),
+                want)
+          << "threads " << threads;
+    }
+
+    const std::size_t cells = want.points.size();
+    const std::size_t row = explore::SweepShape(grid).row_cells();
+    std::vector<CellRange> ranges = {{0, 1}, {cells - 1, cells}};
+    if (cells > row) ranges.push_back({row / 2, std::min(cells, row + row / 2 + 1)});
+    for (const CellRange& range : ranges) {
+      const QueryResponse chunk = inline_engine.execute(
+          SweepChunkRequest{grid, range.begin, range.end});
+      ASSERT_NE(chunk.sweep_chunk(), nullptr) << chunk.status.to_string();
+      EXPECT_EQ(chunk.sweep_chunk()->points,
+                std::vector<explore::SweepPoint>(
+                    want.points.begin() + static_cast<std::ptrdiff_t>(range.begin),
+                    want.points.begin() + static_cast<std::ptrdiff_t>(range.end)))
+          << "[" << range.begin << ", " << range.end << ")";
+    }
   }
 }
 

@@ -958,18 +958,24 @@ TEST_F(EngineTraceTest, ExpiredDeadlineEmitsAnInstantMarker) {
 }
 
 /// A grid job that ages out in the queue is one expiry, however many
-/// chunks find it dead: one instant, one rejection.
+/// chunks find it dead: one instant, one rejection.  A sweep is one
+/// task, so the job here is a fault curve, which is split into chunks.
 TEST_F(EngineTraceTest, QueuedGridExpiryEmitsOneInstant) {
   Tracer::instance().enable();
   EngineOptions options;
   options.worker_threads = 4;
   options.start_workers = false;
   QueryEngine engine(options);
-  explore::SweepGrid grid = traced_grid();
-  grid.n_values.clear();
-  for (std::int64_t n = 1; n <= 16; ++n) grid.n_values.push_back(n);
-  std::future<QueryResponse> future = engine.submit(
-      SweepRequest{grid}, Deadline::in(std::chrono::milliseconds(5)));
+  FaultSweepRequest curve;
+  curve.spec.machine.granularity = Granularity::IpDp;
+  curve.spec.machine.ips = Multiplicity::Many;
+  curve.spec.machine.dps = Multiplicity::Many;
+  curve.spec.machine.set_switch(ConnectivityRole::IpDp, SwitchKind::Crossbar);
+  curve.spec.bindings.n = 4;
+  curve.spec.fault_rates = {0.0, 0.1, 0.25, 0.5};
+  curve.spec.trials_per_rate = 16;
+  std::future<QueryResponse> future =
+      engine.submit(curve, Deadline::in(std::chrono::milliseconds(5)));
   EXPECT_GT(engine.queue_depth(), 1u);  // really split into chunks
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   engine.start();

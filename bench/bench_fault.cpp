@@ -245,23 +245,14 @@ BENCHMARK(bm_noc_route_around)->Unit(benchmark::kMicrosecond);
 
 void bm_curve(benchmark::State& state) {
   const fault::CurveSpec spec = scaling_spec();
-  const auto threads = static_cast<unsigned>(state.range(0));
   for (auto _ : state) {
-    fault::CurveResult result = fault::evaluate_curve(
-        spec, cost::ComponentLibrary::default_library(), threads);
+    fault::CurveResult result = fault::evaluate_curve(spec);
     benchmark::DoNotOptimize(result);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(spec.cell_count()));
 }
-BENCHMARK(bm_curve)
-    ->ArgName("threads")
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(bm_curve)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

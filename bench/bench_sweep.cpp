@@ -2,7 +2,8 @@
 /// artifact.
 ///
 /// Artifact: a CSV summary (classify fast-path ns/op vs the pre-index
-/// baseline; sweep throughput vs thread count) printed first, and —
+/// baseline; single-thread sweep throughput and its stages) printed
+/// first, and —
 /// with `--json <path>` — the same numbers as JSON in the BENCH_sweep
 /// format committed at the repo root (see docs/PERF.md for how the
 /// baseline block was measured and how to regenerate).
@@ -14,7 +15,6 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -22,7 +22,6 @@
 
 #include "bench_util.hpp"
 #include "core/classifier.hpp"
-#include "core/range_split.hpp"
 #include "core/taxonomy_index.hpp"
 #include "cost/area_model.hpp"
 #include "cost/config_bits.hpp"
@@ -45,18 +44,21 @@ constexpr double kBaselineClassifyNs[] = {4.13, 3.00, 3.91, 3.62, 1.68};
 
 // Hard regression floor for single-thread sweep throughput, enforced by
 // bench/check_regression.py against the "floors" block this binary
-// emits: 5x the scalar-path baseline committed before the batch-kernel
-// rewrite (sweep_cells_per_s.threads_0 = 2.76e5 at commit 586f006).
-constexpr double kSweepCellsPerSFloor = 1.38e6;
+// emits: below a third of the slowest of six Release runs of the
+// factored sweep on the 4-vCPU recording host (1.82e7-2.14e7 cells/s),
+// and 18x the scalar-path baseline committed before the batch-kernel
+// rewrite (sweep_cells_per_s.threads_0 = 2.76e5 at commit 586f006); see
+// docs/PERF.md.
+constexpr double kSweepCellsPerSFloor = 5e6;
 
-// Hard regression ceilings for the Pareto-front stages (ns per grid cell
-// on the scaling grid), enforced by bench/check_regression.py against
-// the "ceilings" block this binary emits: about twice what the
-// summary-and-filter front records on the 4-vCPU recording host (front
-// 6.9-8.0, merge 4.6-5.7 ns/cell), and below the linear-time front it
-// replaced (14-20 ns/cell there); see docs/PERF.md.
+// Hard regression ceiling for the Pareto front (ns per grid cell on the
+// scaling grid), the fold the cluster proxy runs over a gathered sweep,
+// enforced by bench/check_regression.py against the "ceilings" block
+// this binary emits: about twice what the summary-and-filter front
+// records on the 4-vCPU recording host (6.9-8.0 ns/cell), and below the
+// linear-time front it replaced (14-20 ns/cell there); see
+// docs/PERF.md.
 constexpr double kFrontNsPerCellCeiling = 15;
-constexpr double kMergeNsPerCellCeiling = 12;
 
 /// ns/op of @p fn via a fixed-count timed loop, minimum over 7 runs —
 /// scheduler noise on a shared machine is strictly additive, so the
@@ -117,40 +119,26 @@ explore::SweepGrid scaling_grid() {
   }
   grid.objectives = {explore::Requirements::Objective::MinConfigBits,
                      explore::Requirements::Objective::MinArea};
-  // 64 * 256 * 2 = 32768 cells: enough work per sweep (milliseconds)
-  // that thread start-up and wake-ups do not swamp the scaling rows.
+  // 64 * 256 * 2 = 32768 cells: enough work per sweep (about a
+  // millisecond) that the clock's resolution does not matter.
   return grid;
 }
 
-struct ScalingRow {
-  unsigned threads = 0;
-  double cells_per_s = 0;
-  double speedup = 1;
-};
-
-std::vector<ScalingRow> measure_scaling() {
+/// Single-thread sweep() cells/s on the scaling grid, median of three
+/// runs.
+double measure_sweep_cells_per_s() {
   const explore::SweepGrid grid = scaling_grid();
-  const double cells = static_cast<double>(grid.cell_count());
-  std::vector<ScalingRow> rows;
-  double sequential_s = 0;
-  for (unsigned threads : {0u, 1u, 2u, 4u}) {
-    std::vector<double> runs;
-    for (int run = 0; run < 3; ++run) {
-      const auto start = std::chrono::steady_clock::now();
-      explore::SweepResult result = explore::sweep(
-          grid, cost::ComponentLibrary::default_library(), threads);
-      benchmark::DoNotOptimize(result);
-      runs.push_back(std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - start)
-                         .count());
-    }
-    std::sort(runs.begin(), runs.end());
-    const double seconds = runs[runs.size() / 2];
-    if (threads == 0) sequential_s = seconds;
-    rows.push_back(
-        {threads, cells / seconds, threads == 0 ? 1 : sequential_s / seconds});
+  std::vector<double> runs;
+  for (int run = 0; run < 3; ++run) {
+    const auto start = std::chrono::steady_clock::now();
+    explore::SweepResult result = explore::sweep(grid);
+    benchmark::DoNotOptimize(result);
+    runs.push_back(std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - start)
+                       .count());
   }
-  return rows;
+  std::sort(runs.begin(), runs.end());
+  return static_cast<double>(grid.cell_count()) / runs[runs.size() / 2];
 }
 
 /// Per-cell time split of a single-thread sweep(), each stage timed on
@@ -161,14 +149,12 @@ std::vector<ScalingRow> measure_scaling() {
 /// SweepExpand) inside traced sweep() calls: pricing the row winners,
 /// cutting them into the LUT-budget winners and marking the front, then
 /// writing the points and the front.  `front` is pareto_front over the
-/// grid's points (summarise the one range, then filter); `merge` is the
-/// serial step the cluster proxy runs over its gathered chunks, each
-/// folded into its own summary: combine the kMergeChunks summaries, then
-/// filter.  `sweep` is the whole sweep() call.  The part of a traced
-/// sweep() outside factor and expand (building the evaluator,
-/// allocating the result vectors) is printed as a residual, never
-/// recorded as a stage; `faults` counts the minor page faults of one
-/// sweep() call (getrusage).
+/// grid's points (summarise the one range, then filter), the fold the
+/// cluster proxy's merge runs over its gathered chunks.  `sweep` is the
+/// whole sweep() call.  The part of a traced sweep() outside factor and
+/// expand (building the evaluator, allocating the result vectors) is
+/// printed as a residual, never recorded as a stage; `faults` counts
+/// the minor page faults of one sweep() call (getrusage).
 struct StageBreakdown {
   double evaluate_ns = 0;
   double total_ns = 0;
@@ -176,14 +162,9 @@ struct StageBreakdown {
   double expand_ns = 0;
   double traced_sweep_ns = 0;
   double front_ns = 0;
-  double merge_ns = 0;
   double sweep_ns = 0;
   double faults = 0;
 };
-
-/// Chunks the cluster proxy splits a sweep of the scaling grid into:
-/// two backends at two chunks each.
-constexpr std::size_t kMergeChunks = 4;
 
 /// sweep() calls the factor and expand timers and the fault count
 /// average over.
@@ -272,27 +253,10 @@ StageBreakdown measure_stages() {
 
   // Front: the whole front of the points computed above, built from
   // scratch on one thread.
-
   stages.front_ns = measure_ns(
                         [&] {
                           std::vector<explore::SweepPoint> front =
                               explore::pareto_front(points);
-                          benchmark::DoNotOptimize(front.data());
-                        },
-                        4) /
-                    cells_d;
-  // Merge: what the proxy's gather runs once every chunk answer has been
-  // folded into its own summary.
-  std::vector<explore::FrontSummary> summaries;
-  for (const CellRange& chunk :
-       split_range(cells, kMergeChunks, evaluator.row_cells())) {
-    summaries.emplace_back(std::span<const explore::SweepPoint>(points).subspan(
-        chunk.begin, chunk.end - chunk.begin));
-  }
-  stages.merge_ns = measure_ns(
-                        [&] {
-                          std::vector<explore::SweepPoint> front =
-                              explore::pareto_front(points, summaries);
                           benchmark::DoNotOptimize(front.data());
                         },
                         4) /
@@ -340,18 +304,13 @@ void print_artifact(const std::string& json_path) {
   std::cout << "# classify fast path: ns/op vs pre-index baseline (08a248c)\n"
             << classify_csv.str() << "\n";
 
-  const std::vector<ScalingRow> scaling = measure_scaling();
+  const double cells_per_s = measure_sweep_cells_per_s();
   const StageBreakdown stages = measure_stages();
   const double cells = static_cast<double>(scaling_grid().cell_count());
-  report::CsvWriter scaling_csv;
-  scaling_csv.add_row({"threads", "cells_per_s", "speedup_vs_sequential"});
-  for (const ScalingRow& row : scaling) {
-    scaling_csv.add_row({std::to_string(row.threads), fmt(row.cells_per_s),
-                         fmt(row.speedup)});
-  }
-  std::cout << "# sweep scaling: " << static_cast<long>(cells)
-            << "-cell grid, library sweep()\n"
-            << scaling_csv.str() << "\n";
+  std::cout << "# sweep throughput: " << static_cast<long>(cells)
+            << "-cell grid, single-thread library sweep(): "
+            << fmt(cells_per_s) << " cells/s (floor "
+            << fmt(kSweepCellsPerSFloor) << ")\n\n";
 
   report::CsvWriter stage_csv;
   stage_csv.add_row({"stage", "ns_per_cell"});
@@ -360,13 +319,12 @@ void print_artifact(const std::string& json_path) {
   stage_csv.add_row({"factor", fmt(stages.factor_ns)});
   stage_csv.add_row({"expand", fmt(stages.expand_ns)});
   stage_csv.add_row({"front", fmt(stages.front_ns)});
-  stage_csv.add_row({"merge", fmt(stages.merge_ns)});
   stage_csv.add_row({"sweep", fmt(stages.sweep_ns)});
   std::cout << "# sweep() per-cell stage breakdown (single thread; "
                "evaluate = the kernel's cost-plan calls within total; "
                "factor and expand = the kernel's timers inside sweep(); "
-               "front = pareto_front over the points; merge = combine "
-            << kMergeChunks << " chunk summaries + filter)\n"
+               "front = pareto_front over the points, the proxy's "
+               "merge)\n"
             << stage_csv.str() << "# traced sweep() "
             << fmt(stages.traced_sweep_ns)
             << " ns/cell = factor + expand + residual "
@@ -375,20 +333,6 @@ void print_artifact(const std::string& json_path) {
             << " (evaluator build, result allocation); minor faults per "
                "sweep() call: "
             << fmt(stages.faults) << "\n\n";
-
-  // Monotone-scaling gate: with the worker pool clamped to
-  // hardware_concurrency, asking for the most threads must never run
-  // slower than one thread (the regression this PR removes).  10% noise
-  // guard for shared CI machines.
-  const double single_thread = scaling[0].cells_per_s;
-  const double clamped_max = scaling.back().cells_per_s;
-  if (clamped_max < 0.9 * single_thread) {
-    std::cerr << "FAIL: sweep at the clamped max thread count ("
-              << fmt(clamped_max) << " cells/s) fell below the "
-              << "single-thread figure (" << fmt(single_thread)
-              << " cells/s)\n";
-    std::exit(1);
-  }
 
   if (json_path.empty()) return;
   std::ofstream out(json_path);
@@ -414,22 +358,12 @@ void print_artifact(const std::string& json_path) {
     out << ", " << fmt(single_point_ns[i]);
   }
   out << "],\n    \"sweep_grid_cells\": " << static_cast<long>(cells)
-      << ",\n    \"sweep_cells_per_s\": {";
-  for (std::size_t i = 0; i < scaling.size(); ++i) {
-    out << (i ? ", " : "") << "\"threads_" << scaling[i].threads
-        << "\": " << fmt(scaling[i].cells_per_s);
-  }
-  out << "},\n    \"sweep_speedup\": {";
-  for (std::size_t i = 0; i < scaling.size(); ++i) {
-    out << (i ? ", " : "") << "\"threads_" << scaling[i].threads
-        << "\": " << fmt(scaling[i].speedup);
-  }
-  out << "},\n    \"sweep_stage_ns_per_cell\": {\"evaluate\": "
+      << ",\n    \"sweep_cells_per_s\": {\"threads_0\": " << fmt(cells_per_s)
+      << "},\n    \"sweep_stage_ns_per_cell\": {\"evaluate\": "
       << fmt(stages.evaluate_ns) << ", \"total\": " << fmt(stages.total_ns)
       << ", \"factor\": " << fmt(stages.factor_ns)
       << ", \"expand\": " << fmt(stages.expand_ns)
       << ", \"front\": " << fmt(stages.front_ns)
-      << ", \"merge\": " << fmt(stages.merge_ns)
       << ", \"sweep\": " << fmt(stages.sweep_ns) << "}"
       << ",\n    \"sweep_minor_faults_per_call\": " << fmt(stages.faults)
       << "\n  },\n"
@@ -438,9 +372,7 @@ void print_artifact(const std::string& json_path) {
       << "\n  },\n"
       << "  \"ceilings\": {\n"
       << "    \"sweep_stage_ns_per_cell.front\": "
-      << fmt(kFrontNsPerCellCeiling) << ",\n"
-      << "    \"sweep_stage_ns_per_cell.merge\": "
-      << fmt(kMergeNsPerCellCeiling) << "\n  }\n}\n";
+      << fmt(kFrontNsPerCellCeiling) << "\n  }\n}\n";
   std::cout << "JSON written to " << json_path << "\n\n";
 }
 
@@ -498,23 +430,14 @@ BENCHMARK(bm_recommend)->ArgName("min_flex")->Arg(0)->Arg(6);
 
 void bm_sweep(benchmark::State& state) {
   const explore::SweepGrid grid = scaling_grid();
-  const auto threads = static_cast<unsigned>(state.range(0));
   for (auto _ : state) {
-    explore::SweepResult result = explore::sweep(
-        grid, cost::ComponentLibrary::default_library(), threads);
+    explore::SweepResult result = explore::sweep(grid);
     benchmark::DoNotOptimize(result);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(grid.cell_count()));
 }
-BENCHMARK(bm_sweep)
-    ->ArgName("threads")
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(bm_sweep)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
@@ -531,7 +454,7 @@ int main(int argc, char** argv) {
   }
   std::cout << "DESIGN-SPACE SWEEP BENCHMARKS\n"
             << "(zero-allocation classify fast path, memoized cost plans, "
-               "parallel Pareto sweep)\n\n";
+               "factored Pareto sweep)\n\n";
   print_artifact(json_path);
   mpct::bench::apply_csv_flag(&argc, argv);
   benchmark::Initialize(&argc, argv);

@@ -23,12 +23,12 @@ deviations are a prompt to look, not a gate.
 Floors are a gate.  A committed baseline may carry a "floors" block
 mapping dotted "current"-relative paths to hard minimums, e.g.
 
-    "floors": {"sweep_cells_per_s.threads_0": 1.38e6}
+    "floors": {"sweep_cells_per_s.threads_0": 5e6}
 
 A fresh value below its floor (or a floored metric missing from the
 fresh run) prints a FAIL line and the script exits 1.  Floors encode
-order-of-magnitude guarantees (the batch sweep kernel must stay >= 5x
-the pre-batch scalar baseline), far below host-to-host noise.
+order-of-magnitude guarantees (the factored sweep must stay >= 18x the
+pre-batch scalar baseline), far below host-to-host noise.
 
 Ceilings are the same gate upside down: a "ceilings" block maps dotted
 paths to hard maximums, e.g.

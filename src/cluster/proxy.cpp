@@ -157,13 +157,11 @@ service::QueryResponse CombiningProxy::scatter(ClusterClient& cluster,
   const auto parts = cluster.call_many(chunks, deadline, trace_id, priority);
 
   // Gather: the kind's merge, over the chunk cells concatenated in
-  // index order and each chunk's summary, folded as its cells are
-  // appended.  A chunk must answer with exactly its range's cell count —
-  // a short or long answer (a bug or version skew behind the socket)
-  // would misplace every later cell.
+  // index order.  A chunk must answer with exactly its range's cell
+  // count — a short or long answer (a bug or version skew behind the
+  // socket) would misplace every later cell.
   std::vector<typename Kind::Cell> cells;
   cells.reserve(gather.cell_count());
-  std::vector<typename Kind::Summary> summaries(parts.size());
   for (std::size_t i = 0; i < parts.size(); ++i) {
     if (!parts[i].ok()) {
       response.status = parts[i].status;
@@ -186,10 +184,9 @@ service::QueryResponse CombiningProxy::scatter(ClusterClient& cluster,
     }
     cells.insert(cells.end(), Kind::cells(*chunk).begin(),
                  Kind::cells(*chunk).end());
-    summaries[i].add(Kind::cells(*chunk));
   }
   response.payload = std::make_shared<const service::ResponsePayload>(
-      Kind::merge(gather, std::move(cells), summaries));
+      Kind::merge(gather, std::move(cells)));
   return response;
 }
 

@@ -52,11 +52,9 @@ struct ProxyOptions {
 /// count, and merged by GridKind::merge: chunk cells concatenate in
 /// index order, then
 ///
-///  * sweep — each chunk's explore::FrontSummary, folded as its cells
-///    are appended, combines into one, and a single filter pass over
-///    all cells copies the front out in bulk; the split and the
-///    candidate count come from the grid's explore::SweepShape, which
-///    prices nothing;
+///  * sweep — one explore::pareto_front over all the cells folds the
+///    front; the split and the candidate count come from the grid's
+///    explore::SweepShape, which prices nothing;
 ///  * fault sweep — CurveEvaluator::finalize, the reduction the
 ///    engine's completion runs, reduces the outcomes (each trial's RNG
 ///    stream derives from its flat cell index, so placement cannot

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <future>
 #include <limits>
 #include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <type_traits>
 
 #include "trace/trace.hpp"
@@ -265,18 +263,6 @@ void FrontSummary::MinCost<Cost>::add(int flexibility, Cost cost,
   present |= bit;
 }
 
-template <typename Cost>
-void FrontSummary::MinCost<Cost>::combine(const MinCost& other) {
-  for (int f = 0; f < kDenseSlots; ++f) {
-    if (other.present >> f & 1) {
-      add(f, other.dense[static_cast<std::size_t>(f)],
-          other.ties[static_cast<std::size_t>(f)]);
-    }
-  }
-  wide.insert(wide.end(), other.wide.begin(), other.wide.end());
-  unordered += other.unordered;
-}
-
 void FrontSummary::add(std::span<const SweepPoint> points) {
   for (const SweepPoint& p : points) {
     if (!p.feasible) continue;
@@ -295,11 +281,6 @@ void FrontSummary::add(const SweepPoint& point, std::size_t count) {
   } else {
     area_.add(point.flexibility, point.area_kge, count);
   }
-}
-
-void FrontSummary::combine(const FrontSummary& other) {
-  bits_.combine(other.bits_);
-  area_.combine(other.area_);
 }
 
 std::vector<SweepPoint> FrontSummary::filter(
@@ -346,13 +327,6 @@ std::size_t FrontSummary::mark(std::span<const SweepPoint> points,
 
 std::vector<SweepPoint> pareto_front(const std::vector<SweepPoint>& points) {
   return FrontSummary(points).filter(points);
-}
-
-std::vector<SweepPoint> pareto_front(std::span<const SweepPoint> points,
-                                     std::span<const FrontSummary> chunks) {
-  FrontSummary whole;
-  for (const FrontSummary& chunk : chunks) whole.combine(chunk);
-  return whole.filter(points);
 }
 
 namespace detail {
@@ -653,26 +627,12 @@ std::vector<SweepPoint> SweepEvaluator::front(
   return front;
 }
 
-SweepResult sweep(const SweepGrid& grid, const cost::ComponentLibrary& lib,
-                  unsigned threads) {
+SweepResult sweep(const SweepGrid& grid, const cost::ComponentLibrary& lib) {
   const SweepEvaluator evaluator(grid, lib);
   SweepResult result;
   result.candidate_classes = evaluator.candidate_count();
   result.points.reserve(evaluator.cell_count());
-  if (threads <= 1 || std::thread::hardware_concurrency() <= 1) {
-    result.pareto_front =
-        evaluator.front(evaluator.evaluate_all(result.points));
-    return result;
-  }
-  // Once the front is marked, the points and the front are independent
-  // expansions: a second thread allocates and writes the front while
-  // this one writes the points.
-  SweepFactors factors = evaluator.factors(0, evaluator.grid().n_values.size());
-  evaluator.mark_front(factors);
-  std::future<std::vector<SweepPoint>> front = std::async(
-      std::launch::async, [&] { return evaluator.front(factors); });
-  evaluator.expand(factors, 0, evaluator.cell_count(), result.points);
-  result.pareto_front = front.get();
+  result.pareto_front = evaluator.front(evaluator.evaluate_all(result.points));
   return result;
 }
 

@@ -60,19 +60,14 @@ struct SweepResult {
   bool operator==(const SweepResult&) const = default;
 };
 
-/// Mergeable summary of a point set's Pareto front: for each objective,
-/// the minimum cost at each flexibility over the feasible points added.
+/// Summary of a point set's Pareto front: for each objective, the
+/// minimum cost at each flexibility over the feasible points added.
 ///
 /// A point dominates another of the same objective when its flexibility
 /// is >= and its objective cost is <= with at least one strict, so a
 /// point (f, c) is dominated exactly when the summarised points with
 /// flexibility >= f include a cost below c, or those with flexibility
-/// > f include a cost no greater than c.  Per-flexibility minima over a
-/// union are the minima of the parts' minima, so summaries built over
-/// disjoint chunks (each while its cells are cache-hot) and combined in
-/// any order equal the summary of all the points: a point dominated
-/// within its chunk is dominated globally, and the combined summary
-/// finds every domination across chunks.  A NaN cost fails every
+/// > f include a cost no greater than c.  A NaN cost fails every
 /// comparison, so it never enters a minimum and is never dominated.
 ///
 /// Flexibilities in [0, 64) (the taxonomy scores 0..8) land in dense
@@ -91,8 +86,6 @@ class FrontSummary {
   /// Fold @p count points with @p point's objective, flexibility and
   /// cost (nothing when it is infeasible or @p count is 0).
   void add(const SweepPoint& point, std::size_t count);
-  /// Fold another summary in.  add() and combine() commute.
-  void combine(const FrontSummary& other);
 
   /// The points of @p points that no summarised point dominates, in
   /// input order; infeasible points never appear.  @p points must be
@@ -123,7 +116,6 @@ class FrontSummary {
     std::size_t unordered = 0;  ///< NaN costs: never dominated
 
     void add(int flexibility, Cost cost, std::size_t count = 1);
-    void combine(const MinCost& other);
   };
 
   MinCost<std::int64_t> bits_;  ///< MinConfigBits points, by config_bits
@@ -133,23 +125,15 @@ class FrontSummary {
 /// Cells of @p points not dominated by any other cell under the same
 /// objective (see FrontSummary), in input order: the summary of the one
 /// range, then its filter.  Returns exactly the front
-/// detail::pareto_front_reference computes, in the same order.
+/// detail::pareto_front_reference computes, in the same order.  The
+/// cluster proxy's merge runs it once over the chunk answers it gathers.
 std::vector<SweepPoint> pareto_front(const std::vector<SweepPoint>& points);
-
-/// The same front, when @p points were split into chunks and @p chunks
-/// holds each chunk's summary (in any order): combine, then filter once.
-/// Exact, because a union's minimum cost at each flexibility is the
-/// minimum of its chunks' minima, and a NaN cost never enters one.
-/// The cluster proxy's merge of the chunk answers it gathers.
-std::vector<SweepPoint> pareto_front(std::span<const SweepPoint> points,
-                                     std::span<const FrontSummary> chunks);
 
 namespace detail {
 
 /// The original all-pairs O(N^2) implementation, kept as the oracle the
 /// randomized equivalence tests compare the front against
-/// (tests/test_sweep.cpp, ParetoFront.MatchesReference* and
-/// FrontSummary.*).
+/// (tests/test_sweep.cpp, ParetoFront.MatchesReference*).
 std::vector<SweepPoint> pareto_front_reference(
     const std::vector<SweepPoint>& points);
 
@@ -283,28 +267,26 @@ class SweepEvaluator {
   /// every row with the front marked, for front().
   SweepFactors evaluate_all(std::vector<SweepPoint>& points) const;
   /// The Pareto front of the whole grid, allocated at its exact size,
-  /// from factors that mark_front() has run over.
+  /// from evaluate_all()'s factors.
   std::vector<SweepPoint> front(const SweepFactors& factors) const;
-
-  /// Factors of rows [row_begin, row_end).
-  SweepFactors factors(std::size_t row_begin, std::size_t row_end) const;
-  /// Count the cells each winner takes, flag the winners on the Pareto
-  /// front and size it.  @p factors must cover every row.
-  void mark_front(SweepFactors& factors) const;
 
   /// Cells [begin, end), which must lie in @p factors' rows, into @p out
   /// (out[i] = cell begin + i).
   void expand(const SweepFactors& factors, std::size_t begin,
               std::size_t end, SweepPoint* out) const;
+
+ private:
+  /// Factors of rows [row_begin, row_end).
+  SweepFactors factors(std::size_t row_begin, std::size_t row_end) const;
+  /// Count the cells each winner takes, flag the winners on the Pareto
+  /// front and size it.  @p factors must cover every row.
+  void mark_front(SweepFactors& factors) const;
   /// Append cells [begin, end) to @p out; with @p front_only, only the
   /// cells on the front, in index order (mark_front() must have run).
   void expand(const SweepFactors& factors, std::size_t begin,
               std::size_t end, std::vector<SweepPoint>& out,
               bool front_only = false) const;
 
-  const SweepGrid& grid() const { return grid_; }
-
- private:
   /// Everything the winner reduction reads about one candidate, cached
   /// at construction (the plan itself lives in plans_ at the same
   /// index).
@@ -365,21 +347,16 @@ void require_separable(const cost::CostPlan& plan, const TaxonomicName& name);
 
 }  // namespace detail
 
-/// Sweep the whole grid.  @p threads == 0 (or 1) evaluates sequentially
-/// on the caller's thread (SweepEvaluator::evaluate_all, then front());
-/// otherwise, once the factors are priced and the front marked, a second
-/// thread allocates and expands the front while the caller expands the
-/// points (results are bit-identical either way).  More threads add
-/// nothing: pricing is a few percent of a sweep, and the rest is writing
-/// the two result vectors.  Splitting them over two threads also gives
-/// each its own allocator arena, so freeing both does not hand the
-/// memory back to the kernel the way one arena does (docs/PERF.md).
-/// The service layer runs a sweep as one task (service/grid_kind.hpp);
-/// this entry point is for library callers and for the sequential
-/// reference the tests compare against.
+/// Sweep the whole grid on the caller's thread: evaluate_all(), then
+/// front() (SweepEvaluator).  The service layer runs a sweep as one task
+/// on its worker pool (service/grid_kind.hpp); this entry point is for
+/// library callers and for the sequential reference the tests compare
+/// against.  It allocates and frees both result vectors on one thread,
+/// so back-to-back calls can cross glibc's dynamic trim threshold and
+/// fault both in again every time (~878 minor faults per 32,768-cell
+/// call), which the engine's allocation placement avoids (docs/PERF.md).
 SweepResult sweep(const SweepGrid& grid,
                   const cost::ComponentLibrary& lib =
-                      cost::ComponentLibrary::default_library(),
-                  unsigned threads = 0);
+                      cost::ComponentLibrary::default_library());
 
 }  // namespace mpct::explore

@@ -6,7 +6,6 @@
 #include <cstring>
 
 #include "core/flexibility.hpp"
-#include "core/range_split.hpp"
 #include "fault/route_around.hpp"
 #include "report/csv.hpp"
 #include "report/svg.hpp"
@@ -349,17 +348,10 @@ std::vector<CurvePoint> CurveEvaluator::finalize(
 }
 
 CurveResult evaluate_curve(const CurveSpec& spec,
-                           const cost::ComponentLibrary& lib,
-                           unsigned threads) {
+                           const cost::ComponentLibrary& lib) {
   const CurveEvaluator evaluator(spec, lib);
-  const std::size_t cells = evaluator.cell_count();
-  std::vector<TrialOutcome> outcomes(cells);
-
-  parallel_ranges(cells, threads, evaluator.row_cells(),
-                  [&](std::size_t, std::size_t begin, std::size_t end) {
-                    evaluator.evaluate_range(begin, end,
-                                             outcomes.data() + begin);
-                  });
+  std::vector<TrialOutcome> outcomes(evaluator.cell_count());
+  evaluator.evaluate_range(0, outcomes.size(), outcomes.data());
 
   CurveResult result;
   result.spec = evaluator.spec();

@@ -20,7 +20,7 @@ namespace mpct::fault {
 /// outcome depends only on (spec, cell index) — never on thread count,
 /// chunking, or evaluation order.  The same spec therefore produces a
 /// byte-identical CSV on every run (tests/test_fault.cpp pins this
-/// across 0, 1 and N worker threads).
+/// across runs and across range splits).
 struct CurveSpec {
   MachineClass machine;
   /// Binds the machine to a concrete FabricShape (Many -> n, Variable ->
@@ -191,17 +191,14 @@ class CurveEvaluator {
   int original_score_ = 0;  ///< flexibility of the pristine structure
 };
 
-/// Sweep the whole curve.  @p threads == 0 (or 1) evaluates
-/// sequentially on the caller's thread; otherwise the cell range is
-/// split (mpct::parallel_ranges, clamped to the core count) across
-/// scoped workers writing disjoint slices (bit-identical either way).
-/// The service layer instead chunks over its own worker pool
-/// (FaultSweepRequest in engine.cpp); this entry point serves library
-/// callers and the sequential reference the tests compare against.
+/// Sweep the whole curve on the caller's thread: one evaluate_range()
+/// over every cell, then finalize().  The service layer instead chunks
+/// a curve over its own worker pool (service/grid_kind.hpp); this entry
+/// point serves library callers and the sequential reference the tests
+/// compare against.
 CurveResult evaluate_curve(const CurveSpec& spec,
                            const cost::ComponentLibrary& lib =
-                               cost::ComponentLibrary::default_library(),
-                           unsigned threads = 0);
+                               cost::ComponentLibrary::default_library());
 
 /// Render the curve as CSV (fixed %.6f formatting, so equal doubles
 /// produce byte-identical documents):

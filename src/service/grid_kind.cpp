@@ -114,12 +114,11 @@ SweepResponse GridKind<SweepRequest>::Run::finish() {
 /// The candidate filter reads only the grid's requirements, never the
 /// component library, so the proxy's shape reports the same candidate
 /// count as any backend's evaluator.
-SweepResponse GridKind<SweepRequest>::merge(
-    const Gather& shape, std::vector<Cell> cells,
-    std::span<const Summary> summaries) {
+SweepResponse GridKind<SweepRequest>::merge(const Gather& shape,
+                                            std::vector<Cell> cells) {
   SweepResponse payload;
   payload.result.candidate_classes = shape.candidate_count();
-  payload.result.pareto_front = explore::pareto_front(cells, summaries);
+  payload.result.pareto_front = explore::pareto_front(cells);
   payload.result.points = std::move(cells);
   return payload;
 }
@@ -177,8 +176,7 @@ GridKind<FaultSweepRequest>::Run::Run(const Input& spec,
     : evaluator_(spec, library), outcomes_(evaluator_.cell_count()) {}
 
 FaultSweepResponse GridKind<FaultSweepRequest>::merge(
-    const Gather& evaluator, std::vector<Cell> cells,
-    std::span<const Summary>) {
+    const Gather& evaluator, std::vector<Cell> cells) {
   FaultSweepResponse payload;
   payload.result.spec = evaluator.spec();
   payload.result.points = evaluator.finalize(cells);

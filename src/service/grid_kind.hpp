@@ -1,6 +1,5 @@
 #pragma once
 
-#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -29,11 +28,10 @@ namespace mpct::service {
 ///    and its inline path both run it;
 ///  * `Evaluator` / chunk_response(): a chunk request's cells
 ///    (evaluate_range(begin, end, Cell*)) and its answer;
-///  * `Gather`, `Summary` and merge(): the proxy's gather.  `Gather` is
-///    built from the input and exposes cell_count() and row_cells() (the
-///    chunk grain); each chunk answer's cells fold into a `Summary`
-///    (add(std::span<const Cell>)) as they arrive, and merge() builds
-///    the response from every chunk's cells and summary;
+///  * `Gather` and merge(): the proxy's gather.  `Gather` is built from
+///    the input and exposes cell_count() and row_cells() (the chunk
+///    grain); merge() builds the response from every chunk's cells,
+///    concatenated in index order;
 ///  * validate() and stride() (admission Degrade).
 template <typename GridRequest>
 struct GridKind;
@@ -48,7 +46,6 @@ struct GridKind<SweepRequest> {
   using Evaluator = explore::SweepEvaluator;
   using Cell = explore::SweepPoint;
   using Gather = explore::SweepShape;
-  using Summary = explore::FrontSummary;
   using ChunkRequest = SweepChunkRequest;
   using ChunkResponse = SweepChunkResponse;
   static constexpr RequestType type = RequestType::Sweep;
@@ -89,11 +86,10 @@ struct GridKind<SweepRequest> {
   static bool stride(SweepRequest& request);
   static ChunkResponse chunk_response(const Evaluator& evaluator,
                                       std::vector<Cell> cells);
-  /// Moves the points in, combines the chunks' front summaries (exact
-  /// in any order: see explore::FrontSummary), filters the points once
-  /// into the Pareto front and reports the candidate count.
-  static SweepResponse merge(const Gather& shape, std::vector<Cell> cells,
-                             std::span<const Summary> summaries);
+  /// Folds the Pareto front once over the gathered points
+  /// (explore::pareto_front), moves them in and reports the candidate
+  /// count.
+  static SweepResponse merge(const Gather& shape, std::vector<Cell> cells);
 };
 
 template <>
@@ -103,11 +99,6 @@ struct GridKind<FaultSweepRequest> {
   using Cell = fault::TrialOutcome;
   /// The merge reduces with the evaluator (CurveEvaluator::finalize).
   using Gather = fault::CurveEvaluator;
-  /// Outcomes reduce in index order at the merge, so a chunk folds
-  /// nothing.
-  struct Summary {
-    void add(std::span<const Cell>) {}
-  };
   using ChunkRequest = FaultChunkRequest;
   using ChunkResponse = FaultChunkResponse;
   static constexpr RequestType type = RequestType::FaultSweep;
@@ -135,7 +126,7 @@ struct GridKind<FaultSweepRequest> {
       evaluator_.evaluate_range(begin, end, outcomes_.data() + begin);
     }
     FaultSweepResponse finish() {
-      return merge(evaluator_, std::move(outcomes_), {});
+      return merge(evaluator_, std::move(outcomes_));
     }
 
    private:
@@ -160,8 +151,7 @@ struct GridKind<FaultSweepRequest> {
   /// It reads no component-library state, so any evaluator of the same
   /// spec merges any backend's outcomes identically.
   static FaultSweepResponse merge(const Gather& evaluator,
-                                  std::vector<Cell> cells,
-                                  std::span<const Summary> summaries);
+                                  std::vector<Cell> cells);
 };
 
 }  // namespace mpct::service

@@ -13,6 +13,7 @@
 
 #include "core/classifier.hpp"
 #include "core/flexibility.hpp"
+#include "core/range_split.hpp"
 #include "core/taxonomy_index.hpp"
 #include "fault/fault.hpp"
 #include "interconnect/benes.hpp"
@@ -576,7 +577,24 @@ TEST(RouteAround, NoNocShapeThrows) {
 }
 
 // ---------------------------------------------------------------------------
-// Degradation curves: determinism across runs and thread counts
+// Degradation curves: determinism across runs and range splits
+
+/// The curve's CSV from split_range(cells, parts, kLanes) pieces of
+/// evaluate_range, reduced by finalize: what the engine's worker pool
+/// computes when it runs the curve as that many chunks.
+std::string split_curve_csv(const fault::CurveEvaluator& evaluator,
+                            std::size_t parts) {
+  std::vector<fault::TrialOutcome> outcomes(evaluator.cell_count());
+  for (const CellRange& range :
+       split_range(evaluator.cell_count(), parts, evaluator.row_cells())) {
+    evaluator.evaluate_range(range.begin, range.end,
+                             outcomes.data() + range.begin);
+  }
+  CurveResult result;
+  result.spec = evaluator.spec();
+  result.points = evaluator.finalize(outcomes);
+  return fault::to_csv(result);
+}
 
 CurveSpec curve_spec() {
   CurveSpec spec;
@@ -631,12 +649,10 @@ TEST(DegradationCurve, CsvIsByteIdenticalAcrossRunsAndThreadCounts) {
   const std::string run1 = fault::to_csv(fault::evaluate_curve(spec));
   const std::string run2 = fault::to_csv(fault::evaluate_curve(spec));
   EXPECT_EQ(run1, run2);
-  // Thread-count invariance: the engine's core determinism contract.
-  for (unsigned threads : {1u, 2u, 5u}) {
-    EXPECT_EQ(fault::to_csv(fault::evaluate_curve(
-                  spec, cost::ComponentLibrary::default_library(), threads)),
-              run1)
-        << threads << " threads";
+  // Split invariance: the engine's core determinism contract.
+  const fault::CurveEvaluator evaluator(spec);
+  for (const std::size_t parts : {1u, 2u, 5u}) {
+    EXPECT_EQ(split_curve_csv(evaluator, parts), run1) << parts << " parts";
   }
   EXPECT_EQ(run1.rfind("fault_rate,trials,yield,flexibility_retention,"
                        "connectivity,survival",
@@ -648,14 +664,14 @@ TEST(DegradationCurve, CsvIsByteIdenticalAcrossRunsAndThreadCounts) {
 // randomized (rates, seed) spec, must produce bit-identical outcomes on
 // the scalar oracle (evaluate_cell: full sample_faults + degrade) and
 // the batch census kernel (evaluate_range), and the CSV reduced from the
-// scalar outcomes must be byte-identical to what every thread count of
-// the batch path renders.  13 trials per rate put lane blocks across
-// rate boundaries and leave a partial tail block; the rate axis adds
-// the Bernoulli threshold's edges (rates outside [0, 1] reach the kernel
-// through the library, though the engine rejects them); the large
-// bindings make LUT fabrics draw thousands of components per trial; and
-// every Many-DP row lays a NoC over its DPs, so dead routers land on
-// dead and on live DPs.
+// scalar outcomes must be byte-identical to what the library curve and
+// a three-way split of the batch path render.  13 trials per rate put
+// lane blocks across rate boundaries and leave a partial tail block; the
+// rate axis adds the Bernoulli threshold's edges (rates outside [0, 1]
+// reach the kernel through the library, though the engine rejects them);
+// the large bindings make LUT fabrics draw thousands of components per
+// trial; and every Many-DP row lays a NoC over its DPs, so dead routers
+// land on dead and on live DPs.
 TEST(DegradationCurve, BatchPathMatchesScalarOracleOnAll47Classes) {
   std::mt19937_64 rng(4242);
   std::uniform_real_distribution<double> rate(0.0, 0.5);
@@ -709,14 +725,10 @@ TEST(DegradationCurve, BatchPathMatchesScalarOracleOnAll47Classes) {
       oracle.spec = evaluator.spec();
       oracle.points = evaluator.finalize(scalar);
       const std::string csv = fault::to_csv(oracle);
-      for (unsigned threads : {0u, 3u}) {
-        EXPECT_EQ(fault::to_csv(fault::evaluate_curve(
-                      spec, cost::ComponentLibrary::default_library(),
-                      threads)),
-                  csv)
-            << "row " << row.serial << ", n " << bindings.n << ", "
-            << threads << " threads";
-      }
+      EXPECT_EQ(fault::to_csv(fault::evaluate_curve(spec)), csv)
+          << "row " << row.serial << ", n " << bindings.n;
+      EXPECT_EQ(split_curve_csv(evaluator, 3), csv)
+          << "row " << row.serial << ", n " << bindings.n << ", 3 parts";
     }
   }
   // The router rule's two branches were both exercised.

@@ -167,18 +167,6 @@ TEST(Sweep, EveryCellMatchesSequentialRecommendBitForBit) {
   }
 }
 
-TEST(Sweep, ThreadCountDoesNotChangeResults) {
-  SweepGrid grid = demo_grid();
-  grid.n_values = {1, 2, 3, 5, 8, 13, 21, 34, 55};
-  grid.lut_budgets = {16, 256, 4096};
-  const SweepResult sequential = sweep(grid);
-  for (unsigned threads : {1u, 2u, 3u, 4u, 7u, 16u}) {
-    EXPECT_EQ(sweep(grid, cost::ComponentLibrary::default_library(), threads),
-              sequential)
-        << "threads=" << threads;
-  }
-}
-
 TEST(Sweep, ImpossibleFloorYieldsInfeasibleCells) {
   SweepGrid grid = demo_grid();
   grid.base.min_flexibility = 9;
@@ -520,13 +508,10 @@ TEST(SweepFactors, EdgeShapesMatchTheScalarOracle) {
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     const SweepResult want = oracle_sweep(c.grid, c.lib);
-    for (const unsigned threads : {0u, 4u}) {
-      const SweepResult got = sweep(c.grid, c.lib, threads);
-      const std::string what = "threads " + std::to_string(threads);
-      expect_same_points(got.points, want.points, what + " points");
-      expect_same_points(got.pareto_front, want.pareto_front, what + " front");
-      EXPECT_EQ(got.candidate_classes, want.candidate_classes);
-    }
+    const SweepResult got = sweep(c.grid, c.lib);
+    expect_same_points(got.points, want.points, "points");
+    expect_same_points(got.pareto_front, want.pareto_front, "front");
+    EXPECT_EQ(got.candidate_classes, want.candidate_classes);
   }
   // The infinite case really ties at infinity, and the NaN case really
   // carries NaN areas onto its front, while a NaN area never wins a
@@ -633,9 +618,11 @@ TEST(ParetoFront, MatchesReferenceOnRandomizedPoints) {
       p.n = i;
       points.push_back(p);
     }
-    EXPECT_EQ(ids(pareto_front(points)),
-              ids(detail::pareto_front_reference(points)))
+    const std::vector<SweepPoint> front = pareto_front(points);
+    EXPECT_EQ(ids(front), ids(detail::pareto_front_reference(points)))
         << "round " << round;
+    // The summary's survivor count sized the front exactly.
+    EXPECT_EQ(front.capacity(), front.size()) << "round " << round;
   }
 }
 
@@ -650,86 +637,8 @@ TEST(ParetoFront, MatchesReferenceOnRealSweepOutput) {
 }
 
 // ---------------------------------------------------------------------------
-// FrontSummary: summaries built per chunk and combined in any order must
-// filter to exactly the reference front.  The chunkings include empty
-// chunks, one-cell chunks and chunks holding only infeasible cells; the
-// points carry the same hostile values as above.
-
-std::vector<SweepPoint> hostile_points(std::mt19937_64& rng, int round) {
-  using Limits = std::numeric_limits<int>;
-  using Bits = std::numeric_limits<std::int64_t>;
-  const int extreme_flex[] = {Limits::min(), Limits::min() + 1, -1, 0,
-                              63, 64, Limits::max() - 1, Limits::max()};
-  const std::int64_t extreme_bits[] = {Bits::min(), -1, 0, 1, Bits::max()};
-  const double special_area[] = {std::numeric_limits<double>::quiet_NaN(),
-                                 -0.0, 0.0};
-  const int count = static_cast<int>(rng() % 160);
-  std::vector<SweepPoint> points;
-  for (int i = 0; i < count; ++i) {
-    SweepPoint p;
-    p.feasible = rng() % 8 != 0;
-    p.objective = rng() % 2 == 0 ? Requirements::Objective::MinConfigBits
-                                 : Requirements::Objective::MinArea;
-    switch (round % 3) {
-      case 0: p.flexibility = static_cast<int>(rng() % 9); break;
-      case 1: p.flexibility = extreme_flex[rng() % std::size(extreme_flex)];
-        break;
-      default: p.flexibility = static_cast<int>(rng() % 140) - 70; break;
-    }
-    p.config_bits = rng() % 4 == 0
-                        ? extreme_bits[rng() % std::size(extreme_bits)]
-                        : static_cast<std::int64_t>(rng() % 20);
-    p.area_kge = rng() % 4 == 0 ? special_area[rng() % std::size(special_area)]
-                                : 0.5 * static_cast<double>(rng() % 20);
-    points.push_back(p);
-  }
-  // A block of infeasible points, so some chunk can hold nothing else.
-  const std::size_t at = rng() % (points.size() + 1);
-  points.insert(points.begin() + static_cast<std::ptrdiff_t>(at),
-                rng() % 4, SweepPoint{});
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    points[i].n = static_cast<std::int64_t>(i);
-  }
-  return points;
-}
-
-TEST(FrontSummary, ShuffledChunkSummariesMatchReference) {
-  std::mt19937_64 rng(2025);
-  for (int round = 0; round < 600; ++round) {
-    const std::vector<SweepPoint> points = hostile_points(rng, round);
-    // Random cuts: repeats make empty chunks, neighbours one-cell ones,
-    // and the cuts around each infeasible run isolate it in its own.
-    std::vector<std::size_t> cuts{0, points.size()};
-    for (std::size_t k = rng() % 12; k > 0; --k) {
-      cuts.push_back(rng() % (points.size() + 1));
-    }
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      if (!points[i].feasible && (i == 0 || points[i - 1].feasible)) {
-        cuts.push_back(i);
-      }
-      if (!points[i].feasible &&
-          (i + 1 == points.size() || points[i + 1].feasible)) {
-        cuts.push_back(i + 1);
-      }
-    }
-    std::sort(cuts.begin(), cuts.end());
-    std::vector<FrontSummary> chunks;
-    for (std::size_t c = 0; c + 1 < cuts.size(); ++c) {
-      chunks.emplace_back(std::span<const SweepPoint>(points).subspan(
-          cuts[c], cuts[c + 1] - cuts[c]));
-    }
-    std::shuffle(chunks.begin(), chunks.end(), rng);
-    const std::vector<SweepPoint> front = pareto_front(points, chunks);
-    EXPECT_EQ(ids(front), ids(detail::pareto_front_reference(points)))
-        << "round " << round << ", " << chunks.size() << " chunks";
-    // The summary's survivor count sized the front exactly.
-    EXPECT_EQ(front.capacity(), front.size()) << "round " << round;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// split_range: the one chunk rule of the engine's grid jobs, the cluster
-// proxy's scatter and the library's threaded sweep and curve.
+// split_range: the one chunk rule of the engine's grid jobs and the
+// cluster proxy's scatter.
 
 void expect_valid_split(std::size_t cells, std::size_t parts,
                         std::size_t grain) {
@@ -1007,8 +916,8 @@ TEST(SweepService, ConcurrentSweepsAndPointQueriesAgree) {
 
 
 // Every serving path runs the factored kernel and lands on the scalar
-// oracle: inline execute(), the worker pool, sweep() at 0, 1 and 4
-// threads, and chunk requests over one-cell and partial-row ranges.
+// oracle: inline execute(), the worker pool, the library sweep(), and
+// chunk requests over one-cell and partial-row ranges.
 TEST(SweepService, EveryPathMatchesTheScalarOracleOnRequirementGrids) {
   EngineOptions inline_options;
   inline_options.worker_threads = 0;
@@ -1034,12 +943,7 @@ TEST(SweepService, EveryPathMatchesTheScalarOracleOnRequirementGrids) {
     const QueryResponse executed = inline_engine.execute(SweepRequest{grid});
     ASSERT_NE(executed.sweep(), nullptr);
     EXPECT_EQ(executed.sweep()->result, want);
-    for (const unsigned threads : {0u, 1u, 4u}) {
-      EXPECT_EQ(explore::sweep(grid, cost::ComponentLibrary::default_library(),
-                               threads),
-                want)
-          << "threads " << threads;
-    }
+    EXPECT_EQ(explore::sweep(grid), want);
 
     const std::size_t cells = want.points.size();
     const std::size_t row = explore::SweepShape(grid).row_cells();
